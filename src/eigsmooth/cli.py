@@ -17,7 +17,9 @@ Subcommands:
 Config files are flat `key = value` text; '#' starts a comment. Seeds are
 mandatory (no wall-clock seeding); all numeric output uses round-trip
 decimal formatting. The only environment variable honored is
-EIGSMOOTH_VERBOSE (per-row progress on stderr).
+EIGSMOOTH_VERBOSE: when it is non-empty, a command that fails with anything
+but a config error re-raises the exception, traceback included, instead of
+printing a one-line error.
 """
 from __future__ import annotations
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .smoothing import sample_rng
-from .spectral import secular_shifts_batch
+from .spectral import _secular_newton, secular_shifts_batch
 
 __all__ = [
     "SpectrumModel",
@@ -136,33 +136,21 @@ def t0_solve(model, eps, rel_tol=1e-12, max_iter=200):
     """Unique positive t0 with (1/n) sum_{j>l} 1/(t0+gamma+delta_j) = 1/eps.
 
     Exists only above the critical level; safeguarded Newton inside
-    [0, (1 - l/n) eps], and t0 <= (1 - l/n) eps on return.
+    [0, (1 - l/n) eps], so t0 <= (1 - l/n) eps on return. Raises
+    SpectralError if Newton has not converged after `max_iter` iterations.
     """
     eps0 = eps_critical(model)
     if eps <= eps0:
         raise ValueError(f"eps={eps!r} is not above the critical level {eps0!r}")
     n = model.n
     base = model.gamma_gap + model.deltas
-    hi = (1.0 - model.multiplicity / n) * eps
-    lo = 0.0
-    g = lambda t: float(np.sum(1.0 / (t + base))) / n - 1.0 / eps
-    t = hi
-    for _ in range(max_iter):
-        val = g(t)
-        if val > 0.0:
-            lo = t
-        else:
-            hi = t
-        slope = -float(np.sum(1.0 / (t + base) ** 2)) / n
-        t_new = t - val / slope
-        if not lo <= t_new <= hi:
-            t_new = 0.5 * (lo + hi)
-        if abs(t_new - t) <= rel_tol * max(abs(t_new), 1e-300):
-            t = t_new
-            break
-        t = t_new
-    assert t <= (1.0 - model.multiplicity / n) * eps + 1e-12 * eps
-    return float(t)
+    # The secular equation with pole offsets `base`, weights 1/n and scale
+    # eps; its bracket [0, eps * sum of weights] is [0, (1 - l/n) eps].
+    t, _ = _secular_newton(
+        base, np.full((1, base.size), 1.0 / n), eps,
+        np.zeros(1), np.array([(1.0 - model.multiplicity / n) * eps]), rel_tol, max_iter,
+    )
+    return float(t[0])
 
 
 @dataclass

@@ -23,11 +23,10 @@ import numpy as np
 
 from .spectral import (
     SpectralDecomp,
+    _rank_one_top,
     check_symmetric,
     full_eig,
     lanczos_leading,
-    rank_one_leading,
-    secular_shifts_batch,
 )
 
 __all__ = [
@@ -151,10 +150,9 @@ def fk_value(X, Z, params, decomp=None):
     if params.eps == 0.0:
         values = np.full(Z.shape[0], dec.values[0])
         return float(dec.values[0]), 0, dec.vectors[:, 0].copy(), values
-    pairs = [rank_one_leading(dec, z, params.scale) for z in Z]
-    values = np.array([p.value for p in pairs])
-    i0 = int(np.argmax(values))
-    return float(values[i0]), i0, pairs[i0].vector, values
+    values, _, i0, vecs = _rank_one_top(dec, Z[None], params.scale)
+    i0 = int(i0[0])
+    return float(values[0, i0]), i0, vecs[0], values[0]
 
 
 def sample_fk(X, params, rng, decomp=None, path="auto", lanczos_tol=1e-9, lanczos_fail_prob=0.01):
@@ -262,10 +260,9 @@ def fk_values_batch(decomp, params, draws, rng):
     the batched secular path; meant for estimator diagnostics and envelope
     checks, not for the per-sample cost-accounted oracle.
     """
-    Z = rng.standard_normal((draws * params.k, decomp.n))
-    coords = Z @ decomp.vectors
-    shifts = secular_shifts_batch(decomp.values, coords**2, params.scale)
-    return decomp.values[0] + shifts.reshape(draws, params.k).max(axis=1)
+    Z = rng.standard_normal((draws, params.k, decomp.n))
+    values, _, _, _ = _rank_one_top(decomp, Z, params.scale, vectors=False)
+    return values.max(axis=1)
 
 
 def _phi_batch(decomp, params, trials, rng):
@@ -274,21 +271,9 @@ def _phi_batch(decomp, params, trials, rng):
     Returns (vectors, values) with vectors of shape (trials, n). Matches the
     secular path of `sample_fk` draw for draw.
     """
-    k, n = params.k, decomp.n
-    Z = rng.standard_normal((trials, k, n))
-    coords = np.einsum("tkn,nm->tkm", Z, decomp.vectors)
-    shifts = secular_shifts_batch(
-        decomp.values, coords.reshape(trials * k, n) ** 2, params.scale
-    ).reshape(trials, k)
-    i0 = np.argmax(shifts, axis=1)
-    rows = np.arange(trials)
-    sel = coords[rows, i0]                      # (trials, n) eigenbasis coords
-    gaps = decomp.values[0] - decomp.values     # >= 0
-    comps = sel / (gaps[None, :] + shifts[rows, i0][:, None])
-    comps /= np.linalg.norm(comps, axis=1, keepdims=True)
-    vectors = comps @ decomp.vectors.T
-    values = decomp.values[0] + shifts[rows, i0]
-    return vectors, values
+    Z = rng.standard_normal((trials, params.k, decomp.n))
+    values, _, _, vectors = _rank_one_top(decomp, Z, params.scale)
+    return vectors, values.max(axis=1)
 
 
 def approximation_bounds(params):

@@ -1,9 +1,14 @@
 """Dense symmetric spectral kernel.
 
 Leading eigenpairs by randomized Lanczos with restarts, full symmetric
-decompositions, secular-equation solvers for rank-one updates with analytic
+decompositions, rank-one updates through the secular equation with analytic
 eigenvectors, characteristic polynomials of rank-one perturbations, matrix
 exponentials, and spectral-gap smoothness constants.
+
+Every secular equation in the package (single roots, batches of weight rows,
+and the phase lab's t0) goes through one row-vectorized safeguarded Newton
+solver. Like Lanczos, it either converges or raises SpectralError; it never
+returns a silently unconverged answer.
 
 All routines are pure functions of their inputs plus an explicit seeded
 random stream, so they are safe to call concurrently.
@@ -11,7 +16,7 @@ random stream, so they are safe to call concurrently.
 Cost accounting: every leading eigenpair produced counts as one
 "eigenvector unit" regardless of how many matrix-vector products it took;
 a full decomposition (and hence a matrix exponential) counts as n units.
-Raw matrix-vector product counts are reported separately on `EigPair`.
+Raw matrix-vector product counts are kept on `EigPair.matvecs`.
 """
 from __future__ import annotations
 
@@ -47,6 +52,10 @@ __all__ = [
 # Weights below this fraction of the total are deflated out of the secular
 # equation: they are rounding noise and would otherwise create spurious poles.
 _DEFLATE_REL = 1e-14
+
+# A secular residual within this many roundoffs of 1/scale is at the root to
+# working precision: Newton would only hop between the floats around it.
+_ROUNDING_FLOOR = 4.0 * np.finfo(float).eps
 
 
 class SpectralError(Exception):
@@ -196,11 +205,11 @@ class SecularRoot:
     iterations: int = 0
 
 
-def _canonical_sign(vec):
-    nz = np.nonzero(vec)[0]
-    if nz.size and vec[nz[0]] < 0:
-        return -vec
-    return vec
+def _canonical_sign(vecs):
+    """Negate each vector (the last axis) whose first nonzero entry is negative."""
+    first = np.argmax(vecs != 0.0, axis=-1)
+    lead = np.take_along_axis(vecs, first[..., None], axis=-1)
+    return np.where(lead < 0.0, -vecs, vecs)
 
 
 def full_eig(X):
@@ -214,9 +223,7 @@ def full_eig(X):
     w, V = np.linalg.eigh(X)
     order = np.argsort(-w, kind="stable")
     w = np.ascontiguousarray(w[order])
-    V = np.ascontiguousarray(V[:, order])
-    for j in range(V.shape[1]):
-        V[:, j] = _canonical_sign(V[:, j])
+    V = np.ascontiguousarray(_canonical_sign(V[:, order].T).T)
     return SpectralDecomp(values=w, vectors=V, cost_eigvecs=float(X.shape[0]))
 
 
@@ -330,35 +337,79 @@ def _top_ritz(alphas, offdiag):
     return float(w[-1]), S[:, -1]
 
 
-def _secular_newton(d, w, scale, rel_tol, max_iter):
-    """Positive root of 1/scale - sum_j w_j/(d_j + t) by monotone Newton.
+def _secular_newton(D, W, scale, lo, hi, rel_tol, max_iter):
+    """Roots of s_i(t) = 1/scale - sum_j W_ij / (D_ij + t), one per row of W.
 
-    Requires d >= 0. The function is increasing and concave in t, so Newton
-    from the analytic lower bracket scale * (weight at d == 0) converges
-    monotonically from the left; a bisection safeguard guards the bracket
-    [lower, scale * sum w] against rounding.
+    `D` holds the pole offsets, shape (n,) for all rows or (m, n). Each s_i
+    is increasing and concave on its bracket [lo_i, hi_i], so Newton from
+    lo_i climbs to the root; each evaluation tightens the bracket, and a step
+    leaving it is replaced by bisection. A row's root is fixed once its step
+    is within rel_tol of t or its residual reaches the rounding floor.
+    Returns (roots, iterations per row); raises SpectralError if some row is
+    not fixed after `max_iter` evaluations.
     """
-    lo = scale * float(w[d == 0.0].sum())
-    hi = scale * float(w.sum())
+    m = W.shape[0]
+    roots = np.empty(m)
+    iterations = np.zeros(m, dtype=int)
     t = lo
-    tiny = np.finfo(float).tiny
+    floor = _ROUNDING_FLOOR / scale
     for it in range(1, max_iter + 1):
-        denom = d + t
-        s = 1.0 / scale - float((w / denom).sum())
-        if s == 0.0:
-            return t, it
-        sp = float((w / denom**2).sum())
+        denom = D + t[:, None]
+        terms = W / denom
+        s = 1.0 / scale - terms.sum(axis=1)
+        sp = np.divide(terms, denom, out=terms).sum(axis=1)
+        lo = np.where(s < 0.0, t, lo)
+        hi = np.where(s > 0.0, t, hi)
         t_new = t - s / sp
-        if not lo <= t_new <= hi:
-            t_new = 0.5 * (t + (hi if s < 0.0 else lo))
-        if s < 0.0:
-            lo = t
-        else:
-            hi = t
-        if abs(t_new - t) <= rel_tol * max(abs(t_new), tiny):
-            return t_new, it
+        t_new = np.where((lo <= t_new) & (t_new <= hi), t_new, 0.5 * (lo + hi))
+        done = (np.abs(s) <= floor) | (np.abs(t_new - t) <= rel_tol * np.abs(t_new))
         t = t_new
-    return t, max_iter
+        first = done & (iterations == 0)
+        roots[first] = t[first]
+        iterations[first] = it
+        if iterations.all():
+            return roots, iterations
+    raise SpectralError(
+        f"secular Newton did not converge to rel_tol={rel_tol:g} within {max_iter} "
+        f"iterations on {np.sum(iterations == 0)} of {m} rows"
+    )
+
+
+def _secular_shifts(lambdas, weights, scale, rel_tol, max_iter):
+    """Validated secular roots for weight rows over one decreasing spectrum.
+    Returns (shifts, degenerate flags, iterations).
+
+    Weights below 1e-14 of their row total are deflated. A row whose
+    leading-eigenspace weight deflates away is degenerate: the update only
+    moves the eigenvalues it touches, so the row is solved relative to the
+    first eigenvalue it keeps (`off` below the top), and the top moves by
+    max(0, root - off), exactly zero when the root sits at the pole.
+    """
+    lam = np.asarray(lambdas, dtype=float)
+    W = np.asarray(weights, dtype=float)
+    if lam.ndim != 1 or W.ndim != 2 or W.shape[1] != lam.shape[0]:
+        raise ValueError("lambdas must be a 1-d array and weight rows of the same length")
+    if scale <= 0.0:
+        raise ValueError("scale must be positive")
+    if np.any(W < 0.0):
+        raise ValueError("weights must be nonnegative")
+    if np.any(np.diff(lam) > 0.0):
+        raise ValueError("lambdas must be in decreasing order")
+    totals = W.sum(axis=1)
+    if np.any(totals <= 0.0):
+        raise ValueError("all weights vanish in some row")
+    keep = W > _DEFLATE_REL * totals[:, None]
+    W = np.where(keep, W, 0.0)
+    d = lam[0] - lam
+    off = d[np.argmax(keep, axis=1)]
+    degenerate = off > 0.0
+    # Clamping puts every pole above the kept ones at zero offset; those
+    # entries carry no weight, so their terms vanish.
+    D = np.maximum(d - off[:, None], 0.0) if degenerate.any() else d
+    lo = scale * np.where(D == 0.0, W, 0.0).sum(axis=1)
+    hi = scale * W.sum(axis=1)
+    t, iterations = _secular_newton(D, W, scale, lo, hi, rel_tol, max_iter)
+    return np.maximum(t - off, 0.0), degenerate, iterations
 
 
 def secular_root(problem, rel_tol=1e-12, max_iter=200):
@@ -369,106 +420,74 @@ def secular_root(problem, rel_tol=1e-12, max_iter=200):
     leading eigenspace. Coordinates below 1e-14 of the total weight are
     deflated. If the leading eigenspace carries no weight (update vector
     orthogonal to it) the root may sit at a pole: the deflated problem is
-    solved and the result flagged degenerate.
+    solved and the result flagged degenerate. Raises SpectralError if Newton
+    has not converged after `max_iter` iterations.
     """
-    lam = np.asarray(problem.lambdas, dtype=float)
-    w = np.asarray(problem.weights, dtype=float)
-    scale = float(problem.scale)
-    if lam.ndim != 1 or lam.shape != w.shape:
-        raise ValueError("lambdas and weights must be 1-d arrays of equal length")
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    if np.any(w < 0.0):
-        raise ValueError("weights must be nonnegative")
-    if np.any(np.diff(lam) > 0.0):
-        raise ValueError("lambdas must be in decreasing order")
-    total = float(w.sum())
-    if total <= 0.0:
-        raise ValueError("all weights vanish")
-    keep = w > _DEFLATE_REL * total
-    lam_k = lam[keep]
-    w_k = w[keep]
-    if lam_k[0] == lam[0]:
-        t, its = _secular_newton(lam[0] - lam_k, w_k, scale, rel_tol, max_iter)
-        return SecularRoot(shift=float(t), degenerate=False, iterations=its)
-    # Degenerate: all leading-eigenspace weight was deflated. The update only
-    # moves the subspace it touches; the overall top is whichever is larger.
-    t, its = _secular_newton(lam_k[0] - lam_k, w_k, scale, rel_tol, max_iter)
-    shift = max(0.0, float(lam_k[0] + t - lam[0]))
-    return SecularRoot(shift=shift, degenerate=True, iterations=its)
+    shifts, degenerate, iterations = _secular_shifts(
+        problem.lambdas, np.asarray(problem.weights, dtype=float)[None], problem.scale,
+        rel_tol, max_iter,
+    )
+    return SecularRoot(
+        shift=float(shifts[0]), degenerate=bool(degenerate[0]), iterations=int(iterations[0])
+    )
 
 
 def secular_shifts_batch(lambdas, weights, scale, rel_tol=1e-13, max_iter=120):
     """Vectorized secular roots for many weight rows over one spectrum.
 
-    `weights` has shape (m, n); returns the m positive shifts. Rows whose
-    leading-eigenspace weight deflates to zero fall back to the scalar
-    solver (and get the degenerate treatment).
+    `weights` has shape (m, n); returns the m positive shifts. All rows,
+    including those whose leading-eigenspace weight deflates to zero (the
+    degenerate treatment of `secular_root`), go through one Newton solve
+    that either converges on every row or raises SpectralError.
     """
-    lam = np.asarray(lambdas, dtype=float)
-    W = np.atleast_2d(np.asarray(weights, dtype=float))
-    if np.any(np.diff(lam) > 0.0):
-        raise ValueError("lambdas must be in decreasing order")
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    d = lam[0] - lam
-    totals = W.sum(axis=1)
-    if np.any(totals <= 0.0):
-        raise ValueError("all weights vanish in some row")
-    Wk = np.where(W > _DEFLATE_REL * totals[:, None], W, 0.0)
-    lead = Wk[:, d == 0.0].sum(axis=1)
-    out = np.empty(W.shape[0])
-    bad = lead <= 0.0
-    if np.any(bad):
-        for i in np.nonzero(bad)[0]:
-            out[i] = secular_root(SecularProblem(lam, W[i], scale), rel_tol=rel_tol).shift
-    good = ~bad
-    if np.any(good):
-        Wg = Wk[good]
-        lo = scale * lead[good]
-        hi = scale * Wg.sum(axis=1)
-        t = lo.copy()
-        tiny = np.finfo(float).tiny
-        for _ in range(max_iter):
-            denom = d[None, :] + t[:, None]
-            s = 1.0 / scale - (Wg / denom).sum(axis=1)
-            sp = (Wg / denom**2).sum(axis=1)
-            t_new = np.clip(t - s / sp, lo, hi)
-            done = np.abs(t_new - t) <= rel_tol * np.maximum(np.abs(t_new), tiny)
-            t = t_new
-            if done.all():
-                break
-        out[good] = t
-    return out
+    return _secular_shifts(lambdas, np.atleast_2d(weights), scale, rel_tol, max_iter)[0]
+
+
+def _rank_one_top(decomp, Z, scale, rel_tol=1e-13, vectors=True):
+    """Top eigenpairs of ``X + scale * z z^T`` from a decomposition of X, for
+    m groups of k update vectors z (`Z` has shape (m, k, n)).
+
+    Returns the top eigenvalues (m, k), the degenerate flags (m, k), each
+    group's argmax (ties to the lowest index) and, unless `vectors` is false,
+    the winners' unit eigenvectors (m, n) with canonical sign. Their
+    eigenbasis coordinates are coords_j / ((lambda_1 - lambda_j) + shift),
+    free of cancellation; a root at the pole (shift 0) leaves the top
+    eigenvector of X in place.
+    """
+    lam, V = decomp.values, decomp.vectors
+    coords = Z @ V
+    shifts, degenerate, _ = _secular_shifts(
+        lam, coords.reshape(-1, lam.size) ** 2, scale, rel_tol, max_iter=120
+    )
+    shifts = shifts.reshape(coords.shape[:2])
+    values = lam[0] + shifts
+    i0 = np.argmax(values, axis=1)
+    degenerate = degenerate.reshape(shifts.shape)
+    if not vectors:
+        return values, degenerate, i0, None
+    groups = np.arange(Z.shape[0])
+    shift = shifts[groups, i0][:, None]
+    pole = shift == 0.0
+    comps = coords[groups, i0] / np.where(pole, 1.0, (lam[0] - lam) + shift)
+    vecs = comps @ V.T
+    vecs = np.where(pole, V[:, 0], vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
+    return values, degenerate, i0, _canonical_sign(vecs)
 
 
 def rank_one_leading(decomp, v, eps_over_n, rel_tol=1e-12):
     """Leading eigenpair of ``X + eps_over_n * v v^T`` from a decomposition of X.
 
-    The eigenvalue is lambda_1 + t* with t* from `secular_root`; eigenvector
-    coordinates in the eigenbasis are (coords of v)_j / (value - lambda_j),
-    normalized and rotated back. Charged one eigenvector unit.
+    The eigenvalue is lambda_1 + t* with t* from the secular equation;
+    eigenvector coordinates in the eigenbasis are (coords of v)_j /
+    (value - lambda_j), normalized and rotated back. Charged one eigenvector
+    unit. Raises ValueError unless eps_over_n > 0 and v is nonzero.
     """
     v = np.asarray(v, dtype=float)
-    if eps_over_n <= 0.0:
-        raise ValueError("eps_over_n must be positive")
-    if not np.any(v):
-        raise ValueError("update vector must be nonzero")
-    coords = decomp.coordinates(v)
-    root = secular_root(
-        SecularProblem(decomp.values, coords**2, eps_over_n), rel_tol=rel_tol
+    values, degenerate, _, vecs = _rank_one_top(decomp, v[None, None, :], eps_over_n, rel_tol)
+    return EigPair(
+        value=float(values[0, 0]), vector=vecs[0], cost_eigvecs=1.0,
+        degenerate=bool(degenerate[0, 0]),
     )
-    lam = decomp.values
-    value = float(lam[0] + root.shift)
-    if root.shift == 0.0:
-        # Root at the pole: the top eigenpair is untouched by the update.
-        vec = _canonical_sign(decomp.vectors[:, 0].copy())
-    else:
-        # (lam[0] - lam_j) + shift = value - lam_j, evaluated without cancellation.
-        comps = coords / ((lam[0] - lam) + root.shift)
-        vec = decomp.vectors @ comps
-        vec = _canonical_sign(vec / np.linalg.norm(vec))
-    return EigPair(value=value, vector=vec, cost_eigvecs=1.0, degenerate=root.degenerate)
 
 
 def char_poly_rank_one(decomp, v, lam_eval):

@@ -15,6 +15,8 @@ from eigsmooth.phase import (
     tile_model,
     write_phase_report,
 )
+from eigsmooth.smoothing import sample_rng
+from eigsmooth.spectral import SecularProblem, SpectralError, secular_root, secular_shifts_batch
 
 FIG_SPECTRUM = np.array([1.0, 0.0, -2.0, -2.0])
 
@@ -165,11 +167,27 @@ def test_secular_path_matches_dense_path():
     X = np.diag(m.lambdas)
     for _ in range(10):
         z = rng.standard_normal(n)
-        from eigsmooth.spectral import SecularProblem, secular_root
-
         t_sec = secular_root(SecularProblem(m.lambdas, z**2, eps / n)).shift
         t_dense = np.linalg.eigvalsh(X + (eps / n) * np.outer(z, z))[-1] - m.lambdas[0]
         assert abs(t_sec - t_dense) <= 1e-10 * max(1.0, abs(t_dense))
+
+
+def test_secular_row_at_rounding_floor_converges():
+    # Critical n=1600 row whose residual near the root cannot drop below
+    # about 2 ulp(1/scale): Newton's steps hop at the rounding level without
+    # meeting rel_tol, so a step-size test alone never stops it.
+    m = equal_gap_model(1600)
+    eps = eps_critical(m)
+    scale = eps / m.n
+    shifts, _ = sample_shifts(m, eps, 200, sample_rng(40, 2))
+    z = sample_rng(40, 2).standard_normal((200, m.n))[18]
+    root = secular_root(SecularProblem(m.lambdas, z**2, scale), rel_tol=1e-13)
+    assert root.iterations < 200
+    top = np.linalg.eigvalsh(np.diag(m.lambdas) + scale * np.outer(z, z))[-1]
+    assert abs(root.shift - (top - m.lambdas[0])) <= 1e-10 * max(1.0, abs(top))
+    assert abs(shifts[18] - root.shift) <= 1e-12 * root.shift
+    with pytest.raises(SpectralError):
+        secular_shifts_batch(m.lambdas, z[None, :] ** 2, scale, max_iter=1)
 
 
 # ------------------------------------------------------------- scaling MC

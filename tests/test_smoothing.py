@@ -12,7 +12,7 @@ from eigsmooth.smoothing import (
     sample_fk,
     smoothing_constant,
 )
-from eigsmooth.spectral import full_eig, symmetrize
+from eigsmooth.spectral import full_eig, rank_one_leading, symmetrize
 
 
 def random_symmetric(n, rng, scale=1.0):
@@ -217,6 +217,28 @@ def test_equivariance_under_signed_permutation():
     assert abs(v1 - v2) <= 1e-12 * max(1.0, abs(v1))
     rotated = O @ phi1
     assert min(np.max(np.abs(phi2 - rotated)), np.max(np.abs(phi2 + rotated))) <= 1e-12
+
+
+def test_fk_value_pole_rows():
+    # A row orthogonal to the top eigenvector has its root at the pole
+    # (shift 0) when eps is small; the analytic eigenvector is then 0/0.
+    rng = np.random.default_rng(13)
+    n = 6
+    dec = full_eig(random_symmetric(n, rng))
+    params = SmoothingParams(eps=1e-3, n=n)
+    top = dec.vectors[:, 0]
+    Z = rng.standard_normal((params.k, n))
+    Z[1] -= (Z[1] @ top) * top
+    for rows in (Z, Z[[1, 1]]):
+        value, i0, vec, values = fk_value(dec, rows, params)
+        pairs = [rank_one_leading(dec, z, params.scale) for z in rows]
+        assert not np.any(np.isnan(vec)) and not np.any(np.isnan(values))
+        assert i0 == int(np.argmax([p.value for p in pairs]))
+        for got, pair in zip(values, pairs):
+            assert abs(got - pair.value) <= 1e-12 * max(1.0, abs(pair.value))
+        assert np.max(np.abs(vec - pairs[i0].vector)) <= 1e-8
+    assert pairs[0].degenerate and value == dec.values[0]
+    assert np.array_equal(vec, top)
 
 
 def test_equivariance_under_rotation():

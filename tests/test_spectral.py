@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eigsmooth.smoothing import SmoothingParams, fk_value
 from eigsmooth.spectral import (
     LanczosConvergenceError,
     NonsmoothPointError,
@@ -450,3 +453,49 @@ def test_load_errors_name_the_line(tmp_path):
     path.write_text("2\n1.0\n0.0 1.0\n")
     with pytest.raises(ValueError, match="short.txt:2"):
         load_matrix(path)
+
+
+# ---------------------------------------------------------------- properties
+
+
+@st.composite
+def rank_one_cases(draw):
+    """Small spectra with frequent repeats (the top included), optionally
+    rotated, update rows with frequent zero entries (degenerate rows on
+    diagonal matrices), and perturbation scales from tiny to large."""
+    n = draw(st.integers(1, 5))
+    levels = draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0]), min_size=n, max_size=n))
+    X = np.diag(levels)
+    if draw(st.booleans()):
+        Q = random_orthogonal(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+        X = symmetrize(Q @ X @ Q.T)
+    entry = st.one_of(st.just(0.0), st.floats(0.01, 3.0), st.floats(-3.0, -0.01))
+    Z = np.array(draw(st.lists(
+        st.lists(entry, min_size=n, max_size=n).filter(any), min_size=1, max_size=4,
+    )))
+    eps = 10.0 ** draw(st.floats(-8.0, 4.0))
+    return X, Z, eps
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(rank_one_cases())
+def test_rank_one_kernel_matches_dense(case):
+    X, Z, eps = case
+    params = SmoothingParams(eps=eps, n=X.shape[0], k=Z.shape[0])
+    scale = params.scale
+    dec = full_eig(X)
+    W = (Z @ dec.vectors) ** 2
+    batch = secular_shifts_batch(dec.values, W, scale, rel_tol=1e-12)
+    best, i0, phi, values = fk_value(dec, Z, params)
+    for z, w, shift, value in zip(Z, W, batch, values):
+        assert shift == secular_root(SecularProblem(dec.values, w, scale)).shift
+        M = X + scale * np.outer(z, z)
+        ref = full_eig(M).values[0]
+        pair = rank_one_leading(dec, z, scale)
+        for got in (pair.value, dec.values[0] + shift, value):
+            assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
+        resid = np.linalg.norm(M @ pair.vector - pair.value * pair.vector)
+        assert resid <= 1e-9 * max(1.0, abs(pair.value))
+    M = X + scale * np.outer(Z[i0], Z[i0])
+    assert best == values.max()
+    assert np.linalg.norm(M @ phi - best * phi) <= 1e-9 * max(1.0, abs(best))
