@@ -348,6 +348,14 @@ def _true_objective(problem, point):
     return float(problem.true_objective(point))
 
 
+def _evaluate(oracle, point, key):
+    """oracle.evaluate, raising any numerical failure as SpectralError (an abort)."""
+    try:
+        return oracle.evaluate(point, key)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise SpectralError(f"{type(exc).__name__}: {exc}") from exc
+
+
 def _acsa_engine(problem, oracle, setup, config, line_search, gamma_fixed=None):
     n_iter = config.N
     alpha = setup.alpha
@@ -390,7 +398,7 @@ def _acsa_engine(problem, oracle, setup, config, line_search, gamma_fixed=None):
             if cached is not None and cached[0] == (t,) and np.array_equal(cached[1], x_md):
                 ev = cached[2]  # recycled: already charged when first computed
             else:
-                ev = oracle.evaluate(x_md, (t,))
+                ev = _evaluate(oracle, x_md, (t,))
                 cum_cost += ev.cost
             cached = None
             while True:
@@ -404,7 +412,7 @@ def _acsa_engine(problem, oracle, setup, config, line_search, gamma_fixed=None):
                         latched = True
                         t_gamma = t - 1
                     break
-                ev_next = oracle.evaluate(x_ag_next, (t + 1,))
+                ev_next = _evaluate(oracle, x_ag_next, (t + 1,))
                 cum_cost += ev_next.cost
                 cached = ((t + 1,), x_ag_next, ev_next)
                 if line_search_exit(
@@ -505,7 +513,7 @@ def subgradient_baseline(problem, setup, budget, seed=0, rel_tol=1e-9,
     t = 0
     for t in range(1, budget + 1):
         try:
-            ev = oracle.evaluate(x, (t,))
+            ev = _evaluate(oracle, x, (t,))
         except SpectralError as exc:
             aborted = True
             reason = str(exc)

@@ -8,7 +8,7 @@ independent realizations gives a gradient estimate with variance 1/q.
 
 Two evaluation paths compute the perturbed top eigenvalues: the secular
 path (analytic rank-one update, needs a decomposition of X) and the
-Lanczos path (iterative, on the explicitly formed perturbed matrix).
+Lanczos path (iterative, on the operator q -> X q + (eps/n) z (z^T q), never formed).
 
 Reproducibility: per-sample generators are derived from counter-based keys
 (run seed, iteration, sample index), so parallel sample evaluation is
@@ -163,12 +163,17 @@ def sample_fk(X, params, rng, decomp=None, path="auto", lanczos_tol=1e-9, lanczo
     which takes the secular path whenever a decomposition is available), and
     returns the max, the winning index (ties broken by lowest index), and the
     winning eigenvector. Cost: k eigenpair units (+ n when the secular path
-    must first decompose X).
+    must first decompose X). X is validated here, by `check_symmetric` (its k
+    Lanczos runs take it unchecked) or by `full_eig` when it is decomposed.
     """
+    return _sample(*_prepare(X, params, decomp, path), params, rng, lanczos_tol, lanczos_fail_prob)
+
+
+def _prepare(X, params, decomp, path):
+    """Resolve the path and validate X: (X, decomposition, path, cost of a decomposition)."""
     dec = _as_decomp(X, decomp)
     if path == "auto":
         path = "lanczos" if dec is None else "secular"
-    params_k = params.k
     extra_cost = 0.0
     if path == "secular":
         if dec is None:
@@ -176,14 +181,18 @@ def sample_fk(X, params, rng, decomp=None, path="auto", lanczos_tol=1e-9, lanczo
             extra_cost = dec.cost_eigvecs
         n = dec.n
     elif path == "lanczos":
-        X = X.reconstruct() if isinstance(X, SpectralDecomp) else check_symmetric(X)
+        X = check_symmetric(X.reconstruct() if isinstance(X, SpectralDecomp) else X)
         n = X.shape[0]
     else:
         raise ValueError(f"unknown path {path!r}")
     if n != params.n:
         raise ValueError(f"params.n={params.n} does not match matrix dimension {n}")
+    return X, dec, path, extra_cost
 
-    Z = rng.standard_normal((params_k, n))
+
+def _sample(X, dec, path, extra_cost, params, rng, lanczos_tol=1e-9, lanczos_fail_prob=0.01):
+    """One realization on inputs resolved and validated by `_prepare`."""
+    Z = rng.standard_normal((params.k, params.n))
     if params.eps == 0.0:
         if dec is None:
             pair = lanczos_leading(X, rel_tol=lanczos_tol, fail_prob=lanczos_fail_prob, rng=rng)
@@ -202,12 +211,12 @@ def sample_fk(X, params, rng, decomp=None, path="auto", lanczos_tol=1e-9, lanczo
         top_coords = dec.vectors[:, 0] @ Z.T
         witness_bound = params.scale * float(np.max(top_coords**2))
         gap_witness = value - float(dec.values[0])
-        cost = float(params_k) + extra_cost
+        cost = float(params.k) + extra_cost
     else:
         pairs = [
             lanczos_leading(
-                X + params.scale * np.outer(z, z),
-                rel_tol=lanczos_tol, fail_prob=lanczos_fail_prob, rng=rng,
+                X, rel_tol=lanczos_tol, fail_prob=lanczos_fail_prob, rng=rng,
+                update=(params.scale, z),
             )
             for z in Z
         ]
@@ -215,8 +224,7 @@ def sample_fk(X, params, rng, decomp=None, path="auto", lanczos_tol=1e-9, lanczo
         i0 = int(np.argmax(values))
         value = float(values[i0])
         vector = pairs[i0].vector
-        gap_witness = float("nan")
-        witness_bound = float("nan")
+        gap_witness = witness_bound = float("nan")
         cost = float(sum(p.cost_eigvecs for p in pairs))
     return OracleSample(
         value=value, i0=i0, vector=vector,
@@ -231,22 +239,18 @@ def gradient_oracle(X, params, q, rng, decomp=None, path="auto", seed_key=(), **
     an integer seed, in which case each sample l uses the counter-derived
     generator for key ``seed_key + (l,)`` so q-parallel evaluation would be
     reproducible and order-independent. The reduction always runs in sample
-    index order. Cost: q * (per-sample cost).
+    index order. X is validated or decomposed once for all q samples.
+    Cost: q * (per-sample cost), plus n for a decomposition made here.
     """
     q = int(q)
     if q < 1:
         raise ValueError("q must be a positive integer")
-    dec = _as_decomp(X, decomp)
-    cost = 0.0
-    if path == "secular" and dec is None:
-        # One decomposition shared by all q samples.
-        dec = full_eig(X)
-        cost += dec.cost_eigvecs
+    X, dec, path, cost = _prepare(X, params, decomp, path)
     vectors = np.empty((q, params.n))
     values = np.empty(q)
     for l in range(q):
         gen = rng if isinstance(rng, np.random.Generator) else sample_rng(rng, *seed_key, l)
-        sample = sample_fk(X, params, gen, decomp=dec, path=path, **path_opts)
+        sample = _sample(X, dec, path, 0.0, params, gen, **path_opts)
         vectors[l] = sample.vector
         values[l] = sample.value
         cost += sample.cost_eigvecs

@@ -238,30 +238,47 @@ def lanczos_iteration_budget(n, rel_tol, fail_prob):
     return int(math.ceil(math.log(n / fail_prob**2) / (4.0 * math.sqrt(rel_tol))))
 
 
-def lanczos_leading(X, rel_tol=1e-8, fail_prob=0.01, rng=None, restart_limit=3, max_iter=None):
+def lanczos_leading(X, rel_tol=1e-8, fail_prob=0.01, rng=None, restart_limit=3, max_iter=None,
+                    update=None):
     """Leading eigenpair by Lanczos with full reorthogonalization.
 
     The start vector is drawn uniformly on the sphere from `rng`. The run is
     restarted with a fresh start vector on stagnation (budget exhausted or
     premature breakdown without a converged top pair). On success the Ritz
-    residual satisfies ``||X v - value v|| <= rel_tol * max(1, |value|)`` and
-    the pair is charged one eigenvector unit.
+    residual satisfies ``||A v - value v|| <= rel_tol * max(1, |value|)`` for
+    the operator A and the pair is charged one eigenvector unit.
+
+    Without `update`, A is X, validated here by `check_symmetric`. With
+    ``update=(scale, z)``, A is ``X + scale * z z^T``, applied as
+    ``X q + scale * z (z^T q)`` and never formed; the caller must have
+    validated X, and only the rank-one term is checked here, in O(n).
 
     Raises LanczosConvergenceError after `restart_limit` failed attempts;
     never returns a silently unconverged answer.
     """
-    X = check_symmetric(X)
-    n = X.shape[0]
     if rng is None:
         raise ValueError("lanczos_leading requires a seeded random generator")
+    if update is None:
+        X, scale, z = check_symmetric(X), 0.0, None
+        fro = float(np.linalg.norm(X, "fro"))
+    else:
+        scale, z = float(update[0]), np.asarray(update[1], dtype=float)
+        if not 0.0 < scale < math.inf or z.shape != X.shape[:1] or not np.all(np.isfinite(z)):
+            raise ValueError(f"update must be (scale > 0, z of {X.shape[0]} finite entries)")
+        # ||X + s z z^T||_F^2 = ||X||_F^2 + 2 s z^T X z + s^2 ||z||^4
+        fro = math.sqrt(max(0.0, float(np.vdot(X, X)) + 2.0 * scale * float(z @ (X @ z))
+                            + (scale * float(z @ z)) ** 2))
+    n = X.shape[0]
     if n == 1:
-        return EigPair(value=float(X[0, 0]), vector=np.ones(1), cost_eigvecs=1.0)
+        value = float(X[0, 0] if z is None else X[0, 0] + scale * z[0] ** 2)
+        return EigPair(value=value, vector=np.ones(1), cost_eigvecs=1.0)
     budget = lanczos_iteration_budget(n, rel_tol, fail_prob) if max_iter is None else int(max_iter)
     # The Krylov space is the whole space after n steps; more cannot help.
     steps = max(2, min(budget, n))
+    breakdown = 1e-14 * max(1.0, fro)
     total_matvecs = 0
     for _ in range(max(1, int(restart_limit))):
-        pair, used = _lanczos_attempt(X, steps, rel_tol, rng)
+        pair, used = _lanczos_attempt(X, scale, z, breakdown, steps, rel_tol, rng)
         total_matvecs += used
         if pair is not None:
             pair.matvecs = total_matvecs
@@ -272,12 +289,11 @@ def lanczos_leading(X, rel_tol=1e-8, fail_prob=0.01, rng=None, restart_limit=3, 
     )
 
 
-def _lanczos_attempt(X, steps, rel_tol, rng):
+def _lanczos_attempt(X, scale, z, breakdown, steps, rel_tol, rng):
     n = X.shape[0]
     Q = np.empty((n, steps))
     alphas = np.empty(steps)
     betas = np.empty(steps)
-    breakdown = 1e-14 * max(1.0, float(np.linalg.norm(X, "fro")))
     # A converged residual is only trusted once a few dimensions are spanned;
     # this guards against start vectors that are themselves eigenvectors of a
     # non-leading eigenvalue (residual zero, wrong answer).
@@ -288,6 +304,8 @@ def _lanczos_attempt(X, steps, rel_tol, rng):
     for j in range(steps):
         Q[:, j] = q
         w = X @ q
+        if z is not None:
+            w += (scale * float(z @ q)) * z
         matvecs += 1
         alphas[j] = float(q @ w)
         w -= alphas[j] * q

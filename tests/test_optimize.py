@@ -324,6 +324,41 @@ def test_oracle_failure_aborts_with_partial_trace():
     assert res.trace and res.trace[-1].t == 5
 
 
+@pytest.mark.parametrize("failure", ["nonfinite", "linalg", "spectral", "bug"])
+def test_numerical_oracle_failure_aborts(monkeypatch, failure):
+    from eigsmooth import optimize
+    from eigsmooth.spectral import LanczosConvergenceError
+
+    evaluate = optimize.StochasticOracle.evaluate
+
+    def failing(self, point, key):
+        if key[0] == 3:
+            if failure == "nonfinite":
+                point = np.full_like(point, np.nan)  # the oracle's input check rejects it
+            elif failure == "linalg":
+                raise np.linalg.LinAlgError("injected eigh failure")
+            elif failure == "spectral":
+                raise LanczosConvergenceError("injected failure")
+            else:
+                raise TypeError("injected bug")
+        return evaluate(self, point, key)
+
+    monkeypatch.setattr(optimize.StochasticOracle, "evaluate", failing)
+    prob = _small_maxcut()
+    config = SolverConfig(N=10, eps=0.1, q=2, seed=5, true_obj_every=1)
+    if failure == "bug":
+        with pytest.raises(TypeError):
+            acsa_run(prob, None, prob.prox_setup(), config)
+        return
+    res = acsa_run(prob, None, prob.prox_setup(), config)
+    assert res.aborted
+    assert res.iterations == 2
+    assert [r.t for r in res.trace] == [1, 2]
+    reason = {"nonfinite": "ValueError: matrix entries must be finite",
+              "linalg": "LinAlgError: injected", "spectral": "injected failure"}[failure]
+    assert reason in res.abort_reason
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(N=0, eps=0.1)

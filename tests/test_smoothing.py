@@ -307,3 +307,44 @@ def test_gap_witness_bound_every_draw():
         assert s.gap_witness >= s.witness_bound - 1e-14
         assert s.gap_witness >= params.scale * 0.0  # strictly positive increase
         assert s.value > dec.values[0]
+
+
+# ------------------------------------------------- validation, once per call
+
+
+@pytest.mark.parametrize("bad", ["asymmetric", "inf", "nan"])
+@pytest.mark.parametrize("path", ["lanczos", "auto"])
+def test_lanczos_path_still_validates(bad, path):
+    X = random_symmetric(5, np.random.default_rng(0))
+    if bad == "asymmetric":
+        X[0, 1] += 1e-3
+    elif bad == "inf":
+        X[2, 2] = np.inf
+    else:
+        X[1, 3] = X[3, 1] = np.nan
+    params = SmoothingParams(eps=0.1, n=5, k=3)
+    with pytest.raises(ValueError):
+        gradient_oracle(X, params, 2, rng=0, path=path)
+    with pytest.raises(ValueError):
+        sample_fk(X, params, np.random.default_rng(1), path=path)
+
+
+def test_gradient_oracle_validates_once(monkeypatch):
+    from eigsmooth import smoothing, spectral
+
+    counts = {"check_symmetric": 0, "lanczos_leading": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (smoothing, spectral):
+        monkeypatch.setattr(module, "check_symmetric", counted("check_symmetric", spectral.check_symmetric))
+    monkeypatch.setattr(smoothing, "lanczos_leading", counted("lanczos_leading", spectral.lanczos_leading))
+    X = random_symmetric(12, np.random.default_rng(3))
+    params = SmoothingParams(eps=0.1, n=12, k=3)
+    est = gradient_oracle(X, params, 2, rng=7, path="lanczos")
+    assert counts == {"check_symmetric": 1, "lanczos_leading": 6}
+    assert est.cost_eigvecs == 6.0

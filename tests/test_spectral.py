@@ -499,3 +499,61 @@ def test_rank_one_kernel_matches_dense(case):
     M = X + scale * np.outer(Z[i0], Z[i0])
     assert best == values.max()
     assert np.linalg.norm(M @ phi - best * phi) <= 1e-9 * max(1.0, abs(best))
+
+
+@st.composite
+def lanczos_update_cases(draw):
+    """Rotated spectra with a repeated or clustered top, an update vector that
+    may miss the top eigenspace, and perturbation scales from tiny to large."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mult = draw(st.integers(1, n))
+    spread = draw(st.sampled_from([0.0, 1e-9, 1e-4, 0.5]))
+    values = np.concatenate([1.0 - spread * np.arange(mult), rng.uniform(-2.0, 0.5, n - mult)])
+    V = random_orthogonal(n, rng)
+    X = symmetrize((V * values) @ V.T)
+    z = rng.standard_normal(n)
+    if mult < n and draw(st.booleans()):
+        z = V[:, mult:] @ (V[:, mult:].T @ z)  # no weight on the top cluster
+    eps = 10.0 ** draw(st.floats(-6.0, 2.0))
+    return X, z, eps / n, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(lanczos_update_cases())
+def test_lanczos_update_matches_secular(case):
+    X, z, scale, seed = case
+    rel_tol = 1e-10
+    pair = lanczos_leading(X, rel_tol=rel_tol, rng=np.random.default_rng(seed), update=(scale, z))
+    ref = rank_one_leading(full_eig(X), z, scale)
+    tol = rel_tol * max(1.0, abs(ref.value))
+    M = X + scale * np.outer(z, z)
+    eigs = np.linalg.eigvalsh(M)[::-1]
+    gap = eigs[0] - eigs[1]
+    # The residual certifies an eigenvalue, never above the top; inside a
+    # top cluster narrower than the tolerance's reach it may be a lower one.
+    assert pair.value <= ref.value + tol
+    assert np.min(np.abs(eigs - pair.value)) <= tol
+    if gap > 1e-6:
+        assert abs(pair.value - ref.value) <= tol
+        resid = np.linalg.norm(M @ pair.vector - pair.value * pair.vector)
+        dist = min(np.linalg.norm(pair.vector - ref.vector), np.linalg.norm(pair.vector + ref.vector))
+        assert dist <= 2.0 * resid / gap + 1e-9
+    explicit = lanczos_leading(M, rel_tol=rel_tol, rng=np.random.default_rng(seed))
+    assert pair.matvecs == explicit.matvecs
+
+
+def test_lanczos_update_rejects_bad_rank_one_term():
+    X = np.diag([2.0, 1.0, 0.0])
+    rng = np.random.default_rng(0)
+    good = np.ones(3)
+    for scale, z in [(0.0, good), (-0.1, good), (np.inf, good), (np.nan, good),
+                     (0.1, np.ones(2)), (0.1, np.ones(4)), (0.1, np.array([1.0, np.nan, 0.0])),
+                     (0.1, np.array([1.0, np.inf, 0.0])), (0.1, np.ones((3, 1)))]:
+        with pytest.raises(ValueError):
+            lanczos_leading(X, rng=rng, update=(scale, z))
+    pair = lanczos_leading(X, rel_tol=1e-12, rng=rng, update=(0.5, good))
+    ref = full_eig(X + 0.5 * np.outer(good, good))
+    assert abs(pair.value - ref.values[0]) <= 1e-10
+    one = lanczos_leading(np.array([[2.0]]), rng=rng, update=(0.5, np.array([3.0])))
+    assert one.value == 2.0 + 0.5 * 9.0
