@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "ProxSetup",
     "SolverConfig",
     "TraceRecord",
-    "IterateState",
     "OracleEval",
     "RunResult",
     "StochasticOracle",
@@ -103,7 +102,6 @@ class SolverConfig:
     oracle_tol: float = 1e-6
     oracle_fail_prob: float = 0.01
     true_obj_every: int | None = None
-    keep_iterates: bool = False
 
     def __post_init__(self):
         if self.N < 1:
@@ -133,19 +131,6 @@ class TraceRecord:
 
 
 @dataclass
-class IterateState:
-    """Snapshot of one iteration (recorded when keep_iterates is set)."""
-
-    t: int
-    x: np.ndarray
-    x_md: np.ndarray
-    x_ag: np.ndarray
-    gamma: float
-    beta: float
-    gamma_t: float
-
-
-@dataclass
 class OracleEval:
     value: float
     grad: np.ndarray
@@ -164,7 +149,6 @@ class RunResult:
     gap_bound: float | None = None
     aborted: bool = False
     abort_reason: str | None = None
-    iterates: list = field(default_factory=list)
 
 
 class StochasticOracle:
@@ -313,18 +297,26 @@ def _scaled_lipschitz(problem, config):
     return lipschitz_bound(_default_smoothing(problem, config)) / config.lip_scale
 
 
-def _resolve_ladder(setup, config, L, sigma2):
-    """Fill unset ladder values: floor at the theory step alpha/(2L), ceiling
-    `ladder_span` times higher (collapsed when the oracle is noise-free and no
-    search span was requested)."""
-    alpha = setup.alpha
-    theory = alpha / (2.0 * L)
-    gamma_max = config.gamma_max
-    if gamma_max is None:
-        gamma_max = config.ladder_span * theory
-    gamma_min = config.gamma_min
-    if gamma_min is None:
-        gamma_min = min(theory, gamma_max)
+def _resolve_ladder(setup, config, L):
+    """The line-search ladder (gamma_min, gamma_init, gamma_max).
+
+    An unset ceiling is `ladder_span` times the theory step alpha/(2L), an
+    unset floor is the theory step capped at the ceiling, and an unset start
+    is the ceiling. `L` is the scaled Lipschitz bound of the smoothed
+    problem, or None when there is none; then both ends must be set.
+    """
+    gamma_min, gamma_max = config.gamma_min, config.gamma_max
+    if gamma_min is None or gamma_max is None:
+        if L is None:
+            raise ValueError(
+                "explicit gamma_max and gamma_min are required without a "
+                "smoothed problem to derive them from"
+            )
+        theory = setup.alpha / (2.0 * L)
+        if gamma_max is None:
+            gamma_max = config.ladder_span * theory
+        if gamma_min is None:
+            gamma_min = min(theory, gamma_max)
     gamma_init = config.gamma_init if config.gamma_init is not None else gamma_max
     return gamma_min, gamma_init, gamma_max
 
@@ -342,53 +334,67 @@ def _plain_gamma(setup, config, L, sigma2):
     return min(smooth, ceiling)
 
 
-def _true_objective(problem, point):
-    if problem is None or not hasattr(problem, "true_objective"):
-        return float("nan")
-    return float(problem.true_objective(point))
-
-
-def _evaluate(oracle, point, key):
-    """oracle.evaluate, raising any numerical failure as SpectralError (an abort)."""
+def _evaluate(fn, *args):
+    """fn(*args), raising any numerical failure as SpectralError (an abort)."""
     try:
-        return oracle.evaluate(point, key)
+        return fn(*args)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise SpectralError(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _acsa_engine(problem, oracle, setup, config, line_search, gamma_fixed=None):
-    n_iter = config.N
-    alpha = setup.alpha
-    if line_search:
-        if config.gamma_max is None or config.gamma_min is None:
-            if problem is None or config.eps <= 0.0:
-                raise ValueError(
-                    "explicit gamma_max and gamma_min are required without a "
-                    "smoothed problem to derive them from"
-                )
-            L = _scaled_lipschitz(problem, config)
-            sigma2 = getattr(oracle, "sigma2", 0.0)
-            gamma_min, gamma, _ = _resolve_ladder(setup, config, L, sigma2)
-        else:
-            gamma_min = config.gamma_min
-            gamma = config.gamma_init if config.gamma_init is not None else config.gamma_max
-    else:
-        gamma = gamma_fixed
-        gamma_min = gamma
+class _Recorder:
+    """Trace rows, clock, cumulative cost and best monitored objective of one
+    solver run. Rows are taken every `every` iterations (default: about 200
+    rows per budget) and at the last one; the solver adds its oracle costs
+    to `cost`."""
 
+    def __init__(self, problem, budget, every):
+        self.problem = problem
+        self.budget = budget
+        self.every = every or max(1, math.ceil(budget / 200))
+        self.rows = []
+        self.cost = 0.0
+        self.best = float("inf")
+        self.start = time.perf_counter()
+
+    def row(self, t, point, sampled, gamma=float("nan")):
+        """Record iteration t, monitored at `point`, if a row is due."""
+        if t % self.every and t != self.budget:
+            return
+        obj_true = float("nan")
+        if hasattr(self.problem, "true_objective"):
+            obj_true = float(self.problem.true_objective(point))
+        if not math.isnan(obj_true):
+            self.best = min(self.best, obj_true)
+        self.rows.append(TraceRecord(
+            t=t, obj_true=obj_true, obj_sampled=sampled, gamma=gamma,
+            eigvecs=self.cost, wall_ms=(time.perf_counter() - self.start) * 1e3,
+        ))
+
+    def result(self, solution, t, error=None, **extra):
+        """RunResult after iteration t; an `error` aborted iteration t, so
+        only t - 1 iterations completed. `extra` sets further fields and may
+        override the best objective."""
+        fields = {"best_objective": self.best, **extra}
+        return RunResult(
+            solution=solution, trace=self.rows, total_eigvecs=self.cost,
+            iterations=t - 1 if error is not None else t,
+            aborted=error is not None, abort_reason=None if error is None else str(error),
+            **fields,
+        )
+
+
+def _acsa_engine(problem, oracle, setup, config, gamma_min, gamma):
+    """AC-SA iterations from step scale `gamma`; failed exit tests shrink it
+    by gamma_d down to the floor `gamma_min`, where the search stops. The
+    plain method is the one-rung ladder gamma == gamma_min."""
+    n_iter = config.N
     x = np.array(setup.center, dtype=float, copy=True)
     x_ag = x.copy()
     cached = None  # (key, point, OracleEval) of the trailing exit-test call
-    records = []
-    iterates = []
-    cum_cost = 0.0
-    latched = not line_search
+    rec = _Recorder(problem, n_iter, config.true_obj_every)
     t_gamma = None
-    cadence = config.true_obj_every or max(1, math.ceil(n_iter / 200))
-    start = time.perf_counter()
-    best = float("inf")
-    aborted = False
-    reason = None
+    error = None
     t = 0
     for t in range(1, n_iter + 1):
         w_md = 2.0 / (t + 1.0)
@@ -398,8 +404,8 @@ def _acsa_engine(problem, oracle, setup, config, line_search, gamma_fixed=None):
             if cached is not None and cached[0] == (t,) and np.array_equal(cached[1], x_md):
                 ev = cached[2]  # recycled: already charged when first computed
             else:
-                ev = _evaluate(oracle, x_md, (t,))
-                cum_cost += ev.cost
+                ev = _evaluate(oracle.evaluate, x_md, (t,))
+                rec.cost += ev.cost
             cached = None
             while True:
                 gamma_t = (t + 1.0) * gamma / 2.0
@@ -407,46 +413,28 @@ def _acsa_engine(problem, oracle, setup, config, line_search, gamma_fixed=None):
                 # same combination as x_md, written so x_ag_next == x_next
                 # exactly whenever the two points coincide (singleton sets)
                 x_ag_next = x_next + w_ag * (x_ag - x_next)
-                if latched or gamma <= gamma_min:
-                    if not latched:
-                        latched = True
+                if gamma <= gamma_min:
+                    if t_gamma is None:
                         t_gamma = t - 1
                     break
-                ev_next = _evaluate(oracle, x_ag_next, (t + 1,))
-                cum_cost += ev_next.cost
+                ev_next = _evaluate(oracle.evaluate, x_ag_next, (t + 1,))
+                rec.cost += ev_next.cost
                 cached = ((t + 1,), x_ag_next, ev_next)
                 if line_search_exit(
                     ev.value, ev.grad, ev_next.value, x_ag_next - x_md, gamma,
-                    config.gamma_d, alpha=alpha, m_lipschitz=config.m_lipschitz,
+                    config.gamma_d, alpha=setup.alpha, m_lipschitz=config.m_lipschitz,
                 ):
                     break
                 gamma = gamma * config.gamma_d
         except SpectralError as exc:
-            aborted = True
-            reason = str(exc)
+            error = exc
             break
         gamma = max(gamma_min, gamma)
         x, x_ag = x_next, x_ag_next
-        if config.keep_iterates:
-            iterates.append(IterateState(
-                t=t, x=x.copy(), x_md=x_md, x_ag=x_ag.copy(),
-                gamma=gamma, beta=(t + 1.0) / 2.0, gamma_t=gamma_t,
-            ))
-        if t % cadence == 0 or t == n_iter:
-            obj_true = _true_objective(problem, x_ag)
-            best = min(best, obj_true) if not math.isnan(obj_true) else best
-            records.append(TraceRecord(
-                t=t, obj_true=obj_true, obj_sampled=ev.value, gamma=gamma,
-                eigvecs=cum_cost, wall_ms=(time.perf_counter() - start) * 1e3,
-            ))
+        rec.row(t, x_ag, ev.value, gamma)
     if t_gamma is None:
-        t_gamma = t if aborted else n_iter
-    return RunResult(
-        solution=x_ag, trace=records, total_eigvecs=cum_cost,
-        best_objective=best, iterations=t if not aborted else t - 1,
-        gamma_final=gamma, t_gamma=t_gamma,
-        aborted=aborted, abort_reason=reason, iterates=iterates,
-    )
+        t_gamma = t if error is not None else n_iter
+    return rec.result(x_ag, t, error, gamma_final=gamma, t_gamma=t_gamma)
 
 
 def acsa_run(problem, oracle, setup, config):
@@ -463,7 +451,7 @@ def acsa_run(problem, oracle, setup, config):
         gamma = _plain_gamma(setup, config, _scaled_lipschitz(problem, config), sigma2)
     else:
         raise ValueError("set gamma_min explicitly when no smoothed problem defines the scale")
-    result = _acsa_engine(problem, oracle, setup, config, line_search=False, gamma_fixed=gamma)
+    result = _acsa_engine(problem, oracle, setup, config, gamma, gamma)
     if problem is not None and config.eps > 0:
         result.gap_bound = expected_gap_bound(
             problem.dim, config.eps, config.k, setup.diameter, config.N, config.q,
@@ -479,14 +467,14 @@ def acsa_linesearch_run(problem, oracle, setup, config):
     the coarse expected-accuracy bound."""
     if oracle is None:
         oracle = _default_oracle(problem, config)
-    result = _acsa_engine(problem, oracle, setup, config, line_search=True)
-    if problem is not None and config.eps > 0:
-        sigma2 = getattr(oracle, "sigma2", 0.0)
-        L = _scaled_lipschitz(problem, config)
-        gamma_min, _, gamma_max = _resolve_ladder(setup, config, L, sigma2)
+    smoothed = problem is not None and config.eps > 0
+    L = _scaled_lipschitz(problem, config) if smoothed else None
+    gamma_min, gamma_init, gamma_max = _resolve_ladder(setup, config, L)
+    result = _acsa_engine(problem, oracle, setup, config, gamma_min, gamma_init)
+    if smoothed:
         mu = config.mu if config.mu is not None else config.k * config.eps
         result.gap_bound = coarse_gap_bound(
-            L, setup.diameter, config.N, sigma2, gamma_max, gamma_min,
+            L, setup.diameter, config.N, getattr(oracle, "sigma2", 0.0), gamma_max, gamma_min,
             result.t_gamma, mu, alpha=setup.alpha, m_lipschitz=config.m_lipschitz,
         )
     return result
@@ -496,29 +484,24 @@ def subgradient_baseline(problem, setup, budget, seed=0, rel_tol=1e-9,
                          true_obj_every=None, fail_prob=0.01):
     """Projected subgradient descent on the exact objective.
 
-    Steps D / (||g|| sqrt(t)); one leading eigenpair per iteration. The trace
-    follows the common schema and best-so-far bookkeeping gives a
-    non-increasing best objective.
+    Steps D / (||g|| sqrt(t)); one leading eigenpair per iteration. The best
+    objective is the lowest oracle value, and the trace monitors the point
+    that attained it, so its objective column never increases.
     """
     oracle = ExactEigOracle(problem, seed, rel_tol=rel_tol, fail_prob=fail_prob)
     x = np.array(setup.center, dtype=float, copy=True)
-    records = []
-    cum_cost = 0.0
     best = float("inf")
     best_x = x.copy()
-    cadence = true_obj_every or max(1, math.ceil(budget / 200))
-    start = time.perf_counter()
-    aborted = False
-    reason = None
+    rec = _Recorder(problem, budget, true_obj_every)
+    error = None
     t = 0
     for t in range(1, budget + 1):
         try:
-            ev = _evaluate(oracle, x, (t,))
+            ev = _evaluate(oracle.evaluate, x, (t,))
         except SpectralError as exc:
-            aborted = True
-            reason = str(exc)
+            error = exc
             break
-        cum_cost += ev.cost
+        rec.cost += ev.cost
         if ev.value < best:
             best = ev.value
             best_x = x.copy()
@@ -526,16 +509,8 @@ def subgradient_baseline(problem, setup, budget, seed=0, rel_tol=1e-9,
         if gnorm > 0.0:
             step = setup.diameter / (gnorm * math.sqrt(t))
             x = setup.project(x - step * ev.grad)
-        if t % cadence == 0 or t == budget:
-            records.append(TraceRecord(
-                t=t, obj_true=_true_objective(problem, best_x), obj_sampled=ev.value,
-                gamma=float("nan"), eigvecs=cum_cost,
-                wall_ms=(time.perf_counter() - start) * 1e3,
-            ))
-    return RunResult(
-        solution=best_x, trace=records, total_eigvecs=cum_cost, best_objective=best,
-        iterations=t if not aborted else t - 1, aborted=aborted, abort_reason=reason,
-    )
+        rec.row(t, best_x, ev.value)
+    return rec.result(best_x, t, error, best_objective=best)
 
 
 def softmax_smoothed(M, mu):
@@ -570,30 +545,23 @@ def nesterov_smooth_baseline(problem, setup, eps, budget, lip_scale=1.0,
     step = 1.0 / L
     x = np.array(setup.center, dtype=float, copy=True)
     x_prev = x.copy()
-    records = []
-    cum_cost = 0.0
-    best = float("inf")
-    cadence = true_obj_every or max(1, math.ceil(budget / 200))
-    start = time.perf_counter()
+    rec = _Recorder(problem, budget, true_obj_every)
+    error = None
+    t = 0
     for t in range(1, budget + 1):
         y = x + ((t - 2.0) / (t + 1.0)) * (x - x_prev) if t > 1 else x
-        value, grad_m, cost = softmax_smoothed(problem.matrix(y), mu)
-        cum_cost += cost
+        try:
+            value, grad_m, cost = _evaluate(softmax_smoothed, problem.matrix(y), mu)
+        except SpectralError as exc:
+            error = exc
+            break
+        rec.cost += cost
         value = value + problem.linear_value(y)
         grad = problem.pull_back(grad_m) + problem.linear_grad(y)
         x_prev = x
         x = setup.project(y - step * grad)
-        if t % cadence == 0 or t == budget:
-            obj_true = _true_objective(problem, x)
-            best = min(best, obj_true) if not math.isnan(obj_true) else best
-            records.append(TraceRecord(
-                t=t, obj_true=obj_true, obj_sampled=value, gamma=float("nan"),
-                eigvecs=cum_cost, wall_ms=(time.perf_counter() - start) * 1e3,
-            ))
-    return RunResult(
-        solution=x, trace=records, total_eigvecs=cum_cost, best_objective=best,
-        iterations=budget,
-    )
+        rec.row(t, x, value)
+    return rec.result(x, t, error)
 
 
 def write_trace(path, records, timing=False):

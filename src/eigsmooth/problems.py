@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimize import ProxSetup
-from .smoothing import gradient_oracle
-from .spectral import check_symmetric, lanczos_leading, load_matrix
+from .spectral import check_symmetric, load_matrix
 
 __all__ = [
     "BoxProblem",
@@ -41,7 +40,6 @@ __all__ = [
     "synthetic_covariance",
     "dspca_problem",
     "maxcut_problem",
-    "composite_objective",
     "box_reference",
     "ball_reference",
 ]
@@ -228,30 +226,6 @@ def maxcut_problem(n, rng, radius=None):
     C = G.T @ G
     C = check_symmetric(C / np.linalg.eigvalsh(C)[-1])
     return BallProblem(C=C, radius=float(radius) if radius is not None else float(n))
-
-
-def composite_objective(problem, point, mode, params=None, q=1, rng=None,
-                        rel_tol=1e-9, fail_prob=0.01, path="auto", seed_key=()):
-    """Objective value, gradient (or subgradient), and eigenvector cost.
-
-    `mode` is "exact" (one leading eigenpair of the mapped matrix, chain-ruled
-    rank-one subgradient) or "sampled" (smoothed oracle averaged over q
-    draws). Returns (value, gradient, cost_eigvecs).
-    """
-    M = problem.matrix(point)
-    if mode == "exact":
-        pair = lanczos_leading(M, rel_tol=rel_tol, fail_prob=fail_prob, rng=rng)
-        value = pair.value + problem.linear_value(point)
-        grad = problem.pull_back(np.outer(pair.vector, pair.vector)) + problem.linear_grad(point)
-        return value, grad, pair.cost_eigvecs
-    if mode == "sampled":
-        if params is None:
-            raise ValueError("sampled mode needs smoothing parameters")
-        est = gradient_oracle(M, params, q, rng, path=path, seed_key=seed_key)
-        value = est.value + problem.linear_value(point)
-        grad = problem.pull_back(est.matrix) + problem.linear_grad(point)
-        return value, grad, est.cost_eigvecs
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _grid_refine(evaluate, center, half, levels, points, clamp=None):

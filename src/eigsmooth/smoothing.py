@@ -9,6 +9,7 @@ independent realizations gives a gradient estimate with variance 1/q.
 Two evaluation paths compute the perturbed top eigenvalues: the secular
 path (analytic rank-one update, needs a decomposition of X) and the
 Lanczos path (iterative, on the operator q -> X q + (eps/n) z (z^T q), never formed).
+The entry points take X as a symmetric matrix or as its `SpectralDecomp`.
 
 Reproducibility: per-sample generators are derived from counter-based keys
 (run seed, iteration, sample index), so parallel sample evaluation is
@@ -127,25 +128,16 @@ def sample_rng(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key)))
 
 
-def _as_decomp(X, decomp):
-    if decomp is not None:
-        return decomp
-    if isinstance(X, SpectralDecomp):
-        return X
-    return None
-
-
-def fk_value(X, Z, params, decomp=None):
+def fk_value(X, Z, params):
     """Deterministic realization of the smoothed objective at fixed noise.
 
     `Z` holds the k perturbation vectors as rows. Evaluates through the
-    secular path on a decomposition of X (computed here if absent), so the
-    result is an exact function of (X, Z): suitable for common-random-number
-    derivative checks. Returns (value, i0, vector, per_draw_values).
+    secular path on a decomposition of X (made here if X is a matrix), so
+    the result is an exact function of (X, Z): suitable for
+    common-random-number derivative checks. Returns (value, i0, vector,
+    per_draw_values).
     """
-    dec = _as_decomp(X, decomp)
-    if dec is None:
-        dec = full_eig(X)
+    dec = X if isinstance(X, SpectralDecomp) else full_eig(X)
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if params.eps == 0.0:
         values = np.full(Z.shape[0], dec.values[0])
@@ -155,23 +147,23 @@ def fk_value(X, Z, params, decomp=None):
     return float(values[0, i0]), i0, vecs[0], values[0]
 
 
-def sample_fk(X, params, rng, decomp=None, path="auto", lanczos_tol=1e-9, lanczos_fail_prob=0.01):
+def sample_fk(X, params, rng, path="auto", lanczos_tol=1e-9, lanczos_fail_prob=0.01):
     """Draw one realization of the smoothed objective and its gradient factor.
 
     Draws k iid standard Gaussian vectors from `rng`, computes each perturbed
     top eigenvalue through the selected path ("secular", "lanczos", or "auto"
-    which takes the secular path whenever a decomposition is available), and
+    which takes the secular path whenever X is a decomposition), and
     returns the max, the winning index (ties broken by lowest index), and the
     winning eigenvector. Cost: k eigenpair units (+ n when the secular path
     must first decompose X). X is validated here, by `check_symmetric` (its k
     Lanczos runs take it unchecked) or by `full_eig` when it is decomposed.
     """
-    return _sample(*_prepare(X, params, decomp, path), params, rng, lanczos_tol, lanczos_fail_prob)
+    return _sample(*_prepare(X, params, path), params, rng, lanczos_tol, lanczos_fail_prob)
 
 
-def _prepare(X, params, decomp, path):
+def _prepare(X, params, path):
     """Resolve the path and validate X: (X, decomposition, path, cost of a decomposition)."""
-    dec = _as_decomp(X, decomp)
+    dec = X if isinstance(X, SpectralDecomp) else None
     if path == "auto":
         path = "lanczos" if dec is None else "secular"
     extra_cost = 0.0
@@ -232,7 +224,7 @@ def _sample(X, dec, path, extra_cost, params, rng, lanczos_tol=1e-9, lanczos_fai
     )
 
 
-def gradient_oracle(X, params, q, rng, decomp=None, path="auto", seed_key=(), **path_opts):
+def gradient_oracle(X, params, q, rng, path="auto", seed_key=(), **path_opts):
     """Average of q independent rank-one gradient samples.
 
     `rng` may be a Generator (samples drawn sequentially from one stream) or
@@ -245,7 +237,7 @@ def gradient_oracle(X, params, q, rng, decomp=None, path="auto", seed_key=(), **
     q = int(q)
     if q < 1:
         raise ValueError("q must be a positive integer")
-    X, dec, path, cost = _prepare(X, params, decomp, path)
+    X, dec, path, cost = _prepare(X, params, path)
     vectors = np.empty((q, params.n))
     values = np.empty(q)
     for l in range(q):
@@ -310,7 +302,7 @@ class VarianceProbe:
     bound_ok: bool
 
 
-def gradient_variance_probe(X, params, trials, rng, decomp=None):
+def gradient_variance_probe(X, params, trials, rng):
     """Monte Carlo check of the gradient-sample variance bounds.
 
     Estimates E || phi phi^T - mean ||_F^2 over `trials` samples and asserts
@@ -320,9 +312,7 @@ def gradient_variance_probe(X, params, trials, rng, decomp=None):
     trials = int(trials)
     if trials < 100:
         raise ValueError("trials must be at least 100")
-    dec = _as_decomp(X, decomp)
-    if dec is None:
-        dec = full_eig(X)
+    dec = X if isinstance(X, SpectralDecomp) else full_eig(X)
     phis, _ = _phi_batch(dec, params, trials, rng)
     mean = (phis.T @ phis) / trials
     # ||phi phi^T - M||_F^2 = 1 - 2 phi^T M phi + ||M||_F^2 for unit phi

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from eigsmooth.cli import main, parse_config, read_report
@@ -40,17 +41,18 @@ def test_solve_rejects_unknown_field(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_solve_deterministic_trace_bytes(tmp_path):
+@pytest.mark.parametrize("algorithm", ["stoch_ls", "acsa", "det_smooth", "subgrad"])
+def test_solve_deterministic_trace_bytes(tmp_path, algorithm):
     cfg = write_config(
         tmp_path / "c.txt",
-        problem="maxcut", algorithm="stoch_ls", n=6, N=15, seed=42, eps=0.1, q=2,
+        problem="maxcut", algorithm=algorithm, n=6, N=15, seed=42, eps=0.1, q=2,
         true_obj_every=1,
     )
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["solve", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["solve", "--config", cfg, "--out", str(out2)]) == 0
-    t1 = (out1 / "stoch_ls_trace.csv").read_bytes()
-    t2 = (out2 / "stoch_ls_trace.csv").read_bytes()
+    t1 = (out1 / f"{algorithm}_trace.csv").read_bytes()
+    t2 = (out2 / f"{algorithm}_trace.csv").read_bytes()
     assert t1 == t2
 
 
@@ -107,6 +109,32 @@ def test_solve_abort_writes_partial_trace(tmp_path, monkeypatch):
     records = read_trace(rep["trace"])
     assert 0 < len(records) < 30  # partial trace
     assert int(rep["iterations"]) == records[-1].t
+
+
+def test_solve_det_smooth_abort_writes_partial_trace(tmp_path, monkeypatch):
+    import eigsmooth.optimize as opt
+
+    real = opt.softmax_smoothed
+    calls = {"n": 0}
+
+    def failing(M, mu):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise np.linalg.LinAlgError("injected eigh failure")
+        return real(M, mu)
+
+    monkeypatch.setattr(opt, "softmax_smoothed", failing)
+    cfg = write_config(
+        tmp_path / "c.txt",
+        problem="dspca", algorithm="det_smooth", n=10, N=8, seed=5, eps=0.1,
+        true_obj_every=1,
+    )
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 3
+    rep = read_report(tmp_path / "det_smooth_report.txt")
+    assert rep["completed"] == "false"
+    assert "LinAlgError" in rep["abort_reason"]
+    assert int(rep["iterations"]) == 2
+    assert [r.t for r in read_trace(rep["trace"])] == [1, 2]
 
 
 def test_solve_stoch_preset_budget_and_cost(tmp_path):

@@ -166,24 +166,53 @@ def _small_maxcut(n=6, seed=4, radius=None):
     return maxcut_problem(n, rng, radius=radius)
 
 
-def test_iterates_feasible_and_md_combination_exact():
+def test_iterates_feasible_and_md_combination_exact(monkeypatch):
+    # spies log the engine's calls in order; with a row per iteration, each
+    # monitor call closes an iteration and sees its aggregate x_ag
+    from eigsmooth import optimize
+
     prob = _small_maxcut()
-    config = SolverConfig(N=30, eps=0.1, q=2, seed=5, keep_iterates=True, true_obj_every=1)
+    calls = []
+    prox, evaluate = optimize.prox_map_euclidean, optimize.StochasticOracle.evaluate
+
+    def prox_spy(setup, x, y):
+        out = prox(setup, x, y)
+        calls.append(("prox", x.copy(), out.copy()))
+        return out
+
+    def evaluate_spy(self, point, key):
+        calls.append(("eval", key, point.copy()))
+        return evaluate(self, point, key)
+
+    def monitor_spy(point):
+        calls.append(("row", point.copy()))
+        return type(prob).true_objective(prob, point)
+
+    monkeypatch.setattr(optimize, "prox_map_euclidean", prox_spy)
+    monkeypatch.setattr(optimize.StochasticOracle, "evaluate", evaluate_spy)
+    monkeypatch.setattr(prob, "true_objective", monitor_spy)
+    config = SolverConfig(N=30, eps=0.1, q=2, seed=5, true_obj_every=1)
     res = acsa_linesearch_run(prob, None, prob.prox_setup(), config)
     assert not res.aborted
-    prev = None
-    prev_gamma = float("inf")
-    for st in res.iterates:
-        assert np.linalg.norm(st.x) <= prob.radius + 1e-12
-        assert np.linalg.norm(st.x_ag) <= prob.radius + 1e-12
-        t = st.t
-        assert st.beta == (t + 1) / 2
-        assert st.gamma <= prev_gamma + 1e-15
-        prev_gamma = st.gamma
-        if prev is not None:
-            md = 2.0 / (t + 1.0) * prev.x + (t - 1.0) / (t + 1.0) * prev.x_ag
-            assert np.array_equal(st.x_md, md)
-        prev = st
+    x = x_ag = prob.prox_setup().center
+    t, md_checked = 1, 0
+    for call in calls:
+        if call[0] == "prox":
+            assert np.array_equal(call[1], x)  # every prox step of t starts at x_{t-1}
+            x_next = call[2]  # the last one is accepted
+        elif call[0] == "eval" and call[1] == (t,):
+            md = 2.0 / (t + 1.0) * x + (t - 1.0) / (t + 1.0) * x_ag
+            assert np.array_equal(call[2], md)
+            md_checked += 1
+        elif call[0] == "row":
+            x, x_ag = x_next, call[1]
+            assert np.linalg.norm(x) <= prob.radius + 1e-12
+            assert np.linalg.norm(x_ag) <= prob.radius + 1e-12
+            t += 1
+    assert t - 1 == 30 and md_checked == 30
+    gammas = [r.gamma for r in res.trace]
+    assert len(gammas) == 30
+    assert all(a >= b - 1e-15 for a, b in zip(gammas, gammas[1:]))
 
 
 def test_seed_determinism():
@@ -359,6 +388,29 @@ def test_numerical_oracle_failure_aborts(monkeypatch, failure):
     assert reason in res.abort_reason
 
 
+def test_det_smooth_failure_aborts(monkeypatch):
+    from eigsmooth import optimize
+
+    softmax = optimize.softmax_smoothed
+    calls = {"n": 0}
+
+    def failing(M, mu):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise np.linalg.LinAlgError("injected eigh failure")
+        return softmax(M, mu)
+
+    monkeypatch.setattr(optimize, "softmax_smoothed", failing)
+    rng = np.random.default_rng(21)
+    prob = dspca_problem(synthetic_covariance(10, rng))
+    res = nesterov_smooth_baseline(prob, prob.prox_setup(), eps=0.1, budget=7, true_obj_every=1)
+    assert res.aborted
+    assert "LinAlgError" in res.abort_reason
+    assert res.iterations == 2
+    assert [r.t for r in res.trace] == [1, 2]
+    assert res.total_eigvecs == 2 * 10
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(N=0, eps=0.1)
@@ -378,6 +430,7 @@ def test_gap_bound_logged():
     res = acsa_run(prob, None, prob.prox_setup(), config)
     manual = expected_gap_bound(prob.dim, 0.1, 3, prob.diameter, 10, 2)
     assert res.gap_bound == pytest.approx(manual)
+    assert res.t_gamma == 0  # a one-rung ladder starts at its floor
     res_ls = acsa_linesearch_run(prob, None, prob.prox_setup(), config)
     assert res_ls.gap_bound is not None and res_ls.t_gamma is not None
 

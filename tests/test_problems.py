@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from eigsmooth.optimize import ExactEigOracle, StochasticOracle
 from eigsmooth.problems import (
     BoxProblem,
     ball_reference,
     box_reference,
-    composite_objective,
     dspca_problem,
     load_covariance,
     maxcut_problem,
@@ -185,24 +185,20 @@ def test_maxcut_solver_matches_grid_reference():
 def test_composite_exact_maxcut_at_zero():
     rng = np.random.default_rng(8)
     prob = maxcut_problem(6, rng)
-    val, grad, cost = composite_objective(
-        prob, np.zeros(6), "exact", rng=np.random.default_rng(9)
-    )
-    assert val == pytest.approx(1.0, abs=1e-8)  # lambda_max(C) = 1, linear term 0
-    assert cost == 1.0
+    ev = ExactEigOracle(prob, seed=9).evaluate(np.zeros(6), (0,))
+    assert ev.value == pytest.approx(1.0, abs=1e-8)  # lambda_max(C) = 1, linear term 0
+    assert ev.cost == 1.0
     # subgradient = diag(phi phi^T) - 1 sums to 1 - n for a unit eigenvector
-    assert np.sum(grad) == pytest.approx(1.0 - 6.0, abs=1e-10)
+    assert np.sum(ev.grad) == pytest.approx(1.0 - 6.0, abs=1e-10)
 
 
 def test_composite_exact_dspca_at_zero():
     rng = np.random.default_rng(10)
     A = synthetic_covariance(8, rng)
     prob = dspca_problem(A)
-    val, grad, cost = composite_objective(
-        prob, np.zeros((8, 8)), "exact", rng=np.random.default_rng(11)
-    )
-    assert val == pytest.approx(1.0, abs=1e-8)
-    assert np.trace(grad) == pytest.approx(1.0, abs=1e-10)
+    ev = ExactEigOracle(prob, seed=11).evaluate(np.zeros((8, 8)), (0,))
+    assert ev.value == pytest.approx(1.0, abs=1e-8)
+    assert np.trace(ev.grad) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_composite_sampled_gradient_sums():
@@ -210,12 +206,10 @@ def test_composite_sampled_gradient_sums():
     prob = maxcut_problem(5, rng)
     params = SmoothingParams(eps=0.1, n=5)
     w = prob.project(rng.standard_normal(5))
-    val, grad, cost = composite_objective(
-        prob, w, "sampled", params=params, q=4, rng=np.random.default_rng(13), path="secular"
-    )
+    ev = StochasticOracle(prob, params, q=4, seed=13, path="secular").evaluate(w, (0,))
     # 1^T (grad_w + 1) = trace of the averaged estimate = 1
-    assert np.sum(grad + 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert cost == 4 * params.k + 5  # q*k samples plus the internal decomposition
+    assert np.sum(ev.grad + 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert ev.cost == 4 * params.k + 5  # q*k samples plus the internal decomposition
 
 
 def test_composite_sampled_envelope():
@@ -227,13 +221,8 @@ def test_composite_sampled_envelope():
     X = prob.project(0.1 * rng.standard_normal((n, n)))
     X = 0.5 * (X + X.T)
     exact = prob.true_objective(X)
-    vals = []
-    for rep in range(300):
-        v, _, _ = composite_objective(
-            prob, X, "sampled", params=params, q=1,
-            rng=np.random.default_rng(1000 + rep), path="secular",
-        )
-        vals.append(v)
+    oracle = StochasticOracle(prob, params, q=1, seed=1000, path="secular")
+    vals = [oracle.evaluate(X, (rep,)).value for rep in range(300)]
     mean = np.mean(vals)
     serr = np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert mean - 3 * serr >= exact + params.eps / n
