@@ -346,7 +346,9 @@ class _Recorder:
     """Trace rows, clock, cumulative cost and best monitored objective of one
     solver run. Rows are taken every `every` iterations (default: about 200
     rows per budget) and at the last one; the solver adds its oracle costs
-    to `cost`."""
+    to `cost`. Solvers never modify a recorded point in place, so a row
+    handed the same point object as the last row reuses its monitored
+    objective."""
 
     def __init__(self, problem, budget, every):
         self.problem = problem
@@ -356,14 +358,16 @@ class _Recorder:
         self.cost = 0.0
         self.best = float("inf")
         self.start = time.perf_counter()
+        self.monitored = (None, float("nan"))  # (point, objective) of the last row
 
     def row(self, t, point, sampled, gamma=float("nan")):
         """Record iteration t, monitored at `point`, if a row is due."""
         if t % self.every and t != self.budget:
             return
-        obj_true = float("nan")
-        if hasattr(self.problem, "true_objective"):
-            obj_true = float(self.problem.true_objective(point))
+        if point is not self.monitored[0]:
+            monitor = getattr(self.problem, "true_objective", None)
+            self.monitored = (point, float("nan") if monitor is None else float(monitor(point)))
+        obj_true = self.monitored[1]
         if not math.isnan(obj_true):
             self.best = min(self.best, obj_true)
         self.rows.append(TraceRecord(

@@ -135,9 +135,10 @@ def eps_critical(model):
 def t0_solve(model, eps, rel_tol=1e-12, max_iter=200):
     """Unique positive t0 with (1/n) sum_{j>l} 1/(t0+gamma+delta_j) = 1/eps.
 
-    Exists only above the critical level; safeguarded Newton inside
+    Exists only above the critical level; solved by the secular solver's
+    rational steps (Newton and bisection as fallbacks) inside
     [0, (1 - l/n) eps], so t0 <= (1 - l/n) eps on return. Raises
-    SpectralError if Newton has not converged after `max_iter` iterations.
+    SpectralError if t0 is not fixed after `max_iter` evaluations.
     """
     eps0 = eps_critical(model)
     if eps <= eps0:

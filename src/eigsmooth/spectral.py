@@ -6,9 +6,10 @@ eigenvectors, characteristic polynomials of rank-one perturbations, matrix
 exponentials, and spectral-gap smoothness constants.
 
 Every secular equation in the package (single roots, batches of weight rows,
-and the phase lab's t0) goes through one row-vectorized safeguarded Newton
-solver. Like Lanczos, it either converges or raises SpectralError; it never
-returns a silently unconverged answer.
+and the phase lab's t0) goes through one row-vectorized solver. Its step is
+the root of a two-pole rational model of the equation, with Newton's step and
+bisection as fallbacks. Like Lanczos, it either converges or raises
+SpectralError; it never returns a silently unconverged answer.
 
 All routines are pure functions of their inputs plus an explicit seeded
 random stream, so they are safe to call concurrently.
@@ -54,7 +55,7 @@ __all__ = [
 _DEFLATE_REL = 1e-14
 
 # A secular residual within this many roundoffs of 1/scale is at the root to
-# working precision: Newton would only hop between the floats around it.
+# working precision: further steps would only hop between the floats around it.
 _ROUNDING_FLOOR = 4.0 * np.finfo(float).eps
 
 
@@ -359,37 +360,98 @@ def _secular_newton(D, W, scale, lo, hi, rel_tol, max_iter):
     """Roots of s_i(t) = 1/scale - sum_j W_ij / (D_ij + t), one per row of W.
 
     `D` holds the pole offsets, shape (n,) for all rows or (m, n). Each s_i
-    is increasing and concave on its bracket [lo_i, hi_i], so Newton from
-    lo_i climbs to the root; each evaluation tightens the bracket, and a step
-    leaving it is replaced by bisection. A row's root is fixed once its step
-    is within rel_tol of t or its residual reaches the rounding floor.
-    Returns (roots, iterations per row); raises SpectralError if some row is
-    not fixed after `max_iter` evaluations.
+    is increasing and concave on its bracket [lo_i, hi_i], lo_i >= 0, and
+    the iteration starts at lo_i. Each step solves a rational model of
+    s_i (Bunch, Nielsen & Sorensen 1978): the term of the row's nearest pole
+    offset p_i stays exact, and the other terms are fitted, in value and
+    slope at t, by one pole at the next offset p_i + delta_i (delta_i = 1 if
+    there is none). The model lies below s_i, so its root is never below
+    the true one, and from the first step on the iterates fall onto the
+    root from above, fast also where the nearest pole dominates. Where the
+    model has no positive root the step is Newton's, and a step leaving the
+    bracket, which each evaluation tightens, is replaced by bisection. A
+    row's root is fixed once its step is within rel_tol of t or its residual
+    reaches the rounding floor (where a step leaving the bracket falls back
+    to the evaluated t). Fixed rows leave the active set as soon as that
+    does not raise peak memory. Returns
+    (roots, evaluations per row); raises SpectralError if some row is not
+    fixed after `max_iter` evaluations.
     """
     m = W.shape[0]
     roots = np.empty(m)
     iterations = np.zeros(m, dtype=int)
-    t = lo
+    rows = np.arange(m)
     floor = _ROUNDING_FLOOR / scale
+    p = D.min(axis=-1, keepdims=True)
+    near = D == p
+    nxt = np.where(near, np.inf, D).min(axis=-1)
+    # Per-row state in one stack, so that dropping the fixed rows is one
+    # index: the bracket, p, delta, the weight Wp at p and 2 Wp delta.
+    S = np.empty((6, m))
+    S[0], S[1], S[2] = lo, hi, p[..., 0]
+    S[3] = np.where(nxt < np.inf, nxt - p[..., 0], 1.0)
+    S[4] = np.add.reduce(W, axis=1, where=near)
+    S[5] = 2.0 * S[4] * S[3]
+    del near
+    lo, hi, p, delta, Wp, c2 = S
+    t = lo.copy()
+    live, left = np.ones(m, dtype=bool), m  # rows carried and not yet fixed
+    inv_scale = 1.0 / scale
     for it in range(1, max_iter + 1):
         denom = D + t[:, None]
         terms = W / denom
-        s = 1.0 / scale - terms.sum(axis=1)
+        s = inv_scale - terms.sum(axis=1)
         sp = np.divide(terms, denom, out=terms).sum(axis=1)
-        lo = np.where(s < 0.0, t, lo)
-        hi = np.where(s > 0.0, t, hi)
-        t_new = t - s / sp
-        t_new = np.where((lo <= t_new) & (t_new <= hi), t_new, 0.5 * (lo + hi))
-        done = (np.abs(s) <= floor) | (np.abs(t_new - t) <= rel_tol * np.abs(t_new))
+        del denom, terms
+        np.copyto(lo, t, where=s < 0.0)
+        np.copyto(hi, t, where=s > 0.0)
+        # Fitted at t, the model is r - Wp / u - b / (u + delta) in u = p + t,
+        # with b = (p + delta + t)^2 h' for the slope h' of the far terms.
+        a = t + p
+        e = Wp / a
+        a2 = a + delta
+        bt = a2 * (sp - e / a)
+        r = s + e + bt
+        newton = r <= 0.0
+        fallback = np.count_nonzero(newton)
+        if fallback:
+            np.copyto(r, 1.0, where=newton)  # any r > 0: these rows take Newton's step
+        # Its root is the positive root of r u^2 + B u - Wp delta = 0, from
+        # the branch of the quadratic formula free of cancellation for B's sign.
+        B = r * delta - Wp - a2 * bt
+        r2 = r + r
+        A = np.sqrt(B * B + r2 * c2) + np.abs(B)
+        t_new = np.divide(c2, A, out=A / r2, where=B > 0.0) - p
+        if fallback:
+            np.copyto(t_new, t - s / sp, where=newton)
+        at_floor = np.abs(s) <= floor
+        outside = ~((lo <= t_new) & (t_new <= hi))
+        if np.count_nonzero(outside):
+            # A row at the rounding floor keeps its evaluated t: its bracket
+            # may have closed onto t, and bisection would leave the root.
+            np.copyto(t_new, np.where(at_floor, t, 0.5 * (lo + hi)), where=outside)
+        done = (np.abs(t_new - t) <= rel_tol * t_new) | at_floor
+        fixed = done & live
+        count = np.count_nonzero(fixed)
         t = t_new
-        first = done & (iterations == 0)
-        roots[first] = t[first]
-        iterations[first] = it
-        if iterations.all():
-            return roots, iterations
+        if count:
+            roots[rows[fixed]], iterations[rows[fixed]] = t_new[fixed], it
+            live ^= fixed
+            left -= count
+            if not left:
+                return roots, iterations
+            # Fixed rows are dropped once the copies of the live rows (W, and
+            # D if 2-d) and the next evaluation's denom and terms fit in the
+            # two arrays this evaluation released.
+            if (D.ndim + 2) * left <= 2 * live.size:
+                t, rows, W, S = t[live], rows[live], W[live], S[:, live]
+                lo, hi, p, delta, Wp, c2 = S
+                if D.ndim == 2:
+                    D = D[live]
+                live = np.ones(left, dtype=bool)
     raise SpectralError(
-        f"secular Newton did not converge to rel_tol={rel_tol:g} within {max_iter} "
-        f"iterations on {np.sum(iterations == 0)} of {m} rows"
+        f"secular solver did not converge to rel_tol={rel_tol:g} within {max_iter} "
+        f"iterations on {left} of {m} rows"
     )
 
 
@@ -409,23 +471,25 @@ def _secular_shifts(lambdas, weights, scale, rel_tol, max_iter):
         raise ValueError("lambdas must be a 1-d array and weight rows of the same length")
     if scale <= 0.0:
         raise ValueError("scale must be positive")
-    if np.any(W < 0.0):
+    if np.count_nonzero(W < 0.0):
         raise ValueError("weights must be nonnegative")
-    if np.any(np.diff(lam) > 0.0):
+    if np.count_nonzero(lam[1:] > lam[:-1]):
         raise ValueError("lambdas must be in decreasing order")
     totals = W.sum(axis=1)
-    if np.any(totals <= 0.0):
+    if np.count_nonzero(totals <= 0.0):
         raise ValueError("all weights vanish in some row")
     keep = W > _DEFLATE_REL * totals[:, None]
-    W = np.where(keep, W, 0.0)
+    if np.count_nonzero(keep) < keep.size:
+        W = np.where(keep, W, 0.0)
+        totals = W.sum(axis=1)
     d = lam[0] - lam
     off = d[np.argmax(keep, axis=1)]
     degenerate = off > 0.0
     # Clamping puts every pole above the kept ones at zero offset; those
     # entries carry no weight, so their terms vanish.
-    D = np.maximum(d - off[:, None], 0.0) if degenerate.any() else d
-    lo = scale * np.where(D == 0.0, W, 0.0).sum(axis=1)
-    hi = scale * W.sum(axis=1)
+    D = np.maximum(d - off[:, None], 0.0) if np.count_nonzero(degenerate) else d
+    lo = scale * np.add.reduce(W, axis=1, where=D == 0.0)
+    hi = scale * totals
     t, iterations = _secular_newton(D, W, scale, lo, hi, rel_tol, max_iter)
     return np.maximum(t - off, 0.0), degenerate, iterations
 
@@ -433,13 +497,15 @@ def _secular_shifts(lambdas, weights, scale, rel_tol, max_iter):
 def secular_root(problem, rel_tol=1e-12, max_iter=200):
     """Unique positive root of the rank-one update equation.
 
-    Solved by safeguarded Newton inside the analytic bracket
-    [scale * w_top, scale * sum w], where w_top is the weight carried by the
-    leading eigenspace. Coordinates below 1e-14 of the total weight are
-    deflated. If the leading eigenspace carries no weight (update vector
-    orthogonal to it) the root may sit at a pole: the deflated problem is
-    solved and the result flagged degenerate. Raises SpectralError if Newton
-    has not converged after `max_iter` iterations.
+    Solved inside the analytic bracket [scale * w_top, scale * sum w], where
+    w_top is the weight carried by the leading eigenspace, by rational
+    two-pole steps (the leading pole exact, the rest fitted by one more)
+    that fall back on Newton's step and on bisection. Coordinates below
+    1e-14 of the total weight are deflated. If the leading eigenspace
+    carries no weight (update vector orthogonal to it) the root may sit at a
+    pole: the deflated problem is solved and the result flagged degenerate.
+    `iterations` counts the evaluations of the equation. Raises
+    SpectralError if the root is not fixed after `max_iter` of them.
     """
     shifts, degenerate, iterations = _secular_shifts(
         problem.lambdas, np.asarray(problem.weights, dtype=float)[None], problem.scale,
@@ -455,8 +521,9 @@ def secular_shifts_batch(lambdas, weights, scale, rel_tol=1e-13, max_iter=120):
 
     `weights` has shape (m, n); returns the m positive shifts. All rows,
     including those whose leading-eigenspace weight deflates to zero (the
-    degenerate treatment of `secular_root`), go through one Newton solve
-    that either converges on every row or raises SpectralError.
+    degenerate treatment of `secular_root`), go through one solve with the
+    rational steps of `secular_root` that either converges on every row or
+    raises SpectralError.
     """
     return _secular_shifts(lambdas, np.atleast_2d(weights), scale, rel_tol, max_iter)[0]
 

@@ -466,6 +466,35 @@ def test_subgradient_best_iterate_monotone():
     assert all(a >= b - 1e-12 for a, b in zip(best, best[1:]))
 
 
+def test_subgradient_monitors_best_only_when_it_moves(monkeypatch):
+    # the dense monitor runs once per row whose best iterate changed; rows
+    # that hand back the same best iterate reuse its value
+    from eigsmooth import optimize
+
+    prob = _small_maxcut(n=30, seed=3)
+    rows, monitored = [], []
+    row = optimize._Recorder.row
+
+    def row_spy(self, t, point, sampled, gamma=float("nan")):
+        if not (t % self.every and t != self.budget):
+            rows.append(point.copy())
+        return row(self, t, point, sampled, gamma)
+
+    def monitor_spy(point):
+        monitored.append(point.copy())
+        return type(prob).true_objective(prob, point)
+
+    monkeypatch.setattr(optimize._Recorder, "row", row_spy)
+    monkeypatch.setattr(prob, "true_objective", monitor_spy)
+    res = subgradient_baseline(prob, prob.prox_setup(), budget=400, seed=3)
+    moved = [x for i, x in enumerate(rows) if i == 0 or not np.array_equal(x, rows[i - 1])]
+    assert len(rows) == len(res.trace) == 200
+    assert len(monitored) == len(moved) < len(rows) // 2
+    assert all(np.array_equal(a, b) for a, b in zip(monitored, moved))
+    for record, x in zip(res.trace, rows):
+        assert record.obj_true == type(prob).true_objective(prob, x)
+
+
 def test_subgradient_rate_order():
     # reaches gap <= eps within 10x of (D / eps)^2 iterations on a 2-d problem
     prob = _small_maxcut(n=2, seed=18, radius=2.0)

@@ -190,6 +190,45 @@ def test_secular_row_at_rounding_floor_converges():
         secular_shifts_batch(m.lambdas, z[None, :] ** 2, scale, max_iter=1)
 
 
+REGIME_FACTORS = (0.5, 1.0, 2.0)  # eps / eps0: sub-critical, critical, super-critical
+
+
+@pytest.mark.parametrize("n", [2, 100, 1600])
+def test_secular_batch_equal_gap_closed_form(n):
+    # with one top eigenvalue and all others gamma below it, the secular
+    # equation is the quadratic t^2/scale + t (gamma/scale - W0 - R) - W0 gamma = 0
+    gamma = 1.0
+    m = equal_gap_model(n, gamma=gamma)
+    for factor in REGIME_FACTORS:
+        scale = factor * eps_critical(m) / n
+        for seed in range(3):
+            W = sample_rng(seed, n).standard_normal((200, n)) ** 2
+            w0, rest = W[:, 0], W[:, 1:].sum(axis=1)
+            b = gamma / scale - w0 - rest
+            root = np.sqrt(b * b + 4.0 * w0 * gamma / scale)
+            exact = np.where(b > 0.0, 2.0 * w0 * gamma / (b + root), scale * (root - b) / 2.0)
+            shifts = secular_shifts_batch(m.lambdas, W, scale)
+            assert np.max(np.abs(shifts - exact) / exact) <= 1e-12
+
+
+def _evaluations(m, W, scale):
+    return max(secular_root(SecularProblem(m.lambdas, w, scale), rel_tol=1e-13).iterations for w in W)
+
+
+def test_secular_evaluation_counts():
+    # The rational step is exact on an equal-gap spectrum (one far pole), and
+    # keeps the nearest pole exact on any other; the count bounds every row.
+    rng = np.random.default_rng(12)
+    for n in (100, 400, 1600):
+        flat = equal_gap_model(n)
+        lam = np.concatenate(([1.0], np.sort(rng.uniform(-1.0, 0.0, n - 1))[::-1]))
+        spread = SpectrumModel.from_lambdas(lam)
+        for factor in REGIME_FACTORS:
+            W = sample_rng(7, n, int(2 * factor)).standard_normal((200, n)) ** 2
+            assert _evaluations(flat, W, factor * eps_critical(flat) / n) <= 4
+            assert _evaluations(spread, W, factor * eps_critical(spread) / n) <= 14
+
+
 # ------------------------------------------------------------- scaling MC
 
 
