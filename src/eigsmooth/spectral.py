@@ -8,8 +8,10 @@ exponentials, and spectral-gap smoothness constants.
 Every secular equation in the package (single roots, batches of weight rows,
 and the phase lab's t0) goes through one row-vectorized solver. Its step is
 the root of a two-pole rational model of the equation, with Newton's step and
-bisection as fallbacks. Like Lanczos, it either converges or raises
-SpectralError; it never returns a silently unconverged answer.
+bisection as fallbacks. Exactly equal eigenvalues are one pole: after
+deflation their weights are summed, one term per distinct eigenvalue. Like
+Lanczos, it either converges or raises SpectralError; it never returns a
+silently unconverged answer.
 
 All routines are pure functions of their inputs plus an explicit seeded
 random stream, so they are safe to call concurrently.
@@ -72,13 +74,15 @@ class NonsmoothPointError(SpectralError):
 
 
 def symmetrize(X):
-    """Exact symmetrization (X + X^T) / 2."""
+    """Exact symmetrization X/2 + X^T/2: it equals (X + X^T) / 2 wherever
+    halving is exact, and does not overflow where X + X^T would."""
     X = np.asarray(X, dtype=float)
-    return 0.5 * (X + X.T)
+    return 0.5 * X + 0.5 * X.T
 
 
 def check_symmetric(X, tol=1e-12):
-    """Validate a square real matrix and return it exactly symmetrized.
+    """Validate a square real matrix and return it exactly symmetrized, as a
+    new array (a copy when X is already exactly symmetric).
 
     Rejects non-square shapes, non-finite entries, and asymmetry beyond
     ``tol * max(1, max|X|)``.
@@ -86,11 +90,14 @@ def check_symmetric(X, tol=1e-12):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
+    # NaN and inf carry through the extremes, so they double as the finiteness check.
+    top, bottom = (float(X.max()), float(X.min())) if X.size else (0.0, 0.0)
+    if not (math.isfinite(top) and math.isfinite(bottom)):
         raise ValueError("matrix entries must be finite")
-    scale = max(1.0, float(np.max(np.abs(X)))) if X.size else 1.0
-    asym = float(np.max(np.abs(X - X.T))) if X.size else 0.0
-    if asym > tol * scale:
+    if np.array_equal(X, X.T):
+        return X.copy()
+    asym = float(np.max(np.abs(X - X.T)))
+    if asym > tol * max(1.0, top, -bottom):
         raise ValueError(f"matrix is not symmetric: max |X - X^T| = {asym:.3e}")
     return symmetrize(X)
 
@@ -293,8 +300,9 @@ def lanczos_leading(X, rel_tol=1e-8, fail_prob=0.01, rng=None, restart_limit=3, 
 def _lanczos_attempt(X, scale, z, breakdown, steps, rel_tol, rng):
     n = X.shape[0]
     Q = np.empty((n, steps))
-    alphas = np.empty(steps)
-    betas = np.empty(steps)
+    # The tridiagonal, filled as each alpha and beta is fixed; a decoupled
+    # step (breakdown) leaves its coupling zero.
+    T = np.zeros((steps + 1, steps + 1))
     # A converged residual is only trusted once a few dimensions are spanned;
     # this guards against start vectors that are themselves eigenvectors of a
     # non-leading eigenvalue (residual zero, wrong answer).
@@ -308,19 +316,19 @@ def _lanczos_attempt(X, scale, z, breakdown, steps, rel_tol, rng):
         if z is not None:
             w += (scale * float(z @ q)) * z
         matvecs += 1
-        alphas[j] = float(q @ w)
-        w -= alphas[j] * q
+        T[j, j] = alpha = float(q @ w)
+        w -= alpha * q
         if j > 0:
-            w -= betas[j - 1] * Q[:, j - 1]
+            w -= T[j, j - 1] * Q[:, j - 1]
         # Full reorthogonalization, two passes: correctness over speed.
         basis = Q[:, : j + 1]
         w -= basis @ (basis.T @ w)
         w -= basis @ (basis.T @ w)
-        beta = float(np.linalg.norm(w))
-        betas[j] = beta
+        beta = math.sqrt(w @ w)
         span = j + 1
         if span == steps or beta <= breakdown or j < 32 or j % 4 == 0:
-            theta, s = _top_ritz(alphas[:span], betas[: span - 1])
+            ritz, S = np.linalg.eigh(T[:span, :span])
+            theta, s = float(ritz[-1]), S[:, -1]
             if span >= min_span and abs(beta * s[-1]) <= rel_tol * max(1.0, abs(theta)):
                 vec = Q[:, :span] @ s
                 vec = _canonical_sign(vec / np.linalg.norm(vec))
@@ -331,7 +339,6 @@ def _lanczos_attempt(X, scale, z, breakdown, steps, rel_tol, rng):
                 return None, matvecs
             # The spanned subspace is invariant but not certified: decouple
             # (zero coupling) and continue from a fresh orthogonal direction.
-            betas[j] = 0.0
             q = rng.standard_normal(n)
             q -= basis @ (basis.T @ q)
             q -= basis @ (basis.T @ q)
@@ -340,20 +347,9 @@ def _lanczos_attempt(X, scale, z, breakdown, steps, rel_tol, rng):
                 return None, matvecs
             q /= norm
         else:
+            T[span, j] = T[j, span] = beta
             q = w / beta
     return None, matvecs
-
-
-def _top_ritz(alphas, offdiag):
-    m = alphas.shape[0]
-    T = np.zeros((m, m))
-    np.fill_diagonal(T, alphas)
-    if offdiag.size:
-        idx = np.arange(offdiag.size)
-        T[idx, idx + 1] = offdiag
-        T[idx + 1, idx] = offdiag
-    w, S = np.linalg.eigh(T)
-    return float(w[-1]), S[:, -1]
 
 
 def _secular_newton(D, W, scale, lo, hi, rel_tol, max_iter):
@@ -459,11 +455,13 @@ def _secular_shifts(lambdas, weights, scale, rel_tol, max_iter):
     """Validated secular roots for weight rows over one decreasing spectrum.
     Returns (shifts, degenerate flags, iterations).
 
-    Weights below 1e-14 of their row total are deflated. A row whose
-    leading-eigenspace weight deflates away is degenerate: the update only
-    moves the eigenvalues it touches, so the row is solved relative to the
-    first eigenvalue it keeps (`off` below the top), and the top moves by
-    max(0, root - off), exactly zero when the root sits at the pole.
+    Weights below 1e-14 of their row total are deflated; then the columns of
+    exactly equal eigenvalues (no tolerance) are summed into one pole each.
+    A row whose leading-eigenspace weight deflates away is degenerate: the
+    update only moves the eigenvalues it touches, so the row is solved
+    relative to the first eigenvalue it keeps (`off` below the top), and the
+    top moves by max(0, root - off), exactly zero when the root sits at the
+    pole. The merge leaves `off` and the degenerate flags as they were.
     """
     lam = np.asarray(lambdas, dtype=float)
     W = np.asarray(weights, dtype=float)
@@ -483,6 +481,13 @@ def _secular_shifts(lambdas, weights, scale, rel_tol, max_iter):
         W = np.where(keep, W, 0.0)
         totals = W.sum(axis=1)
     d = lam[0] - lam
+    ties = lam[1:] == lam[:-1]
+    if np.count_nonzero(ties):
+        # Equal eigenvalues are one pole: one weight column per distinct value.
+        # After deflation the kept weights are exactly the positive ones.
+        runs = np.flatnonzero(np.concatenate(([True], ~ties)))
+        W, d = np.add.reduceat(W, runs, axis=1), d[runs]
+        keep = W > 0.0
     off = d[np.argmax(keep, axis=1)]
     degenerate = off > 0.0
     # Clamping puts every pole above the kept ones at zero offset; those
@@ -501,7 +506,8 @@ def secular_root(problem, rel_tol=1e-12, max_iter=200):
     w_top is the weight carried by the leading eigenspace, by rational
     two-pole steps (the leading pole exact, the rest fitted by one more)
     that fall back on Newton's step and on bisection. Coordinates below
-    1e-14 of the total weight are deflated. If the leading eigenspace
+    1e-14 of the total weight are deflated, and the weights of exactly
+    equal eigenvalues then summed into one pole. If the leading eigenspace
     carries no weight (update vector orthogonal to it) the root may sit at a
     pole: the deflated problem is solved and the result flagged degenerate.
     `iterations` counts the evaluations of the equation. Raises
@@ -522,8 +528,8 @@ def secular_shifts_batch(lambdas, weights, scale, rel_tol=1e-13, max_iter=120):
     `weights` has shape (m, n); returns the m positive shifts. All rows,
     including those whose leading-eigenspace weight deflates to zero (the
     degenerate treatment of `secular_root`), go through one solve with the
-    rational steps of `secular_root` that either converges on every row or
-    raises SpectralError.
+    rational steps, deflation and equal-pole merge of `secular_root` that
+    either converges on every row or raises SpectralError.
     """
     return _secular_shifts(lambdas, np.atleast_2d(weights), scale, rel_tol, max_iter)[0]
 

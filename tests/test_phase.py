@@ -15,6 +15,7 @@ from eigsmooth.phase import (
     tile_model,
     write_phase_report,
 )
+from eigsmooth import spectral
 from eigsmooth.smoothing import sample_rng
 from eigsmooth.spectral import SecularProblem, SpectralError, secular_root, secular_shifts_batch
 
@@ -227,6 +228,57 @@ def test_secular_evaluation_counts():
             W = sample_rng(7, n, int(2 * factor)).standard_normal((200, n)) ** 2
             assert _evaluations(flat, W, factor * eps_critical(flat) / n) <= 4
             assert _evaluations(spread, W, factor * eps_critical(spread) / n) <= 14
+
+
+def _tied_spectra(n, rng):
+    """Spectra with runs of equal eigenvalues: equal-gap with a simple and a
+    triple top, a tiled profile, and random levels with a repeated top."""
+    levels = np.sort(rng.uniform(-1.0, 0.0, 6))[::-1]
+    lam = np.concatenate(([1.0, 1.0], np.sort(rng.choice(levels, n - 2))[::-1]))
+    return [equal_gap_model(n), equal_gap_model(n, multiplicity=3),
+            tile_model(SpectrumModel.from_lambdas(FIG_SPECTRUM), n),
+            SpectrumModel.from_lambdas(lam)]
+
+
+def _unmerged_shifts(lam, W, scale):
+    # One pole term per eigenvalue, ties included; rows with weight on the top.
+    D = lam[0] - lam
+    lo = scale * W[:, D == 0.0].sum(axis=1)
+    return spectral._secular_newton(D, W, scale, lo, scale * W.sum(axis=1), 1e-13, 120)
+
+
+def test_merged_poles_match_unmerged_reference():
+    rng = np.random.default_rng(5)
+    for n in (100, 400, 1600):
+        for m in _tied_spectra(n, rng):
+            for factor in REGIME_FACTORS:
+                scale = factor * eps_critical(m) / n
+                W = rng.standard_normal((200, n)) ** 2
+                shifts, degenerate, iterations = spectral._secular_shifts(
+                    m.lambdas, W, scale, 1e-13, 120)
+                ref, ref_iterations = _unmerged_shifts(m.lambdas, W, scale)
+                assert not degenerate.any()
+                assert np.max(np.abs(shifts - ref) / ref) <= 1e-13
+                # The merged sums round differently, so a row at the rounding
+                # floor may stop one evaluation apart; no batch needs more.
+                assert iterations.max() <= ref_iterations.max()
+                assert np.max(np.abs(iterations - ref_iterations)) <= 1
+
+
+def test_equal_gap_solve_sees_two_poles(monkeypatch):
+    m = equal_gap_model(1600)
+    widths = []
+    solve = spectral._secular_newton
+
+    def spy(D, W, *args):
+        widths.append(W.shape[1])
+        return solve(D, W, *args)
+
+    monkeypatch.setattr(spectral, "_secular_newton", spy)
+    W = sample_rng(3, 1600).standard_normal((200, 1600)) ** 2
+    shifts = secular_shifts_batch(m.lambdas, W, eps_critical(m) / m.n)
+    assert widths == [2]
+    assert np.all(shifts > 0.0)
 
 
 # ------------------------------------------------------------- scaling MC

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from eigsmooth.smoothing import SmoothingParams, fk_value
 from eigsmooth.spectral import (
     LanczosConvergenceError,
+    check_symmetric,
     NonsmoothPointError,
     SecularProblem,
     char_poly_rank_one,
@@ -249,6 +250,24 @@ def test_secular_batch_matches_scalar():
         assert abs(batch[i] - ref) <= 1e-11 * max(1.0, ref)
 
 
+def test_secular_degenerate_rows_next_to_repeated_eigenvalue():
+    # z_0 = 0 exactly: the row is solved from the first eigenvalue it keeps,
+    # here a repeated one whose copies are merged into one pole.
+    rng = np.random.default_rng(21)
+    lam = np.array([2.0, 1.0, 1.0, 1.0, 0.5, 0.0, 0.0, -1.0])
+    Z = rng.standard_normal((30, lam.size))
+    Z[:, 0] = 0.0
+    Z[::3, 1] = 0.0  # some rows keep only part of the repeated eigenvalue
+    Z[1::3, 1:3] = 0.0
+    for scale in (1e-3, 0.3, 5.0):
+        batch = secular_shifts_batch(lam, Z**2, scale, rel_tol=1e-12)
+        for z, shift in zip(Z, batch):
+            root = secular_root(SecularProblem(lam, z**2, scale))
+            assert root.degenerate and root.shift == shift
+            top = np.linalg.eigvalsh(np.diag(lam) + scale * np.outer(z, z))[-1]
+            assert abs((lam[0] + shift) - top) <= 1e-10 * max(1.0, abs(top))
+
+
 # ---------------------------------------------------------------- rank-one
 
 
@@ -432,6 +451,34 @@ def test_matrix_roundtrip(tmp_path):
     path = tmp_path / "m.txt"
     save_matrix(path, X)
     assert np.array_equal(load_matrix(path), X)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_check_symmetric_fresh_and_same_as_symmetrize():
+    rng = np.random.default_rng(4)
+    G = rng.standard_normal((6, 6))
+    big = np.array([[1e308, 2.0], [2.0, 1.0]])
+    near = np.array([[1.0, 1.5e308], [np.nextafter(1.5e308, np.inf), -1e308]])
+    with np.errstate(all="raise"):
+        for X in [symmetrize(G), symmetrize(G) + 1e-14 * np.triu(G, 1), np.diag([-0.0, 0.0, 3.0]),
+                  np.zeros((0, 0)), big, big + np.array([[0.0, 1e290], [0.0, 0.0]]), near]:
+            out = check_symmetric(X)
+            assert np.array_equal(_bits(out), _bits(symmetrize(X)))
+            assert not np.shares_memory(out, X)
+            assert np.all(np.isfinite(out)) and np.array_equal(out, out.T)
+    assert check_symmetric(big)[0, 0] == 1e308
+    assert check_symmetric(near)[0, 1] == 0.5 * near[0, 1] + 0.5 * near[1, 0]
+    bad = [(np.zeros((2, 3)), "expected a square matrix"), (np.zeros(3), "expected a square matrix"),
+           (np.array([[np.nan, 0.0], [0.0, 1.0]]), "matrix entries must be finite"),
+           (np.array([[1.0, np.inf], [np.inf, 1.0]]), "matrix entries must be finite"),
+           (np.array([[1.0, 0.0], [0.0, -np.inf]]), "matrix entries must be finite"),
+           (np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]]), "matrix is not symmetric")]
+    for X, message in bad:
+        with pytest.raises(ValueError, match=message):
+            check_symmetric(X)
 
 
 def test_load_rejects_asymmetry(tmp_path):
