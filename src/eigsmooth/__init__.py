@@ -1,7 +1,7 @@
 """Stochastic rank-one smoothing toolkit for maximum-eigenvalue minimization.
 
 Subpackages:
-  spectral   dense symmetric kernel (Lanczos, secular updates, exponentials)
+  spectral   dense symmetric kernel (Lanczos, secular updates)
   smoothing  smoothed objective, stochastic value/gradient oracle, bounds
   optimize   accelerated stochastic solver with monotone line search, baselines
   problems   box (sparse-PCA style) and ball (cut relaxation dual) instances

@@ -62,7 +62,7 @@ TRACE_HEADER = "t,obj_true,obj_sampled,gamma,eigvecs,wall_ms"
 
 @dataclass
 class ProxSetup:
-    """Euclidean prox geometry: omega = ||.||^2 / 2 with strong convexity alpha.
+    """Euclidean prox geometry: omega = ||.||^2 / 2 (strong convexity modulus 1).
 
     `project` is the Euclidean projection onto the feasible set, `diameter`
     the omega-diameter (max omega - min omega)^(1/2), and `center` the omega
@@ -72,7 +72,6 @@ class ProxSetup:
     project: object  # Callable[[ndarray], ndarray]
     diameter: float
     center: np.ndarray
-    alpha: float = 1.0
 
 
 @dataclass
@@ -80,9 +79,9 @@ class SolverConfig:
     """All solver parameters; anything left None is derived at run time.
 
     gamma_max / gamma_min / gamma_init define the line-search ladder
-    (defaults: a theory floor alpha/(2L) with L the smoothed-gradient
+    (defaults: a theory floor 1/(2L) with L the smoothed-gradient
     Lipschitz bound divided by `lip_scale`, and a ceiling `ladder_span`
-    times higher). `mu` is the noise bias bound, defaulting to k * eps.
+    times higher).
     """
 
     N: int
@@ -96,11 +95,8 @@ class SolverConfig:
     gamma_d: float = 0.5
     ladder_span: float = 16.0
     lip_scale: float = 100.0
-    m_lipschitz: float = 0.0
-    mu: float | None = None
     oracle_path: str = "lanczos"
     oracle_tol: float = 1e-6
-    oracle_fail_prob: float = 0.01
     true_obj_every: int | None = None
 
     def __post_init__(self):
@@ -159,15 +155,13 @@ class StochasticOracle:
     Noise is keyed by (seed, *key, sample index).
     """
 
-    def __init__(self, problem, params, q, seed, path="lanczos", lanczos_tol=1e-6,
-                 lanczos_fail_prob=0.01):
+    def __init__(self, problem, params, q, seed, path="lanczos", lanczos_tol=1e-6):
         self.problem = problem
         self.params = params
         self.q = int(q)
         self.seed = int(seed)
         self.path = path
         self.lanczos_tol = lanczos_tol
-        self.lanczos_fail_prob = lanczos_fail_prob
 
     @property
     def sigma2(self):
@@ -177,7 +171,7 @@ class StochasticOracle:
         M = self.problem.matrix(point)
         est = gradient_oracle(
             M, self.params, self.q, rng=self.seed, seed_key=tuple(key), path=self.path,
-            lanczos_tol=self.lanczos_tol, lanczos_fail_prob=self.lanczos_fail_prob,
+            lanczos_tol=self.lanczos_tol,
         )
         value = est.value + self.problem.linear_value(point)
         grad = self.problem.pull_back(est.matrix) + self.problem.linear_grad(point)
@@ -189,18 +183,14 @@ class ExactEigOracle:
 
     sigma2 = 0.0
 
-    def __init__(self, problem, seed, rel_tol=1e-9, fail_prob=0.01):
+    def __init__(self, problem, seed, rel_tol=1e-9):
         self.problem = problem
         self.seed = int(seed)
         self.rel_tol = rel_tol
-        self.fail_prob = fail_prob
 
     def evaluate(self, point, key):
         M = self.problem.matrix(point)
-        pair = lanczos_leading(
-            M, rel_tol=self.rel_tol, fail_prob=self.fail_prob,
-            rng=sample_rng(self.seed, *key),
-        )
+        pair = lanczos_leading(M, rel_tol=self.rel_tol, rng=sample_rng(self.seed, *key))
         value = pair.value + self.problem.linear_value(point)
         grad = self.problem.pull_back(np.outer(pair.vector, pair.vector))
         grad = grad + self.problem.linear_grad(point)
@@ -223,8 +213,6 @@ class FunctionOracle:
 def prox_map_euclidean(setup, x, y):
     """Prox mapping for omega = ||.||^2/2: argmin_z y.(z - x) + ||z - x||^2/2,
     i.e. the Euclidean projection of x - y onto the feasible set."""
-    if setup.alpha != 1.0:
-        raise ValueError("the Euclidean prox map assumes alpha == 1")
     return setup.project(x - y)
 
 
@@ -238,44 +226,40 @@ def default_schedule(n, eps, diameter):
     return N, q
 
 
-def line_search_exit(value_md, grad_md, value_next, displacement, gamma, gamma_d,
-                     alpha=1.0, m_lipschitz=0.0):
+def line_search_exit(value_md, grad_md, value_next, displacement, gamma, gamma_d):
     """Sampled upper-model exit test for the current step scale gamma.
 
     True iff  Psi(x_ag', xi') <= Psi(x_md, xi) + <G, x_ag' - x_md>
-              + (alpha gamma_d / (4 gamma)) ||x_ag' - x_md||^2
-              + 2 M ||x_ag' - x_md||.
+              + (gamma_d / (4 gamma)) ||x_ag' - x_md||^2.
     """
     delta = np.asarray(displacement, dtype=float)
     dist = float(np.linalg.norm(delta.ravel()))
     rhs = (
         value_md
         + float(np.vdot(np.asarray(grad_md, dtype=float), delta))
-        + (alpha * gamma_d / (4.0 * gamma)) * dist**2
-        + 2.0 * m_lipschitz * dist
+        + (gamma_d / (4.0 * gamma)) * dist**2
     )
     return value_next <= rhs
 
 
-def expected_gap_bound(n, eps, k, diameter, N, q, alpha=1.0):
+def expected_gap_bound(n, eps, k, diameter, N, q):
     """Expected-accuracy bound of the plain accelerated stochastic method:
-    8 n C_k D^2 / (alpha eps N (N+2)) + 4 sqrt(2) D / sqrt(N q)."""
+    8 n C_k D^2 / (eps N (N+2)) + 4 sqrt(2) D / sqrt(N q)."""
     ck = smoothing_constant(k)
     return (
-        8.0 * n * ck * diameter**2 / (alpha * eps * N * (N + 2.0))
+        8.0 * n * ck * diameter**2 / (eps * N * (N + 2.0))
         + 4.0 * math.sqrt(2.0) * diameter / math.sqrt(N * q)
     )
 
 
-def coarse_gap_bound(L, diameter, N, sigma2, gamma_max, gamma_min, t_gamma, mu,
-                     alpha=1.0, m_lipschitz=0.0):
+def coarse_gap_bound(L, diameter, N, sigma2, gamma_max, gamma_min, t_gamma, mu):
     """Coarse expected-accuracy bound of the line-search variant, with
     rho_N = (T_gamma + 2)^3 / (N + 2)^3 amplifying the noise term while the
     search is active."""
     rho = (t_gamma + 2.0) ** 3 / (N + 2.0) ** 3
-    noise = math.sqrt(4.0 * m_lipschitz**2 + sigma2)
+    noise = math.sqrt(sigma2)
     return (
-        8.0 * L * diameter**2 / (alpha * N**2)
+        8.0 * L * diameter**2 / N**2
         + 8.0 * diameter * noise / math.sqrt(N) * (gamma_max / gamma_min * rho + 1.0 - rho)
         + (t_gamma + 2.0) ** 2 * gamma_max * mu / (N**2 * 2.0 * gamma_min)
     )
@@ -289,7 +273,6 @@ def _default_oracle(problem, config):
     return StochasticOracle(
         problem, _default_smoothing(problem, config), config.q, config.seed,
         path=config.oracle_path, lanczos_tol=config.oracle_tol,
-        lanczos_fail_prob=config.oracle_fail_prob,
     )
 
 
@@ -300,7 +283,7 @@ def _scaled_lipschitz(problem, config):
 def _resolve_ladder(setup, config, L):
     """The line-search ladder (gamma_min, gamma_init, gamma_max).
 
-    An unset ceiling is `ladder_span` times the theory step alpha/(2L), an
+    An unset ceiling is `ladder_span` times the theory step 1/(2L), an
     unset floor is the theory step capped at the ceiling, and an unset start
     is the ceiling. `L` is the scaled Lipschitz bound of the smoothed
     problem, or None when there is none; then both ends must be set.
@@ -312,7 +295,7 @@ def _resolve_ladder(setup, config, L):
                 "explicit gamma_max and gamma_min are required without a "
                 "smoothed problem to derive them from"
             )
-        theory = setup.alpha / (2.0 * L)
+        theory = 1.0 / (2.0 * L)
         if gamma_max is None:
             gamma_max = config.ladder_span * theory
         if gamma_min is None:
@@ -323,14 +306,11 @@ def _resolve_ladder(setup, config, L):
 
 def _plain_gamma(setup, config, L, sigma2):
     """Deterministic step scale of the plain method: min of the smooth step
-    alpha/(2L) and the noise-driven ceiling sqrt(6 alpha) D / ((N+2)^{3/2}
-    sqrt(4 M^2 + sigma^2))."""
-    alpha = setup.alpha
-    smooth = alpha / (2.0 * L)
-    noise = 4.0 * config.m_lipschitz**2 + sigma2
-    if noise <= 0.0:
+    1/(2L) and the noise-driven ceiling sqrt(6) D / ((N+2)^{3/2} sigma)."""
+    smooth = 1.0 / (2.0 * L)
+    if sigma2 <= 0.0:
         return smooth
-    ceiling = math.sqrt(6.0 * alpha) * setup.diameter / ((config.N + 2.0) ** 1.5 * math.sqrt(noise))
+    ceiling = math.sqrt(6.0) * setup.diameter / ((config.N + 2.0) ** 1.5 * math.sqrt(sigma2))
     return min(smooth, ceiling)
 
 
@@ -425,8 +405,7 @@ def _acsa_engine(problem, oracle, setup, config, gamma_min, gamma):
                 rec.cost += ev_next.cost
                 cached = ((t + 1,), x_ag_next, ev_next)
                 if line_search_exit(
-                    ev.value, ev.grad, ev_next.value, x_ag_next - x_md, gamma,
-                    config.gamma_d, alpha=setup.alpha, m_lipschitz=config.m_lipschitz,
+                    ev.value, ev.grad, ev_next.value, x_ag_next - x_md, gamma, config.gamma_d,
                 ):
                     break
                 gamma = gamma * config.gamma_d
@@ -459,7 +438,6 @@ def acsa_run(problem, oracle, setup, config):
     if problem is not None and config.eps > 0:
         result.gap_bound = expected_gap_bound(
             problem.dim, config.eps, config.k, setup.diameter, config.N, config.q,
-            alpha=setup.alpha,
         )
     return result
 
@@ -476,23 +454,21 @@ def acsa_linesearch_run(problem, oracle, setup, config):
     gamma_min, gamma_init, gamma_max = _resolve_ladder(setup, config, L)
     result = _acsa_engine(problem, oracle, setup, config, gamma_min, gamma_init)
     if smoothed:
-        mu = config.mu if config.mu is not None else config.k * config.eps
         result.gap_bound = coarse_gap_bound(
             L, setup.diameter, config.N, getattr(oracle, "sigma2", 0.0), gamma_max, gamma_min,
-            result.t_gamma, mu, alpha=setup.alpha, m_lipschitz=config.m_lipschitz,
+            result.t_gamma, config.k * config.eps,
         )
     return result
 
 
-def subgradient_baseline(problem, setup, budget, seed=0, rel_tol=1e-9,
-                         true_obj_every=None, fail_prob=0.01):
+def subgradient_baseline(problem, setup, budget, seed=0, rel_tol=1e-9, true_obj_every=None):
     """Projected subgradient descent on the exact objective.
 
     Steps D / (||g|| sqrt(t)); one leading eigenpair per iteration. The best
     objective is the lowest oracle value, and the trace monitors the point
     that attained it, so its objective column never increases.
     """
-    oracle = ExactEigOracle(problem, seed, rel_tol=rel_tol, fail_prob=fail_prob)
+    oracle = ExactEigOracle(problem, seed, rel_tol=rel_tol)
     x = np.array(setup.center, dtype=float, copy=True)
     best = float("inf")
     best_x = x.copy()

@@ -209,15 +209,6 @@ class PhasePrediction:
             raise ValueError("the second-order constant is defined in the sub-critical regime")
         return self.w1(z) * self.xi1(z) / (1.0 / self.eps - 1.0 / self.eps0)
 
-    def leading_term(self, z):
-        """Theorem prediction of T for the draw z (leading orders only)."""
-        n = self.model.n
-        if self.regime == "sub":
-            return self.w1(z) / n
-        if self.regime == "critical":
-            return self.w1(z) / math.sqrt(n)
-        return self.t0 + self.w1(z) / math.sqrt(n)
-
 
 def classify_regime(model, eps, crit_rtol=1e-9):
     """Classify eps against the critical level (equality detected within

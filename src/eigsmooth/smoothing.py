@@ -81,9 +81,9 @@ class OracleSample:
 
     `vector` is the unit leading eigenvector of the winning perturbed matrix,
     so the realized gradient is the projector vector vector^T (unit trace by
-    construction). `gap_witness` records value - lambda_max(X) when the top
-    eigenvalue of X is known (secular path; NaN otherwise) and `witness_bound`
-    the analytic lower bound (eps/n) * max_i (leading coordinate of z_i)^2.
+    construction). `gap_witness` records value - lambda_max(X) and
+    `witness_bound` the analytic lower bound (eps/n) * max_i (leading
+    coordinate of z_i)^2; both need a decomposition of X and are NaN without.
     """
 
     value: float
@@ -147,7 +147,7 @@ def fk_value(X, Z, params):
     return float(values[0, i0]), i0, vecs[0], values[0]
 
 
-def sample_fk(X, params, rng, path="auto", lanczos_tol=1e-9, lanczos_fail_prob=0.01):
+def sample_fk(X, params, rng, path="auto", lanczos_tol=1e-9):
     """Draw one realization of the smoothed objective and its gradient factor.
 
     Draws k iid standard Gaussian vectors from `rng`, computes each perturbed
@@ -157,8 +157,21 @@ def sample_fk(X, params, rng, path="auto", lanczos_tol=1e-9, lanczos_fail_prob=0
     winning eigenvector. Cost: k eigenpair units (+ n when the secular path
     must first decompose X). X is validated here, by `check_symmetric` (its k
     Lanczos runs take it unchecked) or by `full_eig` when it is decomposed.
+    The two witness fields are computed whenever a decomposition of X is at
+    hand (the secular path, or X given as a `SpectralDecomp`), NaN otherwise.
     """
-    return _sample(*_prepare(X, params, path), params, rng, lanczos_tol, lanczos_fail_prob)
+    X, dec, path, cost = _prepare(X, params, path)
+    values, i0, vectors, Z, units = _draw(X, dec, path, params, [rng], lanczos_tol)
+    value = float(values[0])
+    if dec is None:
+        gap_witness = witness_bound = float("nan")
+    else:
+        gap_witness = value - float(dec.values[0])
+        witness_bound = params.scale * float(np.max((dec.vectors[:, 0] @ Z[0].T) ** 2))
+    return OracleSample(
+        value=value, i0=int(i0[0]), vector=vectors[0],
+        gap_witness=gap_witness, witness_bound=witness_bound, cost_eigvecs=cost + units,
+    )
 
 
 def _prepare(X, params, path):
@@ -182,71 +195,58 @@ def _prepare(X, params, path):
     return X, dec, path, extra_cost
 
 
-def _sample(X, dec, path, extra_cost, params, rng, lanczos_tol=1e-9, lanczos_fail_prob=0.01):
-    """One realization on inputs resolved and validated by `_prepare`."""
-    Z = rng.standard_normal((params.k, params.n))
-    if params.eps == 0.0:
-        if dec is None:
-            pair = lanczos_leading(X, rel_tol=lanczos_tol, fail_prob=lanczos_fail_prob, rng=rng)
-            return OracleSample(
-                value=pair.value, i0=0, vector=pair.vector,
-                gap_witness=float("nan"), witness_bound=0.0,
-                cost_eigvecs=pair.cost_eigvecs + extra_cost,
-            )
-        return OracleSample(
-            value=float(dec.values[0]), i0=0, vector=dec.vectors[:, 0].copy(),
-            gap_witness=0.0, witness_bound=0.0, cost_eigvecs=extra_cost,
-        )
+def _draw(X, dec, path, params, gens, lanczos_tol):
+    """One realization per generator in `gens`, on inputs resolved by `_prepare`.
 
-    if path == "secular":
-        value, i0, vector, values = fk_value(dec, Z, params)
-        top_coords = dec.vectors[:, 0] @ Z.T
-        witness_bound = params.scale * float(np.max(top_coords**2))
-        gap_witness = value - float(dec.values[0])
-        cost = float(params.k) + extra_cost
-    else:
-        pairs = [
-            lanczos_leading(
-                X, rel_tol=lanczos_tol, fail_prob=lanczos_fail_prob, rng=rng,
-                update=(params.scale, z),
-            )
-            for z in Z
-        ]
-        values = np.array([p.value for p in pairs])
-        i0 = int(np.argmax(values))
-        value = float(values[i0])
-        vector = pairs[i0].vector
-        gap_witness = witness_bound = float("nan")
-        cost = float(sum(p.cost_eigvecs for p in pairs))
-    return OracleSample(
-        value=value, i0=i0, vector=vector,
-        gap_witness=gap_witness, witness_bound=witness_bound, cost_eigvecs=cost,
-    )
+    Each generator draws its sample's k noise vectors, then, on the Lanczos
+    path, the start vectors of the sample's k runs; the secular path solves
+    all samples in one kernel call. At eps = 0 a sample is the top pair of X.
+    Returns the values (q,), winning indices (q,), winning unit vectors
+    (q, n), the noise Z (q, k, n) and the eigenvector units spent.
+    """
+    q, k, n = len(gens), params.k, params.n
+    Z = np.empty((q, k, n))
+    if path == "secular" or (dec is not None and params.eps == 0.0):
+        for l, gen in enumerate(gens):
+            gen.standard_normal((k, n), out=Z[l])
+        if params.eps == 0.0:
+            return (np.full(q, dec.values[0]), np.zeros(q, dtype=int),
+                    np.tile(dec.vectors[:, 0], (q, 1)), Z, 0.0)
+        values, _, i0, vectors = _rank_one_top(dec, Z, params.scale)
+        return values[np.arange(q), i0], i0, vectors, Z, float(q * k)
+    values, i0, vectors, units = np.empty(q), np.zeros(q, dtype=int), np.empty((q, n)), 0.0
+    for l, gen in enumerate(gens):
+        gen.standard_normal((k, n), out=Z[l])
+        if params.eps == 0.0:
+            pairs = [lanczos_leading(X, rel_tol=lanczos_tol, rng=gen)]
+        else:
+            pairs = [lanczos_leading(X, rel_tol=lanczos_tol, rng=gen, update=(params.scale, z))
+                     for z in Z[l]]
+        i0[l] = np.argmax([p.value for p in pairs])
+        values[l], vectors[l] = pairs[i0[l]].value, pairs[i0[l]].vector
+        units += sum(p.cost_eigvecs for p in pairs)
+    return values, i0, vectors, Z, units
 
 
-def gradient_oracle(X, params, q, rng, path="auto", seed_key=(), **path_opts):
+def gradient_oracle(X, params, q, rng, path="auto", seed_key=(), lanczos_tol=1e-9):
     """Average of q independent rank-one gradient samples.
 
     `rng` may be a Generator (samples drawn sequentially from one stream) or
     an integer seed, in which case each sample l uses the counter-derived
     generator for key ``seed_key + (l,)`` so q-parallel evaluation would be
     reproducible and order-independent. The reduction always runs in sample
-    index order. X is validated or decomposed once for all q samples.
+    index order. X is validated or decomposed once for all q samples, and on
+    the secular path all q samples are solved in one batched kernel call.
     Cost: q * (per-sample cost), plus n for a decomposition made here.
     """
     q = int(q)
     if q < 1:
         raise ValueError("q must be a positive integer")
     X, dec, path, cost = _prepare(X, params, path)
-    vectors = np.empty((q, params.n))
-    values = np.empty(q)
-    for l in range(q):
-        gen = rng if isinstance(rng, np.random.Generator) else sample_rng(rng, *seed_key, l)
-        sample = _sample(X, dec, path, 0.0, params, gen, **path_opts)
-        vectors[l] = sample.vector
-        values[l] = sample.value
-        cost += sample.cost_eigvecs
-    return GradientEstimate(vectors=vectors, value=float(values.mean()), cost_eigvecs=cost)
+    shared = isinstance(rng, np.random.Generator)
+    gens = [rng if shared else sample_rng(rng, *seed_key, l) for l in range(q)]
+    values, _, vectors, _, units = _draw(X, dec, path, params, gens, lanczos_tol)
+    return GradientEstimate(vectors=vectors, value=float(values.mean()), cost_eigvecs=cost + units)
 
 
 def fk_values_batch(decomp, params, draws, rng):
@@ -256,20 +256,8 @@ def fk_values_batch(decomp, params, draws, rng):
     the batched secular path; meant for estimator diagnostics and envelope
     checks, not for the per-sample cost-accounted oracle.
     """
-    Z = rng.standard_normal((draws, params.k, decomp.n))
-    values, _, _, _ = _rank_one_top(decomp, Z, params.scale, vectors=False)
-    return values.max(axis=1)
-
-
-def _phi_batch(decomp, params, trials, rng):
-    """Winning unit eigenvectors for `trials` oracle samples, vectorized.
-
-    Returns (vectors, values) with vectors of shape (trials, n). Matches the
-    secular path of `sample_fk` draw for draw.
-    """
-    Z = rng.standard_normal((trials, params.k, decomp.n))
-    values, _, _, vectors = _rank_one_top(decomp, Z, params.scale)
-    return vectors, values.max(axis=1)
+    X, dec, path, _ = _prepare(decomp, params, "secular")
+    return _draw(X, dec, path, params, [rng] * int(draws), None)[0]
 
 
 def approximation_bounds(params):
@@ -312,8 +300,8 @@ def gradient_variance_probe(X, params, trials, rng):
     trials = int(trials)
     if trials < 100:
         raise ValueError("trials must be at least 100")
-    dec = X if isinstance(X, SpectralDecomp) else full_eig(X)
-    phis, _ = _phi_batch(dec, params, trials, rng)
+    X, dec, path, _ = _prepare(X, params, "secular")
+    phis = _draw(X, dec, path, params, [rng] * trials, None)[2]
     mean = (phis.T @ phis) / trials
     # ||phi phi^T - M||_F^2 = 1 - 2 phi^T M phi + ||M||_F^2 for unit phi
     mnorm2 = float(np.sum(mean**2))

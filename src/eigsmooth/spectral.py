@@ -2,8 +2,7 @@
 
 Leading eigenpairs by randomized Lanczos with restarts, full symmetric
 decompositions, rank-one updates through the secular equation with analytic
-eigenvectors, characteristic polynomials of rank-one perturbations, matrix
-exponentials, and spectral-gap smoothness constants.
+eigenvectors, and spectral-gap smoothness constants.
 
 Every secular equation in the package (single roots, batches of weight rows,
 and the phase lab's t0) goes through one row-vectorized solver. Its step is
@@ -18,7 +17,7 @@ random stream, so they are safe to call concurrently.
 
 Cost accounting: every leading eigenpair produced counts as one
 "eigenvector unit" regardless of how many matrix-vector products it took;
-a full decomposition (and hence a matrix exponential) counts as n units.
+a full decomposition counts as n units.
 Raw matrix-vector product counts are kept on `EigPair.matvecs`.
 """
 from __future__ import annotations
@@ -46,8 +45,6 @@ __all__ = [
     "secular_root",
     "secular_shifts_batch",
     "rank_one_leading",
-    "char_poly_rank_one",
-    "matrix_exponential",
     "local_lip_constant",
     "extremal_direction",
 ]
@@ -96,10 +93,12 @@ def check_symmetric(X, tol=1e-12):
         raise ValueError("matrix entries must be finite")
     if np.array_equal(X, X.T):
         return X.copy()
-    asym = float(np.max(np.abs(X - X.T)))
-    if asym > tol * max(1.0, top, -bottom):
-        raise ValueError(f"matrix is not symmetric: max |X - X^T| = {asym:.3e}")
-    return symmetrize(X)
+    # Halves cannot overflow where X - X^T can; halving keeps the test and message.
+    half = 0.5 * X
+    asym = float(np.max(np.abs(half - half.T)))
+    if asym > 0.5 * tol * max(1.0, top, -bottom):
+        raise ValueError(f"matrix is not symmetric: max |X - X^T| = {2.0 * asym:.3e}")
+    return half + half.T
 
 
 def load_matrix(path, tol=1e-12):
@@ -534,13 +533,13 @@ def secular_shifts_batch(lambdas, weights, scale, rel_tol=1e-13, max_iter=120):
     return _secular_shifts(lambdas, np.atleast_2d(weights), scale, rel_tol, max_iter)[0]
 
 
-def _rank_one_top(decomp, Z, scale, rel_tol=1e-13, vectors=True):
+def _rank_one_top(decomp, Z, scale, rel_tol=1e-13):
     """Top eigenpairs of ``X + scale * z z^T`` from a decomposition of X, for
     m groups of k update vectors z (`Z` has shape (m, k, n)).
 
     Returns the top eigenvalues (m, k), the degenerate flags (m, k), each
-    group's argmax (ties to the lowest index) and, unless `vectors` is false,
-    the winners' unit eigenvectors (m, n) with canonical sign. Their
+    group's argmax (ties to the lowest index) and the winners' unit
+    eigenvectors (m, n) with canonical sign. Their
     eigenbasis coordinates are coords_j / ((lambda_1 - lambda_j) + shift),
     free of cancellation; a root at the pole (shift 0) leaves the top
     eigenvector of X in place.
@@ -554,8 +553,6 @@ def _rank_one_top(decomp, Z, scale, rel_tol=1e-13, vectors=True):
     values = lam[0] + shifts
     i0 = np.argmax(values, axis=1)
     degenerate = degenerate.reshape(shifts.shape)
-    if not vectors:
-        return values, degenerate, i0, None
     groups = np.arange(Z.shape[0])
     shift = shifts[groups, i0][:, None]
     pole = shift == 0.0
@@ -579,33 +576,6 @@ def rank_one_leading(decomp, v, eps_over_n, rel_tol=1e-12):
         value=float(values[0, 0]), vector=vecs[0], cost_eigvecs=1.0,
         degenerate=bool(degenerate[0, 0]),
     )
-
-
-def char_poly_rank_one(decomp, v, lam_eval):
-    """Characteristic polynomial of ``X + v v^T`` evaluated at `lam_eval`:
-    prod_j (lambda_j - lam_eval) * (1 + sum_j coords_j^2 / (lambda_j - lam_eval)).
-
-    `lam_eval` must not coincide with an eigenvalue of X (poles).
-    """
-    coords = decomp.coordinates(v)
-    diffs = decomp.values - float(lam_eval)
-    if np.any(diffs == 0.0):
-        raise ValueError("evaluation point coincides with an eigenvalue of the base matrix")
-    return float(np.prod(diffs) * (1.0 + np.sum(coords**2 / diffs)))
-
-
-def matrix_exponential(X):
-    """exp(X) through the full decomposition; costs n eigenvector units.
-
-    Overflow on extreme eigenvalues is an explicit error: callers feed
-    pre-scaled matrices (the smoothing baseline always controls the range).
-    """
-    dec = full_eig(X)
-    with np.errstate(over="ignore"):
-        ew = np.exp(dec.values)
-    if not np.all(np.isfinite(ew)):
-        raise OverflowError("matrix exponential overflow: pre-scale the input")
-    return symmetrize((dec.vectors * ew) @ dec.vectors.T)
 
 
 def local_lip_constant(decomp, gap_threshold=1e-12):

@@ -534,6 +534,39 @@ def test_softmax_envelope_and_gradient():
         assert abs(fd - an) <= 1e-5 * max(1.0, abs(an))
 
 
+def test_softmax_matches_exponential_series():
+    # At ||X/mu||_2 = 0.9 the 50-term Taylor series E of exp(X/mu) is exact
+    # to rounding: the gradient is E / tr E and the value mu log(tr E / n).
+    rng = np.random.default_rng(14)
+    n, mu = 20, 0.5
+    X = symmetrize(rng.standard_normal((n, n)))
+    X *= 0.9 * mu / np.linalg.norm(X, 2)
+    series = np.eye(n)
+    term = np.eye(n)
+    for k in range(1, 51):
+        term = term @ (X / mu) / k
+        series = series + term
+    value, grad, _ = softmax_smoothed(X, mu)
+    trace = float(np.trace(series))
+    assert np.max(np.abs(grad - series / trace)) <= 1e-12
+    assert value == pytest.approx(mu * math.log(trace) - mu * math.log(n), rel=1e-12, abs=1e-14)
+
+
+def test_softmax_at_zero():
+    n = 5
+    value, grad, _ = softmax_smoothed(np.zeros((n, n)), 0.3)
+    assert value == 0.0
+    assert np.max(np.abs(grad - np.eye(n) / n)) <= 1e-15
+
+
+def test_softmax_far_apart_eigenvalues_do_not_overflow():
+    # exp(1e4) overflows, but the shifted exponentials never see it
+    with np.errstate(over="raise"):
+        value, grad, _ = softmax_smoothed(np.diag([1e4, 0.0]), 1.0)
+    assert np.isfinite(value) and np.all(np.isfinite(grad))
+    assert np.array_equal(grad, np.diag([1.0, 0.0]))
+
+
 def test_det_baseline_cost_is_n_per_iteration():
     rng = np.random.default_rng(21)
     A = synthetic_covariance(10, rng)

@@ -10,6 +10,7 @@ from eigsmooth.smoothing import (
     gradient_variance_probe,
     lipschitz_bound,
     sample_fk,
+    sample_rng,
     smoothing_constant,
 )
 from eigsmooth.spectral import full_eig, rank_one_leading, symmetrize
@@ -348,3 +349,65 @@ def test_gradient_oracle_validates_once(monkeypatch):
     est = gradient_oracle(X, params, 2, rng=7, path="lanczos")
     assert counts == {"check_symmetric": 1, "lanczos_leading": 6}
     assert est.cost_eigvecs == 6.0
+
+
+# ------------------------------------------------------ one batched sampler
+
+
+@pytest.mark.parametrize("path", ["secular", "lanczos"])
+def test_gradient_oracle_matches_sequential_samples(path):
+    rng = np.random.default_rng(18)
+    n, q, key = 9, 4, (5, 2)
+    X = random_symmetric(n, rng)
+    Xin = full_eig(X) if path == "secular" else X
+    params = SmoothingParams(eps=0.3, n=n, k=3)
+    est = gradient_oracle(Xin, params, q, rng=21, seed_key=key, path=path)
+    samples = [sample_fk(Xin, params, sample_rng(21, *key, l), path=path) for l in range(q)]
+    assert est.value == np.array([s.value for s in samples]).mean()
+    assert est.cost_eigvecs == sum(s.cost_eigvecs for s in samples) == q * params.k
+    vectors = np.array([s.vector for s in samples])
+    if path == "lanczos":
+        assert np.array_equal(est.vectors, vectors)
+    else:
+        assert np.max(np.abs(est.vectors - vectors)) <= 1e-14
+        # one shared generator: the samples come from it in sample order
+        shared = gradient_oracle(Xin, params, q, rng=np.random.default_rng(22), path=path)
+        gen = np.random.default_rng(22)
+        values = np.array([sample_fk(Xin, params, gen, path=path).value for _ in range(q)])
+        assert shared.value == values.mean()
+
+
+def test_secular_oracle_makes_one_kernel_call(monkeypatch):
+    from eigsmooth import smoothing
+
+    calls = []
+    real = smoothing._rank_one_top
+
+    def spy(decomp, Z, *args, **kwargs):
+        calls.append(Z.shape)
+        return real(decomp, Z, *args, **kwargs)
+
+    monkeypatch.setattr(smoothing, "_rank_one_top", spy)
+    X = random_symmetric(7, np.random.default_rng(19))
+    params = SmoothingParams(eps=0.2, n=7, k=3)
+    est = gradient_oracle(X, params, 4, rng=3, path="secular")
+    assert calls == [(4, 3, 7)]
+    assert est.cost_eigvecs == 4 * 3 + 7
+
+
+def test_witness_fields_follow_decomposition():
+    rng = np.random.default_rng(20)
+    n = 8
+    X = random_symmetric(n, rng)
+    dec = full_eig(X)
+    params = SmoothingParams(eps=0.4, n=n)
+    sec = sample_fk(dec, params, np.random.default_rng(4), path="secular")
+    lan = sample_fk(dec, params, np.random.default_rng(4), path="lanczos", lanczos_tol=1e-11)
+    assert lan.witness_bound == sec.witness_bound > 0.0
+    assert abs(lan.gap_witness - sec.gap_witness) <= 1e-9
+    plain = sample_fk(X, params, np.random.default_rng(4), path="lanczos")
+    assert np.isnan(plain.gap_witness) and np.isnan(plain.witness_bound)
+    exact = sample_fk(X, SmoothingParams(eps=0.0, n=n), np.random.default_rng(4), path="lanczos")
+    assert np.isnan(exact.gap_witness) and np.isnan(exact.witness_bound)
+    top = sample_fk(dec, SmoothingParams(eps=0.0, n=n), np.random.default_rng(4))
+    assert top.gap_witness == 0.0 and top.witness_bound == 0.0

@@ -1,3 +1,6 @@
+import importlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +12,12 @@ from eigsmooth.spectral import (
     check_symmetric,
     NonsmoothPointError,
     SecularProblem,
-    char_poly_rank_one,
     extremal_direction,
     full_eig,
     lanczos_iteration_budget,
     lanczos_leading,
     load_matrix,
     local_lip_constant,
-    matrix_exponential,
     rank_one_leading,
     save_matrix,
     secular_root,
@@ -337,77 +338,17 @@ def test_rank_one_degenerate_vector():
     assert np.allclose(pair.vector, [1, 0, 0])
 
 
-# ---------------------------------------------------------------- char poly
-
-
-def test_char_poly_two_by_two():
-    dec = full_eig(np.diag([1.0, 0.0]))
-    val = char_poly_rank_one(dec, np.array([1.0, 1.0]), 2.0)
-    assert abs(val - (-1.0)) <= 1e-12
-
-
-def test_char_poly_zero_vector_reduces():
-    dec = full_eig(np.diag([3.0, 1.0, -1.0]))
-    lam = 0.5
-    val = char_poly_rank_one(dec, np.zeros(3), lam)
-    assert abs(val - np.prod(dec.values - lam)) <= 1e-12
-
-
-def test_char_poly_brackets_secular_root():
+def test_secular_root_brackets_by_determinant():
+    # The shifted top is a root of det(X + scale v v^T - x I): it changes sign across it.
     lam = np.array([1.0, 0.0, -2.0, -2.0])
     v = np.ones(4)
     scale = 0.25
-    dec = full_eig(np.diag(lam))
     shift = secular_root(SecularProblem(lam, v**2, scale)).shift
     top = lam[0] + shift
-    w = np.sqrt(scale) * v  # X + scale v v^T == X + w w^T
-    below = char_poly_rank_one(dec, w, top - 1e-6)
-    above = char_poly_rank_one(dec, w, top + 1e-6)
+    A = np.diag(lam) + scale * np.outer(v, v)
+    below = np.linalg.det(A - (top - 1e-6) * np.eye(4))
+    above = np.linalg.det(A - (top + 1e-6) * np.eye(4))
     assert below * above < 0.0
-
-
-def test_char_poly_matches_dense_determinant():
-    rng = np.random.default_rng(13)
-    for n in (5, 20):
-        X = random_symmetric(n, rng)
-        v = rng.standard_normal(n)
-        lam = float(rng.uniform(2.5, 3.5)) + np.abs(X).sum()
-        dec = full_eig(X)
-        ours = char_poly_rank_one(dec, v, lam)
-        ref = np.linalg.det(X + np.outer(v, v) - lam * np.eye(n))
-        assert abs(ours - ref) <= 1e-9 * abs(ref)
-
-
-def test_char_poly_rejects_pole():
-    dec = full_eig(np.diag([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        char_poly_rank_one(dec, np.ones(2), 1.0)
-
-
-# ------------------------------------------------------------- exponential
-
-
-def test_matrix_exponential_zero_and_diag():
-    assert np.allclose(matrix_exponential(np.zeros((3, 3))), np.eye(3), atol=1e-14)
-    E = matrix_exponential(np.diag([1.0, -2.0]))
-    assert np.allclose(np.diag(E), [np.e, np.exp(-2.0)], atol=1e-14)
-
-
-def test_matrix_exponential_matches_series():
-    rng = np.random.default_rng(14)
-    X = random_symmetric(20, rng)
-    X *= 0.9 / np.linalg.norm(X, 2)
-    series = np.eye(20)
-    term = np.eye(20)
-    for k in range(1, 51):
-        term = term @ X / k
-        series = series + term
-    assert np.max(np.abs(matrix_exponential(X) - series)) <= 1e-12
-
-
-def test_matrix_exponential_overflow():
-    with pytest.raises(OverflowError):
-        matrix_exponential(np.diag([1e4, 0.0]))
 
 
 # ---------------------------------------------------------------- gap map
@@ -479,6 +420,24 @@ def test_check_symmetric_fresh_and_same_as_symmetrize():
     for X, message in bad:
         with pytest.raises(ValueError, match=message):
             check_symmetric(X)
+
+
+def test_check_symmetric_overflowing_asymmetry_is_a_value_error():
+    # X - X^T overflows here; the check must still reject X, without a warning.
+    X = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"not symmetric: max \|X - X\^T\| = inf"):
+            check_symmetric(X)
+        with pytest.raises(ValueError, match=r"max \|X - X\^T\| = 2\.000e\+300"):
+            check_symmetric(np.array([[0.0, 1e300], [-1e300, 0.0]]))
+
+
+@pytest.mark.parametrize("module", ["spectral", "smoothing", "optimize", "problems", "phase"])
+def test_public_names_resolve(module):
+    mod = importlib.import_module(f"eigsmooth.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
 
 
 def test_load_rejects_asymmetry(tmp_path):
