@@ -147,6 +147,12 @@ class RunResult:
     abort_reason: str | None = None
 
 
+def _gradient(problem, G, point):
+    """pull_back(G) plus the linear term's gradient, skipped where that is 0.0."""
+    lin, grad = problem.linear_grad(point), problem.pull_back(G)
+    return grad if np.ndim(lin) == 0 and lin == 0.0 else grad + lin
+
+
 class StochasticOracle:
     """Smoothed value/gradient oracle for a matrix-valued composite problem.
 
@@ -174,7 +180,7 @@ class StochasticOracle:
             lanczos_tol=self.lanczos_tol,
         )
         value = est.value + self.problem.linear_value(point)
-        grad = self.problem.pull_back(est.matrix) + self.problem.linear_grad(point)
+        grad = _gradient(self.problem, est.matrix, point)
         return OracleEval(value=value, grad=grad, cost=est.cost_eigvecs)
 
 
@@ -192,8 +198,7 @@ class ExactEigOracle:
         M = self.problem.matrix(point)
         pair = lanczos_leading(M, rel_tol=self.rel_tol, rng=sample_rng(self.seed, *key))
         value = pair.value + self.problem.linear_value(point)
-        grad = self.problem.pull_back(np.outer(pair.vector, pair.vector))
-        grad = grad + self.problem.linear_grad(point)
+        grad = _gradient(self.problem, np.outer(pair.vector, pair.vector), point)
         return OracleEval(value=value, grad=grad, cost=pair.cost_eigvecs)
 
 
@@ -537,7 +542,7 @@ def nesterov_smooth_baseline(problem, setup, eps, budget, lip_scale=1.0,
             break
         rec.cost += cost
         value = value + problem.linear_value(y)
-        grad = problem.pull_back(grad_m) + problem.linear_grad(y)
+        grad = _gradient(problem, grad_m, y)
         x_prev = x
         x = setup.project(y - step * grad)
         rec.row(t, x, value)

@@ -14,8 +14,8 @@ Two families:
 Both expose the composite-objective interface the solvers consume:
 `matrix(point)` maps the variable to the symmetric matrix whose top
 eigenvalue is measured, `pull_back(G)` chain-rules a matrix gradient to the
-variable space, `linear_value` / `linear_grad` carry the affine term, and
-`prox_setup()` packages projection, diameter, and start point.
+variable space, `linear_value` / `linear_grad` carry the affine term (0.0
+for none), and `prox_setup()` packages projection, diameter, and start point.
 
 Also here: covariance ingestion with top-variance coordinate selection, a
 synthetic low-rank-plus-noise generator reproducing the well-separated
@@ -74,7 +74,7 @@ class BoxProblem:
         return 0.0
 
     def linear_grad(self, X):
-        return np.zeros_like(self.A)
+        return 0.0
 
     @property
     def diameter(self):

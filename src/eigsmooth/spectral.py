@@ -257,8 +257,9 @@ def lanczos_leading(X, rel_tol=1e-8, fail_prob=0.01, rng=None, restart_limit=3, 
 
     Without `update`, A is X, validated here by `check_symmetric`. With
     ``update=(scale, z)``, A is ``X + scale * z z^T``, applied as
-    ``X q + scale * z (z^T q)`` and never formed; the caller must have
-    validated X, and only the rank-one term is checked here, in O(n).
+    ``X q + scale * z (z^T q)`` and never formed; the caller validates X
+    (only z is checked here) and may append ||X||_F^2 and z^T X z to the
+    tuple, sparing two O(n^2) passes. The workspace grows with the steps taken.
 
     Raises LanczosConvergenceError after `restart_limit` failed attempts;
     never returns a silently unconverged answer.
@@ -269,12 +270,12 @@ def lanczos_leading(X, rel_tol=1e-8, fail_prob=0.01, rng=None, restart_limit=3, 
         X, scale, z = check_symmetric(X), 0.0, None
         fro = float(np.linalg.norm(X, "fro"))
     else:
-        scale, z = float(update[0]), np.asarray(update[1], dtype=float)
+        scale, z, norms = float(update[0]), np.asarray(update[1], dtype=float), update[2:]
         if not 0.0 < scale < math.inf or z.shape != X.shape[:1] or not np.all(np.isfinite(z)):
             raise ValueError(f"update must be (scale > 0, z of {X.shape[0]} finite entries)")
+        xx, zxz = norms or (float(np.vdot(X, X)), float(z @ (X @ z)))
         # ||X + s z z^T||_F^2 = ||X||_F^2 + 2 s z^T X z + s^2 ||z||^4
-        fro = math.sqrt(max(0.0, float(np.vdot(X, X)) + 2.0 * scale * float(z @ (X @ z))
-                            + (scale * float(z @ z)) ** 2))
+        fro = math.sqrt(max(0.0, xx + 2.0 * scale * zxz + (scale * float(z @ z)) ** 2))
     n = X.shape[0]
     if n == 1:
         value = float(X[0, 0] if z is None else X[0, 0] + scale * z[0] ** 2)
@@ -298,10 +299,10 @@ def lanczos_leading(X, rel_tol=1e-8, fail_prob=0.01, rng=None, restart_limit=3, 
 
 def _lanczos_attempt(X, scale, z, breakdown, steps, rel_tol, rng):
     n = X.shape[0]
-    Q = np.empty((n, steps))
-    # The tridiagonal, filled as each alpha and beta is fixed; a decoupled
-    # step (breakdown) leaves its coupling zero.
-    T = np.zeros((steps + 1, steps + 1))
+    # Basis Q and tridiagonal T start at 32 columns and double when full; a
+    # decoupled step (breakdown) leaves its coupling in T zero.
+    cap = min(steps, 32)
+    Q, T = np.empty((n, cap)), np.zeros((cap + 1, cap + 1))
     # A converged residual is only trusted once a few dimensions are spanned;
     # this guards against start vectors that are themselves eigenvectors of a
     # non-leading eigenvalue (residual zero, wrong answer).
@@ -310,6 +311,9 @@ def _lanczos_attempt(X, scale, z, breakdown, steps, rel_tol, rng):
     q /= np.linalg.norm(q)
     matvecs = 0
     for j in range(steps):
+        if j == cap:
+            cap = min(2 * cap, steps)
+            Q, T = np.pad(Q, ((0, 0), (0, cap - j))), np.pad(T, (0, cap - j))
         Q[:, j] = q
         w = X @ q
         if z is not None:
@@ -318,19 +322,19 @@ def _lanczos_attempt(X, scale, z, breakdown, steps, rel_tol, rng):
         T[j, j] = alpha = float(q @ w)
         w -= alpha * q
         if j > 0:
-            w -= T[j, j - 1] * Q[:, j - 1]
+            w -= T[j, j - 1] * prev
         # Full reorthogonalization, two passes: correctness over speed.
         basis = Q[:, : j + 1]
         w -= basis @ (basis.T @ w)
         w -= basis @ (basis.T @ w)
         beta = math.sqrt(w @ w)
         span = j + 1
-        if span == steps or beta <= breakdown or j < 32 or j % 4 == 0:
+        if span >= min_span and (span == steps or beta <= breakdown or j < 32 or j % 4 == 0):
             ritz, S = np.linalg.eigh(T[:span, :span])
             theta, s = float(ritz[-1]), S[:, -1]
-            if span >= min_span and abs(beta * s[-1]) <= rel_tol * max(1.0, abs(theta)):
+            if abs(beta * s[-1]) <= rel_tol * max(1.0, abs(theta)):
                 vec = Q[:, :span] @ s
-                vec = _canonical_sign(vec / np.linalg.norm(vec))
+                vec /= math.copysign(np.linalg.norm(vec), vec[np.argmax(vec != 0.0)])
                 return EigPair(value=theta, vector=vec, cost_eigvecs=1.0), matvecs
         if beta <= breakdown:
             if span >= min(steps, n):
@@ -338,7 +342,7 @@ def _lanczos_attempt(X, scale, z, breakdown, steps, rel_tol, rng):
                 return None, matvecs
             # The spanned subspace is invariant but not certified: decouple
             # (zero coupling) and continue from a fresh orthogonal direction.
-            q = rng.standard_normal(n)
+            prev, q = q, rng.standard_normal(n)
             q -= basis @ (basis.T @ q)
             q -= basis @ (basis.T @ q)
             norm = float(np.linalg.norm(q))
@@ -347,7 +351,7 @@ def _lanczos_attempt(X, scale, z, breakdown, steps, rel_tol, rng):
             q /= norm
         else:
             T[span, j] = T[j, span] = beta
-            q = w / beta
+            prev, q = q, w / beta
     return None, matvecs
 
 

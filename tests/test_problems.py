@@ -229,6 +229,17 @@ def test_composite_sampled_envelope():
     assert mean + 3 * serr <= exact + params.k * params.eps
 
 
+def test_composite_gradient_skips_a_zero_linear_term():
+    from eigsmooth.optimize import _gradient
+
+    rng = np.random.default_rng(15)
+    box = dspca_problem(synthetic_covariance(6, rng))
+    G = rng.standard_normal((6, 6))
+    assert _gradient(box, G, np.zeros((6, 6))) is G  # no n x n copy for the box
+    ball = maxcut_problem(6, rng)
+    assert np.array_equal(_gradient(ball, G, np.zeros(6)), np.diag(G) - 1.0)
+
+
 def test_synthetic_covariance_separated_spectrum():
     rng = np.random.default_rng(15)
     A = synthetic_covariance(60, rng)

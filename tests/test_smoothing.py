@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from eigsmooth.problems import synthetic_covariance
 from eigsmooth.smoothing import (
     SmoothingParams,
     approximation_bounds,
@@ -411,3 +414,48 @@ def test_witness_fields_follow_decomposition():
     assert np.isnan(exact.gap_witness) and np.isnan(exact.witness_bound)
     top = sample_fk(dec, SmoothingParams(eps=0.0, n=n), np.random.default_rng(4))
     assert top.gap_witness == 0.0 and top.witness_bound == 0.0
+
+
+class _Forward:
+    """A distinct object drawing from a shared generator."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def standard_normal(self, *args, **kwargs):
+        return self.gen.standard_normal(*args, **kwargs)
+
+
+def test_shared_generator_draw_matches_per_sample_draws(monkeypatch):
+    # One (q, k, n) draw from a shared generator against q draws of (k, n),
+    # forced by handing each sample its own forwarding object.
+    from eigsmooth import smoothing
+
+    dec = full_eig(random_symmetric(12, np.random.default_rng(23)))
+    params = SmoothingParams(eps=0.4, n=12, k=3)
+    batch = fk_values_batch(dec, params, 300, np.random.default_rng(5))
+    probe = gradient_variance_probe(dec, params, 150, np.random.default_rng(6))
+    real = smoothing._draw
+    monkeypatch.setattr(smoothing, "_draw", lambda X, dec, path, params, gens, tol: real(
+        X, dec, path, params, [_Forward(gen) for gen in gens], tol))
+    assert np.array_equal(batch, fk_values_batch(dec, params, 300, np.random.default_rng(5)))
+    assert probe == gradient_variance_probe(dec, params, 150, np.random.default_rng(6))
+
+
+# value.hex(), sha256 prefix of the vectors' bytes and cost, recorded with the
+# per-run norms and full-size Lanczos workspace (numpy's bundled OpenBLAS 0.3.31, x86-64).
+_ORACLE_GOLDEN = {
+    "seeded": ("0x1.0045a991c02b3p+0", "468b36b504c3918a", 6.0),
+    "shared": ("0x1.00733f0ac8866p+0", "28daf6881f152a7f", 6.0),
+    "exact": ("0x1.ffffffffffffep-1", "58ed6d5ce02be295", 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_GOLDEN))
+def test_lanczos_gradient_oracle_golden_values(case):
+    A = synthetic_covariance(60, np.random.default_rng(2))
+    params = SmoothingParams(eps=0.0 if case == "exact" else 0.05, n=60, k=3)
+    rng = np.random.default_rng(8) if case == "shared" else 7
+    est = gradient_oracle(A, params, 2, rng=rng, seed_key=(5,), path="lanczos", lanczos_tol=1e-6)
+    digest = hashlib.sha256(est.vectors.tobytes()).hexdigest()[:16]
+    assert (est.value.hex(), digest, est.cost_eigvecs) == _ORACLE_GOLDEN[case]

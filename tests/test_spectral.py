@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -563,3 +565,65 @@ def test_lanczos_update_rejects_bad_rank_one_term():
     assert abs(pair.value - ref.values[0]) <= 1e-10
     one = lanczos_leading(np.array([[2.0]]), rng=rng, update=(0.5, np.array([3.0])))
     assert one.value == 2.0 + 0.5 * 9.0
+
+
+# ------------------------------------------------- Lanczos golden values
+
+
+def _bits(vector):
+    return hashlib.sha256(np.ascontiguousarray(vector).tobytes()).hexdigest()[:16]
+
+
+def _golden_case(name):
+    """(X, keyword arguments, update scale, update vector seed, start seed)."""
+    if name == "long":  # crosses the 32- and 64-column workspace sizes
+        vals = np.concatenate(([1.0, 0.999, 0.998], np.linspace(0.99, -1.0, 147)))
+        O = random_orthogonal(150, np.random.default_rng(11))
+        return symmetrize((O * vals) @ O.T), dict(rel_tol=1e-10), 1e-4, 112, 12
+    if name == "decouple":  # every start vector spans an invariant subspace below min_span
+        return np.eye(8), dict(rel_tol=1e-10), 0.5, 113, 13
+    # "restart": the first 46-step attempt fails, the second converges
+    vals = np.concatenate(([1.0, 0.9], np.linspace(0.85, -1.0, 98)))
+    O = random_orthogonal(100, np.random.default_rng(14))
+    X = symmetrize((O * vals) @ O.T)
+    return X, dict(rel_tol=1e-10, max_iter=46, restart_limit=6), 1e-3, 115, 17
+
+
+# (matvecs, value.hex(), sha256 prefix of the vector bytes) from the
+# full-size-workspace implementation, numpy's bundled OpenBLAS 0.3.31 on x86-64.
+_LANCZOS_GOLDEN = {
+    ("long", "plain"): (101, "0x1.0000000000001p+0", "ce7ff2d2db76a3e8"),
+    ("long", "update"): (101, "0x1.0002fa31fdec5p+0", "42590ceb83382aee"),
+    ("decouple", "plain"): (3, "0x1.0000000000000p+0", "33ac44dcbcb83c0e"),
+    ("decouple", "update"): (3, "0x1.73b9c0602fe6fp+3", "68a6d7cf10a9b79a"),
+    ("restart", "plain"): (92, "0x1.ffffffffffffdp-1", "4eb38de1165b8bba"),
+    ("restart", "update"): (92, "0x1.00000df90ef05p+0", "0a95b93fc5999cff"),
+}
+
+
+@pytest.mark.parametrize("case, path", sorted(_LANCZOS_GOLDEN))
+def test_lanczos_golden_values(case, path):
+    X, kwargs, scale, z_seed, seed = _golden_case(case)
+    z = np.random.default_rng(z_seed).standard_normal(X.shape[0])
+    updates = [None] if path == "plain" else [
+        (scale, z), (scale, z, float(np.vdot(X, X)), float(z @ (X @ z)))]
+    for update in updates:
+        pair = lanczos_leading(X, rng=np.random.default_rng(seed), update=update, **kwargs)
+        assert (pair.matvecs, pair.value.hex(), _bits(pair.vector)) == _LANCZOS_GOLDEN[case, path]
+
+
+def test_lanczos_workspace_grows_with_steps_taken():
+    # 101 steps at n = 1600 under a budget of n steps: a workspace sized to the
+    # budget (an n x n basis plus an (n+1)^2 tridiagonal) peaks at 41 MB.
+    n = 1600
+    X = np.diag(np.concatenate(([1.0], np.linspace(0.99, -1.0, n - 1))))
+    z = np.random.default_rng(3).standard_normal(n)
+    tracemalloc.start()
+    try:
+        pair = lanczos_leading(X, rel_tol=1e-6, rng=np.random.default_rng(4), update=(0.05 / n, z))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert (pair.matvecs, pair.value.hex(), _bits(pair.vector)) == (
+        101, "0x1.000a12b8befd1p+0", "a15c6ef809bde0b5")
