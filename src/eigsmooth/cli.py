@@ -139,10 +139,14 @@ def _build_problem(cfg, seed):
 
 def _run_solver(cfg, seed):
     algorithm = cfg.str("algorithm", required=True, choices=ALGORITHMS)
+    eps, q = cfg.float("eps", default=0.05), cfg.int("q")
+    if not 0.0 <= eps < math.inf:
+        raise ConfigError(f"{cfg.path}: field 'eps' must be finite and nonnegative, got {eps!r}")
+    if eps == 0.0 and (algorithm == "det_smooth" or algorithm != "subgrad" and q is None):
+        raise ConfigError(f"{cfg.path}: field 'eps' must be positive for det_smooth or without 'q'")
     problem = _build_problem(cfg, seed)
     n = problem.dim
     setup = problem.prox_setup()
-    eps = cfg.float("eps", default=0.05)
     budget = cfg.int("N", default=int(math.ceil(100.0 * math.sqrt(n))))
     if algorithm == "det_smooth":
         result = nesterov_smooth_baseline(
@@ -159,7 +163,7 @@ def _run_solver(cfg, seed):
             N=budget,
             eps=eps,
             k=cfg.int("k", default=3),
-            q=cfg.int("q", default=max(1, int(math.ceil(0.1 / eps)))),
+            q=max(1, int(math.ceil(0.1 / eps))) if q is None else q,
             seed=seed,
             gamma_max=cfg.float("gamma_max"),
             gamma_min=cfg.float("gamma_min"),

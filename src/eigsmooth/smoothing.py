@@ -60,8 +60,8 @@ class SmoothingParams:
     k: int = 3
 
     def __post_init__(self):
-        if self.eps < 0.0:
-            raise ValueError("eps must be nonnegative")
+        if not 0.0 <= self.eps < np.inf:
+            raise ValueError("eps must be finite and nonnegative")
         if int(self.k) < 1:
             raise ValueError("k must be a positive integer")
         if int(self.n) < 1:
@@ -198,41 +198,32 @@ def _prepare(X, params, path):
 def _draw(X, dec, path, params, gens, lanczos_tol):
     """One realization per generator in `gens`, on inputs resolved by `_prepare`.
 
-    Each generator draws its sample's k noise vectors, then, on the Lanczos
-    path, the start vectors of its k runs. Unless one generator feeds several
-    samples' Lanczos runs, all noise is drawn first (one call for a shared
-    generator), and the Lanczos path computes ||X||_F^2 and all z^T X z (one
-    product X Z^T) once per call. The secular path solves all samples in one
-    kernel call. At eps = 0 a sample is the top pair of X. Returns values,
-    winning indices and unit vectors (q, n), noise Z (q, k, n) and units.
+    The secular path draws all noise first (one call for a shared generator)
+    and solves all samples in one kernel call; at eps = 0 a sample is then
+    the top pair of X. On the Lanczos path each generator draws its sample's
+    k noise vectors, then the start vectors of its k runs, each run given
+    update (eps/n, z). Returns values, winning indices and unit vectors
+    (q, n), noise Z (q, k, n) and units.
     """
     q, k, n = len(gens), params.k, params.n
     Z = np.empty((q, k, n))
-    batch = path == "secular" or (dec is not None and params.eps == 0.0)
-    shared = len({id(gen) for gen in gens}) == 1
-    ahead = batch or not shared or q == 1
-    if ahead:
+    if path == "secular" or (dec is not None and params.eps == 0.0):
+        shared = len({id(gen) for gen in gens}) == 1
         for gen, noise in [(gens[0], Z)] if shared else zip(gens, Z):
             gen.standard_normal(noise.shape, out=noise)
-    if batch:
         if params.eps == 0.0:
             return (np.full(q, dec.values[0]), np.zeros(q, dtype=int),
                     np.tile(dec.vectors[:, 0], (q, 1)), Z, 0.0)
         values, _, i0, vectors = _rank_one_top(dec, Z, params.scale)
         return values[np.arange(q), i0], i0, vectors, Z, float(q * k)
     values, i0, vectors, units = np.empty(q), np.zeros(q, dtype=int), np.empty((q, n)), 0.0
-    if ahead and params.eps > 0.0:
-        rows = Z.reshape(q * k, n)
-        xx, zxz = float(np.vdot(X, X)), np.einsum("ij,ij->i", rows @ X, rows).reshape(q, k)
     for l, gen in enumerate(gens):
-        if not ahead:
-            gen.standard_normal((k, n), out=Z[l])
+        gen.standard_normal((k, n), out=Z[l])
         if params.eps == 0.0:
             pairs = [lanczos_leading(X, rel_tol=lanczos_tol, rng=gen)]
         else:
-            pairs = [lanczos_leading(X, rel_tol=lanczos_tol, rng=gen, update=(
-                         (params.scale, z, xx, zxz[l, i]) if ahead else (params.scale, z)))
-                     for i, z in enumerate(Z[l])]
+            pairs = [lanczos_leading(X, rel_tol=lanczos_tol, rng=gen, update=(params.scale, z))
+                     for z in Z[l]]
         i0[l] = np.argmax([p.value for p in pairs])
         values[l], vectors[l] = pairs[i0[l]].value, pairs[i0[l]].vector
         units += sum(p.cost_eigvecs for p in pairs)
@@ -267,6 +258,8 @@ def fk_values_batch(decomp, params, draws, rng):
     the batched secular path; meant for estimator diagnostics and envelope
     checks, not for the per-sample cost-accounted oracle.
     """
+    if int(draws) < 0:
+        raise ValueError("draws must be a nonnegative integer")
     X, dec, path, _ = _prepare(decomp, params, "secular")
     return _draw(X, dec, path, params, [rng] * int(draws), None)[0]
 

@@ -258,8 +258,8 @@ def lanczos_leading(X, rel_tol=1e-8, fail_prob=0.01, rng=None, restart_limit=3, 
     Without `update`, A is X, validated here by `check_symmetric`. With
     ``update=(scale, z)``, A is ``X + scale * z z^T``, applied as
     ``X q + scale * z (z^T q)`` and never formed; the caller validates X
-    (only z is checked here) and may append ||X||_F^2 and z^T X z to the
-    tuple, sparing two O(n^2) passes. The workspace grows with the steps taken.
+    (only the pair is checked here). Breakdown is judged from the Lanczos
+    tridiagonal alone, and the workspace grows with the steps taken.
 
     Raises LanczosConvergenceError after `restart_limit` failed attempts;
     never returns a silently unconverged answer.
@@ -268,14 +268,11 @@ def lanczos_leading(X, rel_tol=1e-8, fail_prob=0.01, rng=None, restart_limit=3, 
         raise ValueError("lanczos_leading requires a seeded random generator")
     if update is None:
         X, scale, z = check_symmetric(X), 0.0, None
-        fro = float(np.linalg.norm(X, "fro"))
     else:
-        scale, z, norms = float(update[0]), np.asarray(update[1], dtype=float), update[2:]
+        scale, z = update  # a tuple other than the pair fails to unpack
+        scale, z = float(scale), np.asarray(z, dtype=float)
         if not 0.0 < scale < math.inf or z.shape != X.shape[:1] or not np.all(np.isfinite(z)):
             raise ValueError(f"update must be (scale > 0, z of {X.shape[0]} finite entries)")
-        xx, zxz = norms or (float(np.vdot(X, X)), float(z @ (X @ z)))
-        # ||X + s z z^T||_F^2 = ||X||_F^2 + 2 s z^T X z + s^2 ||z||^4
-        fro = math.sqrt(max(0.0, xx + 2.0 * scale * zxz + (scale * float(z @ z)) ** 2))
     n = X.shape[0]
     if n == 1:
         value = float(X[0, 0] if z is None else X[0, 0] + scale * z[0] ** 2)
@@ -283,10 +280,9 @@ def lanczos_leading(X, rel_tol=1e-8, fail_prob=0.01, rng=None, restart_limit=3, 
     budget = lanczos_iteration_budget(n, rel_tol, fail_prob) if max_iter is None else int(max_iter)
     # The Krylov space is the whole space after n steps; more cannot help.
     steps = max(2, min(budget, n))
-    breakdown = 1e-14 * max(1.0, fro)
     total_matvecs = 0
     for _ in range(max(1, int(restart_limit))):
-        pair, used = _lanczos_attempt(X, scale, z, breakdown, steps, rel_tol, rng)
+        pair, used = _lanczos_attempt(X, scale, z, steps, rel_tol, rng)
         total_matvecs += used
         if pair is not None:
             pair.matvecs = total_matvecs
@@ -297,7 +293,7 @@ def lanczos_leading(X, rel_tol=1e-8, fail_prob=0.01, rng=None, restart_limit=3, 
     )
 
 
-def _lanczos_attempt(X, scale, z, breakdown, steps, rel_tol, rng):
+def _lanczos_attempt(X, scale, z, steps, rel_tol, rng):
     n = X.shape[0]
     # Basis Q and tridiagonal T start at 32 columns and double when full; a
     # decoupled step (breakdown) leaves its coupling in T zero.
@@ -309,7 +305,8 @@ def _lanczos_attempt(X, scale, z, breakdown, steps, rel_tol, rng):
     min_span = min(3, n, steps)
     q = rng.standard_normal(n)
     q /= np.linalg.norm(q)
-    matvecs = 0
+    # Breakdown scale: T = Q^T A Q, so its largest |alpha| or beta bounds ||A||_2 below.
+    matvecs, breakdown = 0, 1e-14
     for j in range(steps):
         if j == cap:
             cap = min(2 * cap, steps)
@@ -328,6 +325,7 @@ def _lanczos_attempt(X, scale, z, breakdown, steps, rel_tol, rng):
         w -= basis @ (basis.T @ w)
         w -= basis @ (basis.T @ w)
         beta = math.sqrt(w @ w)
+        breakdown = max(breakdown, 1e-14 * max(abs(alpha), beta))
         span = j + 1
         if span >= min_span and (span == steps or beta <= breakdown or j < 32 or j % 4 == 0):
             ritz, S = np.linalg.eigh(T[:span, :span])
@@ -379,6 +377,8 @@ def _secular_newton(D, W, scale, lo, hi, rel_tol, max_iter):
     m = W.shape[0]
     roots = np.empty(m)
     iterations = np.zeros(m, dtype=int)
+    if not m:
+        return roots, iterations
     rows = np.arange(m)
     floor = _ROUNDING_FLOOR / scale
     p = D.min(axis=-1, keepdims=True)

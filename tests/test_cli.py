@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -41,6 +42,20 @@ def test_solve_rejects_unknown_field(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algorithm, eps, fields", [
+    ("stoch_ls", "nan", {}), ("acsa", "inf", {"q": 2}), ("det_smooth", "-inf", {}),
+    ("subgrad", "-0.5", {}), ("subgrad", "nan", {}), ("det_smooth", "0", {}),
+    ("det_smooth", "-0.0", {}), ("stoch_ls", "0", {}), ("acsa", "-0.0", {}),
+])
+def test_solve_rejects_bad_eps(tmp_path, capsys, algorithm, eps, fields):
+    # a non-finite or negative eps, or eps = 0 where it would divide (the
+    # smoothing of det_smooth, the default q = ceil(0.1 / eps)), is a config error
+    cfg = write_config(tmp_path / "c.txt", problem="maxcut", algorithm=algorithm, n=4, N=3,
+                       seed=1, eps=eps, **fields)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "field 'eps'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("algorithm", ["stoch_ls", "acsa", "det_smooth", "subgrad"])
 def test_solve_deterministic_trace_bytes(tmp_path, algorithm):
     cfg = write_config(
@@ -54,6 +69,33 @@ def test_solve_deterministic_trace_bytes(tmp_path, algorithm):
     t1 = (out1 / f"{algorithm}_trace.csv").read_bytes()
     t2 = (out2 / f"{algorithm}_trace.csv").read_bytes()
     assert t1 == t2
+
+
+# (config fields, sha256 prefix of the trace bytes), the same at one and at
+# two BLAS threads; the last two runs take the secular oracle path.
+_TRACE_GOLDEN = {
+    "stoch_ls_maxcut": (
+        dict(problem="maxcut", algorithm="stoch_ls", n=30, N=200, seed=11), "7ea94b89785735a1"),
+    "stoch_ls_dspca": (dict(problem="dspca", algorithm="stoch_ls", n=40, N=120, seed=11,
+                            true_obj_every=3), "5854e3f46e474ece"),
+    "det_smooth_dspca": (
+        dict(problem="dspca", algorithm="det_smooth", n=40, N=300, seed=5), "4e14581d8b4e6c12"),
+    "subgrad_maxcut": (
+        dict(problem="maxcut", algorithm="subgrad", n=30, N=400, seed=3), "58000792ac7443aa"),
+    "acsa_maxcut_secular": (dict(problem="maxcut", algorithm="acsa", n=30, N=150, seed=7,
+                                 oracle_path="secular"), "f0827db16458a30c"),
+    "stoch_ls_dspca_secular": (dict(problem="dspca", algorithm="stoch_ls", n=40, N=120, seed=11,
+                                    true_obj_every=3, oracle_path="secular"), "53e85a0e87079bdf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRACE_GOLDEN))
+def test_solve_golden_trace(tmp_path, one_blas_thread, name):
+    fields, digest = _TRACE_GOLDEN[name]
+    cfg = write_config(tmp_path / "c.txt", name=name, **fields)
+    one_blas_thread("-m", "eigsmooth.cli", "solve", "--config", cfg, "--out", str(tmp_path))
+    trace = (tmp_path / f"{name}_trace.csv").read_bytes()
+    assert hashlib.sha256(trace).hexdigest()[:16] == digest
 
 
 def test_solve_report_consistency(tmp_path):

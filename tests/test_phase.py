@@ -160,6 +160,12 @@ def test_sample_shift_lower_bound_every_draw():
     assert np.all(shifts > 0.0)
 
 
+def test_sample_shifts_no_trials():
+    shifts, top = sample_shifts(SpectrumModel.from_lambdas(FIG_SPECTRUM), 1.0, 0,
+                                np.random.default_rng(1))
+    assert shifts.shape == top.shape == (0,)
+
+
 def test_secular_path_matches_dense_path():
     rng = np.random.default_rng(2)
     n = 120

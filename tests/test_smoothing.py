@@ -27,8 +27,9 @@ def random_symmetric(n, rng, scale=1.0):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        SmoothingParams(eps=-0.1, n=4)
+    for eps in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eps"):
+            SmoothingParams(eps=eps, n=4)
     with pytest.raises(ValueError):
         SmoothingParams(eps=0.1, n=4, k=0)
     p = SmoothingParams(eps=0.5, n=10)
@@ -440,6 +441,14 @@ def test_shared_generator_draw_matches_per_sample_draws(monkeypatch):
         X, dec, path, params, [_Forward(gen) for gen in gens], tol))
     assert np.array_equal(batch, fk_values_batch(dec, params, 300, np.random.default_rng(5)))
     assert probe == gradient_variance_probe(dec, params, 150, np.random.default_rng(6))
+
+
+def test_fk_values_batch_draw_count():
+    dec = full_eig(random_symmetric(6, np.random.default_rng(24)))
+    params = SmoothingParams(eps=0.4, n=6, k=3)
+    assert fk_values_batch(dec, params, 0, np.random.default_rng(7)).shape == (0,)
+    with pytest.raises(ValueError, match="draws"):
+        fk_values_batch(dec, params, -1, np.random.default_rng(7))
 
 
 # value.hex(), sha256 prefix of the vectors' bytes and cost, recorded with the
