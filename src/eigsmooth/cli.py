@@ -85,7 +85,7 @@ class Config:
         self.path = path
         self.used = set()
 
-    def _fetch(self, key, cast, default, required):
+    def _fetch(self, key, cast, default=None, required=False):
         if key in self.values:
             self.used.add(key)
             raw = self.values[key]
@@ -144,6 +144,9 @@ def _run_solver(cfg, seed):
         raise ConfigError(f"{cfg.path}: field 'eps' must be finite and nonnegative, got {eps!r}")
     if eps == 0.0 and (algorithm == "det_smooth" or algorithm != "subgrad" and q is None):
         raise ConfigError(f"{cfg.path}: field 'eps' must be positive for det_smooth or without 'q'")
+    for key in {"stoch_ls": ("gamma_max", "gamma_min"), "acsa": ("gamma_min",)}.get(algorithm, ()):
+        if eps == 0.0 and cfg.float(key) is None:
+            raise ConfigError(f"{cfg.path}: field {key!r} is required when 'eps' is 0")
     problem = _build_problem(cfg, seed)
     n = problem.dim
     setup = problem.prox_setup()
@@ -307,14 +310,18 @@ def cmd_phase(args):
         top = cfg.float("top", default=1.0)
         mult = cfg.int("multiplicity", default=1)
         family = lambda n: equal_gap_model(n, gamma=gamma, top=top, multiplicity=mult)
-        default_sizes = "100,400,1600"
+        sizes = [100, 400, 1600]
     else:
         base = load_spectrum(cfg.str("spectrum_path", required=True))
         family = lambda n: base if n == base.n else tile_model(base, n)
-        default_sizes = str(base.n)
-    sizes = [int(s) for s in cfg.str("n_list", default=default_sizes).split(",") if s.strip()]
-    rule = _parse_eps_rule(cfg.str("eps_rule", default="eps0"))
+        sizes = [base.n]
+    sizes = cfg._fetch("n_list", lambda v: [int(s) for s in v.split(",") if s.strip()], sizes)
+    if model_kind == "equal_gap" and any(mult >= n for n in sizes):
+        raise ConfigError(f"{cfg.path}: field 'multiplicity' must be below every size in 'n_list'")
+    rule = cfg._fetch("eps_rule", _parse_eps_rule, _parse_eps_rule("eps0"))
     trials = cfg.int("trials", default=500)
+    if trials < 200:
+        raise ConfigError(f"{cfg.path}: field 'trials' must be at least 200, got {trials}")
     report = monte_carlo_gap(family, sizes, rule, trials, seed=seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -225,14 +225,14 @@ def classify_regime(model, eps, crit_rtol=1e-9):
 
 
 def sample_shifts(model, eps, trials, rng):
-    """Sample T through the secular equation.
+    """Sample T through the secular equation, in one trials x n array: the draw, squared in place.
 
     Returns (shifts, top_weights): the per-draw top-eigenvalue increases and
     the squared Gaussian mass on the leading eigenspace (whose (eps/n)
     multiple is an almost-sure lower bound on T).
     """
-    Z = rng.standard_normal((int(trials), model.n))
-    W = Z**2
+    W = rng.standard_normal((int(trials), model.n))
+    np.square(W, out=W)
     shifts = secular_shifts_batch(model.lambdas, W, eps / model.n)
     top = W[:, : model.multiplicity].sum(axis=1)
     return shifts, top

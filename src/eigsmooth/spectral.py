@@ -77,13 +77,8 @@ def symmetrize(X):
     return 0.5 * X + 0.5 * X.T
 
 
-def check_symmetric(X, tol=1e-12):
-    """Validate a square real matrix and return it exactly symmetrized, as a
-    new array (a copy when X is already exactly symmetric).
-
-    Rejects non-square shapes, non-finite entries, and asymmetry beyond
-    ``tol * max(1, max|X|)``.
-    """
+def _symmetric(X, tol):
+    """`check_symmetric` that returns an exactly symmetric X itself, uncopied."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {X.shape}")
@@ -92,13 +87,24 @@ def check_symmetric(X, tol=1e-12):
     if not (math.isfinite(top) and math.isfinite(bottom)):
         raise ValueError("matrix entries must be finite")
     if np.array_equal(X, X.T):
-        return X.copy()
+        return X
     # Halves cannot overflow where X - X^T can; halving keeps the test and message.
     half = 0.5 * X
     asym = float(np.max(np.abs(half - half.T)))
     if asym > 0.5 * tol * max(1.0, top, -bottom):
         raise ValueError(f"matrix is not symmetric: max |X - X^T| = {2.0 * asym:.3e}")
     return half + half.T
+
+
+def check_symmetric(X, tol=1e-12):
+    """Validate a square real matrix and return it exactly symmetrized, as a
+    new array (a copy when X is already exactly symmetric).
+
+    Rejects non-square shapes, non-finite entries, and asymmetry beyond
+    ``tol * max(1, max|X|)``.
+    """
+    S = _symmetric(X, tol)
+    return S.copy() if np.may_share_memory(S, X) else S
 
 
 def load_matrix(path, tol=1e-12):
@@ -224,13 +230,14 @@ def full_eig(X):
 
     Values come out in decreasing order with stable tie-breaking; each
     eigenvector is normalized with its first nonzero coordinate positive.
-    Costs n eigenvector units.
+    Costs n eigenvector units. Beyond eigh's output it allocates the
+    reordered vectors, and a symmetrized X only if X is not exactly symmetric.
     """
-    X = check_symmetric(X)
+    X = _symmetric(X, 1e-12)
     w, V = np.linalg.eigh(X)
     order = np.argsort(-w, kind="stable")
-    w = np.ascontiguousarray(w[order])
-    V = np.ascontiguousarray(_canonical_sign(V[:, order].T).T)
+    w, V = w[order], V.take(order, axis=1)
+    np.negative(V, out=V, where=V[np.argmax(V != 0.0, axis=0), np.arange(w.size)] < 0.0)
     return SpectralDecomp(values=w, vectors=V, cost_eigvecs=float(X.shape[0]))
 
 
@@ -472,26 +479,29 @@ def _secular_shifts(lambdas, weights, scale, rel_tol, max_iter):
         raise ValueError("lambdas must be a 1-d array and weight rows of the same length")
     if scale <= 0.0:
         raise ValueError("scale must be positive")
-    if np.count_nonzero(W < 0.0):
+    if W.size and np.fmin.reduce(W, axis=None) < 0.0:
         raise ValueError("weights must be nonnegative")
     if np.count_nonzero(lam[1:] > lam[:-1]):
         raise ValueError("lambdas must be in decreasing order")
     totals = W.sum(axis=1)
     if np.count_nonzero(totals <= 0.0):
         raise ValueError("all weights vanish in some row")
-    keep = W > _DEFLATE_REL * totals[:, None]
-    if np.count_nonzero(keep) < keep.size:
-        W = np.where(keep, W, 0.0)
-        totals = W.sum(axis=1)
-    d = lam[0] - lam
-    ties = lam[1:] == lam[:-1]
-    if np.count_nonzero(ties):
+    # Only rows with an entry at or below the deflation level (or a NaN) are copied.
+    flag = np.flatnonzero(~(W.min(axis=1) > _DEFLATE_REL * totals))
+    Wf = W[flag]
+    Wf[~(Wf > _DEFLATE_REL * totals[flag, None])] = 0.0
+    totals[flag] = Wf.sum(axis=1)
+    d, merged = lam[0] - lam, np.count_nonzero(lam[1:] == lam[:-1])
+    if merged:
         # Equal eigenvalues are one pole: one weight column per distinct value.
-        # After deflation the kept weights are exactly the positive ones.
-        runs = np.flatnonzero(np.concatenate(([True], ~ties)))
-        W, d = np.add.reduceat(W, runs, axis=1), d[runs]
-        keep = W > 0.0
-    off = d[np.argmax(keep, axis=1)]
+        runs = np.flatnonzero(np.concatenate(([True], lam[1:] != lam[:-1])))
+        W, Wf, d = np.add.reduceat(W, runs, axis=1), np.add.reduceat(Wf, runs, axis=1), d[runs]
+    if flag.size:
+        W = W if merged else W.copy()
+        W[flag] = Wf
+    # The kept weights are the positive ones; undeflated rows keep the top pole.
+    off = np.full(W.shape[0], d[0])
+    off[flag] = d[np.argmax(Wf > 0.0, axis=1)]
     degenerate = off > 0.0
     # Clamping puts every pole above the kept ones at zero offset; those
     # entries carry no weight, so their terms vanish.
@@ -532,7 +542,9 @@ def secular_shifts_batch(lambdas, weights, scale, rel_tol=1e-13, max_iter=120):
     including those whose leading-eigenspace weight deflates to zero (the
     degenerate treatment of `secular_root`), go through one solve with the
     rational steps, deflation and equal-pole merge of `secular_root` that
-    either converges on every row or raises SpectralError.
+    either converges on every row or raises SpectralError. It copies only the
+    rows that deflation zeroes (all of W if some are and no eigenvalues tie)
+    and allocates m x (distinct eigenvalues) arrays; `weights` is never written.
     """
     return _secular_shifts(lambdas, np.atleast_2d(weights), scale, rel_tol, max_iter)[0]
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,23 @@ def test_sample_shifts_no_trials():
     shifts, top = sample_shifts(SpectrumModel.from_lambdas(FIG_SPECTRUM), 1.0, 0,
                                 np.random.default_rng(1))
     assert shifts.shape == top.shape == (0,)
+
+
+def test_sample_shifts_holds_one_draw():
+    # The draw is squared in place: the weight batch is the only 200 x 1600 array.
+    m = equal_gap_model(1600)
+    eps0 = eps_critical(m)
+    sample_shifts(m, eps0, 200, np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        shifts, top = sample_shifts(m, eps0, 200, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    Z = np.random.default_rng(3).standard_normal((200, m.n))
+    assert peak < 1.2 * Z.nbytes
+    assert np.array_equal(shifts, secular_shifts_batch(m.lambdas, Z**2, eps0 / m.n))
+    assert np.array_equal(top, Z[:, 0] ** 2)
 
 
 def test_secular_path_matches_dense_path():

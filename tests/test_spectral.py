@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigsmooth import spectral
 from eigsmooth.smoothing import SmoothingParams, fk_value
 from eigsmooth.spectral import (
     LanczosConvergenceError,
+    SpectralError,
     check_symmetric,
     NonsmoothPointError,
     SecularProblem,
@@ -72,6 +74,53 @@ def test_full_eig_rejects_bad_input():
         full_eig(np.array([[np.inf, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         full_eig(np.zeros((2, 3)))
+
+
+def _copying_full_eig(X):
+    """Reference full_eig: validation by a copying check_symmetric, and the
+    sign fix through _canonical_sign on a reordered, transposed copy."""
+    X = check_symmetric(X)
+    w, V = np.linalg.eigh(X)
+    order = np.argsort(-w, kind="stable")
+    V = np.ascontiguousarray(spectral._canonical_sign(V[:, order].T).T)
+    return np.ascontiguousarray(w[order]), V
+
+
+@pytest.mark.parametrize("kind", ["random", "tied", "diagonal", "near_symmetric", "fortran"])
+def test_full_eig_matches_copying_formulation(kind):
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 7, 40):
+        X = random_symmetric(n, rng)
+        if kind == "tied":
+            Q = random_orthogonal(n, rng)
+            X = symmetrize((Q * rng.integers(-1, 2, n)) @ Q.T)
+        elif kind == "diagonal":
+            X = np.diag(rng.integers(-1, 2, n).astype(float))
+        elif kind == "near_symmetric":
+            X = X + 1e-14 * np.triu(X, 1)
+        elif kind == "fortran":
+            X = np.asfortranarray(X)
+        before = X.copy()
+        dec = full_eig(X)
+        values, vectors = _copying_full_eig(X)
+        assert dec.values.tobytes() == values.tobytes()
+        assert dec.vectors.tobytes() == vectors.tobytes()
+        assert dec.vectors.flags.c_contiguous and dec.values.flags.c_contiguous
+        assert not np.shares_memory(dec.vectors, X) and not np.shares_memory(dec.values, X)
+        assert np.array_equal(X, before)
+
+
+def test_full_eig_makes_no_defensive_copy():
+    n = 400
+    X = random_symmetric(n, np.random.default_rng(13))
+    full_eig(X)
+    tracemalloc.start()
+    try:
+        full_eig(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * n * n
 
 
 # ---------------------------------------------------------------- Lanczos
@@ -275,6 +324,101 @@ def test_secular_degenerate_rows_next_to_repeated_eigenvalue():
             assert root.degenerate and root.shift == shift
             top = np.linalg.eigvalsh(np.diag(lam) + scale * np.outer(z, z))[-1]
             assert abs((lam[0] + shift) - top) <= 1e-10 * max(1.0, abs(top))
+
+
+def _copying_secular_shifts(lambdas, weights, scale, rel_tol, max_iter):
+    """Reference secular pre-pass that copies W: a full np.where deflation,
+    then the tie merge by reduceat, then the same solver."""
+    lam = np.asarray(lambdas, dtype=float)
+    W = np.asarray(weights, dtype=float)
+    if lam.ndim != 1 or W.ndim != 2 or W.shape[1] != lam.shape[0]:
+        raise ValueError("lambdas must be a 1-d array and weight rows of the same length")
+    if scale <= 0.0:
+        raise ValueError("scale must be positive")
+    if np.count_nonzero(W < 0.0):
+        raise ValueError("weights must be nonnegative")
+    if np.count_nonzero(lam[1:] > lam[:-1]):
+        raise ValueError("lambdas must be in decreasing order")
+    totals = W.sum(axis=1)
+    if np.count_nonzero(totals <= 0.0):
+        raise ValueError("all weights vanish in some row")
+    keep = W > 1e-14 * totals[:, None]
+    if np.count_nonzero(keep) < keep.size:
+        W = np.where(keep, W, 0.0)
+        totals = W.sum(axis=1)
+    d = lam[0] - lam
+    ties = lam[1:] == lam[:-1]
+    if np.count_nonzero(ties):
+        runs = np.flatnonzero(np.concatenate(([True], ~ties)))
+        W, d = np.add.reduceat(W, runs, axis=1), d[runs]
+        keep = W > 0.0
+    off = d[np.argmax(keep, axis=1)]
+    degenerate = off > 0.0
+    D = np.maximum(d - off[:, None], 0.0) if np.count_nonzero(degenerate) else d
+    lo = scale * np.add.reduce(W, axis=1, where=D == 0.0)
+    t, iterations = spectral._secular_newton(D, W, scale, lo, scale * totals, rel_tol, max_iter)
+    return np.maximum(t - off, 0.0), degenerate, iterations
+
+
+def _outcome(solve, *args):
+    try:
+        return tuple((out.dtype.str, out.tobytes()) for out in map(np.asarray, solve(*args)))
+    except (ValueError, SpectralError, RuntimeWarning) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def secular_batches(draw):
+    """Spectra with and without ties (a rare increase among them), weight
+    rows with entries at the deflation level, zero leading columns, and the
+    odd NaN, inf or negative entry."""
+    n = draw(st.integers(1, 12))
+    levels = st.sampled_from([2.0, 1.0, 0.0, -1.5]) if draw(st.booleans()) else st.floats(-3.0, 3.0)
+    lam = np.sort(draw(st.lists(levels, min_size=n, max_size=n)))[::-1].copy()
+    if n > 1 and draw(st.integers(0, 9)) == 0:
+        lam = lam[::-1].copy()
+    entry = st.one_of(st.floats(0.01, 4.0), st.sampled_from([0.0, 1e-30, 1e-16]))
+    W = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6)),
+                 dtype=float).reshape(-1, n)
+    if len(W):
+        row = st.integers(0, len(W) - 1)
+        if draw(st.booleans()):
+            W[draw(row), : draw(st.integers(1, n))] = 0.0
+        odd = draw(st.sampled_from([None, None, None, np.nan, np.inf, -1.0]))
+        if odd is not None:
+            W[draw(row), draw(st.integers(0, n - 1))] = odd
+    return lam, W, 10.0 ** draw(st.floats(-4.0, 2.0))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(secular_batches())
+def test_secular_prepass_matches_copying_prepass(case):
+    lam, W, scale = case
+    before = W.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        want = _outcome(_copying_secular_shifts, lam, W, scale, 1e-13, 120)
+        got = _outcome(spectral._secular_shifts, lam, W, scale, 1e-13, 120)
+        assert got == want
+        if not isinstance(want[0], type):
+            assert _outcome(lambda *a: [secular_shifts_batch(*a)], lam, W, scale)[0] == want[0]
+    assert np.array_equal(W, before, equal_nan=True)
+
+
+def test_secular_prepass_keeps_memory_off_the_weight_array():
+    # Tied spectrum, one entry at the deflation level: only its row is copied.
+    lam = np.zeros(1600)
+    lam[0] = 1.0
+    W = np.random.default_rng(6).standard_normal((200, 1600)) ** 2
+    W[17, 3] = 1e-30
+    secular_shifts_batch(lam, W, 1.0 / 1600)
+    tracemalloc.start()
+    try:
+        secular_shifts_batch(lam, W, 1.0 / 1600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * W.nbytes
 
 
 # ---------------------------------------------------------------- rank-one
