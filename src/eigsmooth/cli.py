@@ -32,6 +32,7 @@ from pathlib import Path
 
 from .optimize import (
     SolverConfig,
+    StepScaleError,
     acsa_linesearch_run,
     acsa_run,
     nesterov_smooth_baseline,
@@ -40,6 +41,7 @@ from .optimize import (
     write_trace,
 )
 from .phase import (
+    MIN_TRIALS,
     equal_gap_model,
     load_spectrum,
     monte_carlo_gap,
@@ -85,7 +87,7 @@ class Config:
         self.path = path
         self.used = set()
 
-    def _fetch(self, key, cast, default=None, required=False):
+    def parse(self, key, cast, default=None, required=False):
         if key in self.values:
             self.used.add(key)
             raw = self.values[key]
@@ -98,16 +100,16 @@ class Config:
         return default
 
     def str(self, key, default=None, required=False, choices=None):
-        val = self._fetch(key, str, default, required)
+        val = self.parse(key, str, default, required)
         if choices is not None and val is not None and val not in choices:
             raise ConfigError(f"{self.path}: field {key!r} must be one of {choices}, got {val!r}")
         return val
 
     def int(self, key, default=None, required=False):
-        return self._fetch(key, lambda s: int(str(s), 10), default, required)
+        return self.parse(key, lambda s: int(str(s), 10), default, required)
 
     def float(self, key, default=None, required=False):
-        return self._fetch(key, float, default, required)
+        return self.parse(key, float, default, required)
 
     def check_unused(self, known):
         unknown = set(self.values) - set(known)
@@ -144,9 +146,6 @@ def _run_solver(cfg, seed):
         raise ConfigError(f"{cfg.path}: field 'eps' must be finite and nonnegative, got {eps!r}")
     if eps == 0.0 and (algorithm == "det_smooth" or algorithm != "subgrad" and q is None):
         raise ConfigError(f"{cfg.path}: field 'eps' must be positive for det_smooth or without 'q'")
-    for key in {"stoch_ls": ("gamma_max", "gamma_min"), "acsa": ("gamma_min",)}.get(algorithm, ()):
-        if eps == 0.0 and cfg.float(key) is None:
-            raise ConfigError(f"{cfg.path}: field {key!r} is required when 'eps' is 0")
     problem = _build_problem(cfg, seed)
     n = problem.dim
     setup = problem.prox_setup()
@@ -179,7 +178,10 @@ def _run_solver(cfg, seed):
             true_obj_every=cfg.int("true_obj_every"),
         )
         runner = acsa_linesearch_run if algorithm == "stoch_ls" else acsa_run
-        result = runner(problem, None, setup, config)
+        try:
+            result = runner(problem, None, setup, config)
+        except StepScaleError as exc:
+            raise ConfigError(f"{cfg.path}: {exc}") from None
     return algorithm, problem, result
 
 
@@ -315,14 +317,16 @@ def cmd_phase(args):
         base = load_spectrum(cfg.str("spectrum_path", required=True))
         family = lambda n: base if n == base.n else tile_model(base, n)
         sizes = [base.n]
-    sizes = cfg._fetch("n_list", lambda v: [int(s) for s in v.split(",") if s.strip()], sizes)
-    if model_kind == "equal_gap" and any(mult >= n for n in sizes):
-        raise ConfigError(f"{cfg.path}: field 'multiplicity' must be below every size in 'n_list'")
-    rule = cfg._fetch("eps_rule", _parse_eps_rule, _parse_eps_rule("eps0"))
+    sizes = cfg.parse("n_list", lambda v: [int(s) for s in v.split(",") if s.strip()], sizes)
+    try:
+        models = {n: family(n) for n in sizes}
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.path}: 'n_list' = {sizes} gives no model: {exc}") from None
+    rule = cfg.parse("eps_rule", _parse_eps_rule, _parse_eps_rule("eps0"))
     trials = cfg.int("trials", default=500)
-    if trials < 200:
-        raise ConfigError(f"{cfg.path}: field 'trials' must be at least 200, got {trials}")
-    report = monte_carlo_gap(family, sizes, rule, trials, seed=seed)
+    if trials < MIN_TRIALS:
+        raise ConfigError(f"{cfg.path}: field 'trials' must be at least {MIN_TRIALS}, got {trials}")
+    report = monte_carlo_gap(models.__getitem__, sizes, rule, trials, seed=seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "phase.csv"

@@ -55,9 +55,14 @@ __all__ = [
     "write_trace",
     "read_trace",
     "TRACE_HEADER",
+    "StepScaleError",
 ]
 
 TRACE_HEADER = "t,obj_true,obj_sampled,gamma,eigvecs,wall_ms"
+
+
+class StepScaleError(ValueError):
+    """No smoothed problem derives the step scale and the config leaves it unset."""
 
 
 @dataclass
@@ -296,8 +301,8 @@ def _resolve_ladder(setup, config, L):
     gamma_min, gamma_max = config.gamma_min, config.gamma_max
     if gamma_min is None or gamma_max is None:
         if L is None:
-            raise ValueError(
-                "explicit gamma_max and gamma_min are required without a "
+            raise StepScaleError(
+                "explicit 'gamma_max' and 'gamma_min' are required without a "
                 "smoothed problem to derive them from"
             )
         theory = 1.0 / (2.0 * L)
@@ -438,7 +443,7 @@ def acsa_run(problem, oracle, setup, config):
         sigma2 = getattr(oracle, "sigma2", 0.0)
         gamma = _plain_gamma(setup, config, _scaled_lipschitz(problem, config), sigma2)
     else:
-        raise ValueError("set gamma_min explicitly when no smoothed problem defines the scale")
+        raise StepScaleError("set 'gamma_min' explicitly when no smoothed problem defines the scale")
     result = _acsa_engine(problem, oracle, setup, config, gamma, gamma)
     if problem is not None and config.eps > 0:
         result.gap_bound = expected_gap_bound(

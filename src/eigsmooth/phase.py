@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 PHASE_HEADER = "n,eps,regime,median_T,predicted_order,slope"
+MIN_TRIALS = 200  # draws per size that monte_carlo_gap requires
 
 
 @dataclass
@@ -291,8 +292,8 @@ def monte_carlo_gap(model_family, n_list, eps_rule, trials, seed=0):
     absolute deviation carries the sqrt(n) scale. The slope of
     log(statistic) against log(n) estimates the predicted order.
     """
-    if int(trials) < 200:
-        raise ValueError("trials must be at least 200 per size")
+    if int(trials) < MIN_TRIALS:
+        raise ValueError(f"trials must be at least {MIN_TRIALS} per size")
     rows = []
     regime = None
     for idx, n in enumerate(n_list):

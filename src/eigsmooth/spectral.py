@@ -219,10 +219,10 @@ class SecularRoot:
 
 
 def _canonical_sign(vecs):
-    """Negate each vector (the last axis) whose first nonzero entry is negative."""
+    """Negate in place each vector (the last axis) whose first nonzero entry is negative."""
     first = np.argmax(vecs != 0.0, axis=-1)
     lead = np.take_along_axis(vecs, first[..., None], axis=-1)
-    return np.where(lead < 0.0, -vecs, vecs)
+    return np.negative(vecs, out=vecs, where=lead < 0.0)
 
 
 def full_eig(X):
@@ -237,7 +237,7 @@ def full_eig(X):
     w, V = np.linalg.eigh(X)
     order = np.argsort(-w, kind="stable")
     w, V = w[order], V.take(order, axis=1)
-    np.negative(V, out=V, where=V[np.argmax(V != 0.0, axis=0), np.arange(w.size)] < 0.0)
+    _canonical_sign(V.T)
     return SpectralDecomp(values=w, vectors=V, cost_eigvecs=float(X.shape[0]))
 
 

@@ -78,11 +78,13 @@ def test_full_eig_rejects_bad_input():
 
 def _copying_full_eig(X):
     """Reference full_eig: validation by a copying check_symmetric, and the
-    sign fix through _canonical_sign on a reordered, transposed copy."""
+    sign fix as a fresh np.where array over a reordered, transposed copy."""
     X = check_symmetric(X)
     w, V = np.linalg.eigh(X)
     order = np.argsort(-w, kind="stable")
-    V = np.ascontiguousarray(spectral._canonical_sign(V[:, order].T).T)
+    vecs = V[:, order].T
+    lead = np.take_along_axis(vecs, np.argmax(vecs != 0.0, axis=-1)[:, None], axis=-1)
+    V = np.ascontiguousarray(np.where(lead < 0.0, -vecs, vecs).T)
     return np.ascontiguousarray(w[order]), V
 
 
