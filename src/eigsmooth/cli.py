@@ -85,11 +85,9 @@ class Config:
     def __init__(self, values, path):
         self.values = values
         self.path = path
-        self.used = set()
 
     def parse(self, key, cast, default=None, required=False):
         if key in self.values:
-            self.used.add(key)
             raw = self.values[key]
             try:
                 return cast(raw)
@@ -117,11 +115,15 @@ class Config:
             raise ConfigError(f"{self.path}: unknown field {sorted(unknown)[0]!r}")
 
 
+# Solver keys and their Config parsers; a key left unset keeps SolverConfig's default.
+SOLVER_KEYS = {
+    "k": "int", "gamma_max": "float", "gamma_min": "float", "gamma_init": "float",
+    "gamma_d": "float", "ladder_span": "float", "lip_scale": "float",
+    "oracle_path": "str", "oracle_tol": "float", "true_obj_every": "int",
+}
 SOLVE_KEYS = (
-    "problem", "algorithm", "n", "seed", "name", "eps", "k", "q", "N",
-    "radius", "rho", "data_path", "n_select",
-    "gamma_max", "gamma_min", "gamma_init", "gamma_d", "ladder_span",
-    "lip_scale", "det_lip_scale", "oracle_path", "oracle_tol", "true_obj_every",
+    "problem", "algorithm", "n", "seed", "name", "eps", "q", "N",
+    "radius", "rho", "data_path", "n_select", "det_lip_scale", *SOLVER_KEYS,
 )
 
 
@@ -150,38 +152,30 @@ def _run_solver(cfg, seed):
     n = problem.dim
     setup = problem.prox_setup()
     budget = cfg.int("N", default=int(math.ceil(100.0 * math.sqrt(n))))
-    if algorithm == "det_smooth":
-        result = nesterov_smooth_baseline(
-            problem, setup, eps, budget,
-            lip_scale=cfg.float("det_lip_scale", default=1.0),
-            true_obj_every=cfg.int("true_obj_every"),
-        )
-    elif algorithm == "subgrad":
-        result = subgradient_baseline(
-            problem, setup, budget, seed=seed, true_obj_every=cfg.int("true_obj_every"),
-        )
-    else:
-        config = SolverConfig(
-            N=budget,
-            eps=eps,
-            k=cfg.int("k", default=3),
-            q=max(1, int(math.ceil(0.1 / eps))) if q is None else q,
-            seed=seed,
-            gamma_max=cfg.float("gamma_max"),
-            gamma_min=cfg.float("gamma_min"),
-            gamma_init=cfg.float("gamma_init"),
-            gamma_d=cfg.float("gamma_d", default=0.5),
-            ladder_span=cfg.float("ladder_span", default=16.0),
-            lip_scale=cfg.float("lip_scale", default=100.0),
-            oracle_path=cfg.str("oracle_path", default="lanczos", choices=("lanczos", "secular")),
-            oracle_tol=cfg.float("oracle_tol", default=1e-6),
-            true_obj_every=cfg.int("true_obj_every"),
-        )
-        runner = acsa_linesearch_run if algorithm == "stoch_ls" else acsa_run
+    if algorithm in ("stoch_ls", "acsa"):
+        given = {key: getattr(cfg, kind)(key) for key, kind in SOLVER_KEYS.items()
+                 if key in cfg.values}
         try:
-            result = runner(problem, None, setup, config)
-        except StepScaleError as exc:
+            config = SolverConfig(N=budget, eps=eps, seed=seed,
+                                  q=max(1, math.ceil(0.1 / eps)) if q is None else q, **given)
+        except ValueError as exc:
             raise ConfigError(f"{cfg.path}: {exc}") from None
+    try:
+        if algorithm == "det_smooth":
+            result = nesterov_smooth_baseline(
+                problem, setup, eps, budget,
+                lip_scale=cfg.float("det_lip_scale", default=1.0),
+                true_obj_every=cfg.int("true_obj_every"),
+            )
+        elif algorithm == "subgrad":
+            result = subgradient_baseline(
+                problem, setup, budget, seed=seed, true_obj_every=cfg.int("true_obj_every"),
+            )
+        else:
+            runner = acsa_linesearch_run if algorithm == "stoch_ls" else acsa_run
+            result = runner(problem, None, setup, config)
+    except StepScaleError as exc:
+        raise ConfigError(f"{cfg.path}: {algorithm}: {exc}") from None
     return algorithm, problem, result
 
 
@@ -289,15 +283,15 @@ PHASE_KEYS = (
 
 
 def _parse_eps_rule(text):
+    """`value`, `eps0` or `factor * eps0`, with a finite positive value or factor."""
     text = text.strip()
-    if text.endswith("eps0"):
-        head = text[: -len("eps0")].rstrip()
-        if head.endswith("*"):
-            head = head[:-1].strip()
-        factor = float(head) if head else 1.0
-        return lambda eps0, n: factor * eps0
+    relative = text.endswith("eps0")
+    if relative:
+        text = text[: -len("eps0")].rstrip().removesuffix("*").strip() or "1"
     value = float(text)
-    return lambda eps0, n: value
+    if not 0.0 < value < math.inf:
+        raise ValueError("eps must be finite and positive")
+    return (lambda eps0, n: value * eps0) if relative else (lambda eps0, n: value)
 
 
 def cmd_phase(args):
@@ -318,6 +312,8 @@ def cmd_phase(args):
         family = lambda n: base if n == base.n else tile_model(base, n)
         sizes = [base.n]
     sizes = cfg.parse("n_list", lambda v: [int(s) for s in v.split(",") if s.strip()], sizes)
+    if not sizes:
+        raise ConfigError(f"{cfg.path}: field 'n_list' lists no size")
     try:
         models = {n: family(n) for n in sizes}
     except ValueError as exc:

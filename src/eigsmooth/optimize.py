@@ -62,7 +62,8 @@ TRACE_HEADER = "t,obj_true,obj_sampled,gamma,eigvecs,wall_ms"
 
 
 class StepScaleError(ValueError):
-    """No smoothed problem derives the step scale and the config leaves it unset."""
+    """The settings give a solver no usable step scale: none is set and no
+    smoothed problem derives one, or a set one is out of range."""
 
 
 @dataclass
@@ -86,7 +87,8 @@ class SolverConfig:
     gamma_max / gamma_min / gamma_init define the line-search ladder
     (defaults: a theory floor 1/(2L) with L the smoothed-gradient
     Lipschitz bound divided by `lip_scale`, and a ceiling `ladder_span`
-    times higher).
+    times higher). `oracle_path` is "lanczos" or "secular". Every field is
+    checked here, before any solver starts.
     """
 
     N: int
@@ -111,14 +113,21 @@ class SolverConfig:
             raise ValueError("gamma_d must lie in (0, 1)")
         if self.q < 1:
             raise ValueError("q must be at least 1")
-        if self.gamma_max is not None and self.gamma_min is not None:
-            if self.gamma_min > self.gamma_max:
-                raise ValueError("gamma_min must not exceed gamma_max")
-        if self.gamma_init is not None:
-            lo = self.gamma_min if self.gamma_min is not None else self.gamma_init
-            hi = self.gamma_max if self.gamma_max is not None else self.gamma_init
-            if not lo <= self.gamma_init <= hi:
-                raise ValueError("gamma_init must lie inside [gamma_min, gamma_max]")
+        if self.k < (3 if self.eps > 0.0 else 1):
+            raise ValueError(f"k must be at least 1, and at least 3 when eps > 0, got {self.k!r}")
+        for name in ("gamma_max", "gamma_min", "gamma_init", "ladder_span", "lip_scale"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not 0.0 < self.oracle_tol < 1.0:
+            raise ValueError(f"oracle_tol must lie in (0, 1), got {self.oracle_tol!r}")
+        if self.oracle_path not in ("lanczos", "secular"):
+            raise ValueError(f"oracle_path must be 'lanczos' or 'secular', got {self.oracle_path!r}")
+        if self.true_obj_every is not None and self.true_obj_every < 1:
+            raise ValueError(f"true_obj_every must be at least 1, got {self.true_obj_every!r}")
+        ladder = [g for g in (self.gamma_min, self.gamma_init, self.gamma_max) if g is not None]
+        if ladder != sorted(ladder):
+            raise ValueError("gamma_min <= gamma_init <= gamma_max must hold among those set")
 
 
 @dataclass
@@ -163,7 +172,9 @@ class StochasticOracle:
 
     Each evaluation draws q independent smoothed samples at the mapped matrix
     and chain-rules the averaged rank-one estimate back to the variable space.
-    Noise is keyed by (seed, *key, sample index).
+    Noise is keyed by (seed, *key, sample index). With path "secular" each
+    evaluation decomposes the matrix first and charges its n units; any
+    other path hands the matrix to the Lanczos path.
     """
 
     def __init__(self, problem, params, q, seed, path="lanczos", lanczos_tol=1e-6):
@@ -179,14 +190,16 @@ class StochasticOracle:
         return 1.0 / self.q
 
     def evaluate(self, point, key):
-        M = self.problem.matrix(point)
+        M, cost = self.problem.matrix(point), 0.0
+        if self.path == "secular":
+            M = full_eig(M)
+            cost = M.cost_eigvecs
         est = gradient_oracle(
-            M, self.params, self.q, rng=self.seed, seed_key=tuple(key), path=self.path,
-            lanczos_tol=self.lanczos_tol,
+            M, self.params, self.q, rng=self.seed, seed_key=tuple(key), lanczos_tol=self.lanczos_tol,
         )
         value = est.value + self.problem.linear_value(point)
         grad = _gradient(self.problem, est.matrix, point)
-        return OracleEval(value=value, grad=grad, cost=est.cost_eigvecs)
+        return OracleEval(value=value, grad=grad, cost=cost + est.cost_eigvecs)
 
 
 class ExactEigOracle:
@@ -290,13 +303,14 @@ def _scaled_lipschitz(problem, config):
     return lipschitz_bound(_default_smoothing(problem, config)) / config.lip_scale
 
 
-def _resolve_ladder(setup, config, L):
+def _resolve_ladder(config, L):
     """The line-search ladder (gamma_min, gamma_init, gamma_max).
 
     An unset ceiling is `ladder_span` times the theory step 1/(2L), an
     unset floor is the theory step capped at the ceiling, and an unset start
     is the ceiling. `L` is the scaled Lipschitz bound of the smoothed
-    problem, or None when there is none; then both ends must be set.
+    problem, or None when there is none; then both ends must be set. A
+    start outside the resolved ladder is a StepScaleError.
     """
     gamma_min, gamma_max = config.gamma_min, config.gamma_max
     if gamma_min is None or gamma_max is None:
@@ -311,6 +325,8 @@ def _resolve_ladder(setup, config, L):
         if gamma_min is None:
             gamma_min = min(theory, gamma_max)
     gamma_init = config.gamma_init if config.gamma_init is not None else gamma_max
+    if not gamma_min <= gamma_init <= gamma_max:
+        raise StepScaleError(f"gamma_init={gamma_init!r} is outside [{gamma_min!r}, {gamma_max!r}]")
     return gamma_min, gamma_init, gamma_max
 
 
@@ -461,7 +477,7 @@ def acsa_linesearch_run(problem, oracle, setup, config):
         oracle = _default_oracle(problem, config)
     smoothed = problem is not None and config.eps > 0
     L = _scaled_lipschitz(problem, config) if smoothed else None
-    gamma_min, gamma_init, gamma_max = _resolve_ladder(setup, config, L)
+    gamma_min, gamma_init, gamma_max = _resolve_ladder(config, L)
     result = _acsa_engine(problem, oracle, setup, config, gamma_min, gamma_init)
     if smoothed:
         result.gap_bound = coarse_gap_bound(
@@ -530,6 +546,8 @@ def nesterov_smooth_baseline(problem, setup, eps, budget, lip_scale=1.0,
     n = problem.dim
     if n < 2:
         raise ValueError("soft-max smoothing needs dimension at least 2")
+    if not 0.0 < lip_scale < math.inf:
+        raise StepScaleError(f"lip_scale must be finite and positive, got {lip_scale!r}")
     mu = eps / math.log(n)
     L = 1.0 / (mu * lip_scale)
     step = 1.0 / L

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -338,7 +338,9 @@ def monte_carlo_gap(model_family, n_list, eps_rule, trials, seed=0):
 
 def write_phase_report(report, csv_path, json_path=None):
     """Emit the scaling report: one CSV row per size plus an optional JSON
-    summary of the regression diagnostics."""
+    summary of the regression diagnostics. JSON has no NaN or infinity, so
+    a non-finite number (say the t0 of a sub- or critical-regime row) is
+    written as null."""
     with open(csv_path, "w") as fh:
         fh.write(PHASE_HEADER + "\n")
         for r in report.rows:
@@ -346,24 +348,14 @@ def write_phase_report(report, csv_path, json_path=None):
                 f"{r.n},{r.eps!r},{r.regime},{r.median_T!r},{r.predicted_order!r},{report.slope!r}\n"
             )
     if json_path is not None:
-        payload = {
-            "regime": report.regime,
-            "slope": report.slope,
-            "intercept": report.intercept,
-            "r2": report.r2,
-            "trials": report.trials,
-            "seed": report.seed,
-            "rows": [
-                {
-                    "n": r.n, "eps": r.eps, "eps0": r.eps0, "regime": r.regime,
-                    "median_T": r.median_T, "predicted_order": r.predicted_order,
-                    "scaling_stat": r.scaling_stat, "t0": r.t0,
-                    "normalized_median": r.normalized_median,
-                    "witness_violations": r.witness_violations,
-                }
-                for r in report.rows
-            ],
-        }
+        payload = {key: _finite_or_none(getattr(report, key))
+                   for key in ("regime", "slope", "intercept", "r2", "trials", "seed")}
+        payload["rows"] = [{key: _finite_or_none(v) for key, v in asdict(r).items()}
+                           for r in report.rows]
         with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
+
+
+def _finite_or_none(value):
+    return None if isinstance(value, float) and not math.isfinite(value) else value

@@ -6,10 +6,10 @@ which is differentiable with a gradient that is an expected rank-one
 projector. One realization costs k leading eigenpairs; averaging q
 independent realizations gives a gradient estimate with variance 1/q.
 
-Two evaluation paths compute the perturbed top eigenvalues: the secular
-path (analytic rank-one update, needs a decomposition of X) and the
-Lanczos path (iterative, on the operator q -> X q + (eps/n) z (z^T q), never formed).
-The entry points take X as a symmetric matrix or as its `SpectralDecomp`.
+Two evaluation paths compute the perturbed top eigenvalues, and the type of
+X picks one: X given as a `SpectralDecomp` takes the secular path (analytic
+rank-one update), X given as a symmetric matrix the Lanczos path (iterative,
+on the operator q -> X q + (eps/n) z (z^T q), never formed).
 
 Reproducibility: per-sample generators are derived from counter-based keys
 (run seed, iteration, sample index), so parallel sample evaluation is
@@ -137,7 +137,7 @@ def fk_value(X, Z, params):
     common-random-number derivative checks. Returns (value, i0, vector,
     per_draw_values).
     """
-    dec = X if isinstance(X, SpectralDecomp) else full_eig(X)
+    dec = _decomposed(X, params)
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if params.eps == 0.0:
         values = np.full(Z.shape[0], dec.values[0])
@@ -147,74 +147,66 @@ def fk_value(X, Z, params):
     return float(values[0, i0]), i0, vecs[0], values[0]
 
 
-def sample_fk(X, params, rng, path="auto", lanczos_tol=1e-9):
+def sample_fk(X, params, rng, lanczos_tol=1e-9):
     """Draw one realization of the smoothed objective and its gradient factor.
 
     Draws k iid standard Gaussian vectors from `rng`, computes each perturbed
-    top eigenvalue through the selected path ("secular", "lanczos", or "auto"
-    which takes the secular path whenever X is a decomposition), and
-    returns the max, the winning index (ties broken by lowest index), and the
-    winning eigenvector. Cost: k eigenpair units (+ n when the secular path
-    must first decompose X). X is validated here, by `check_symmetric` (its k
-    Lanczos runs take it unchecked) or by `full_eig` when it is decomposed.
-    The two witness fields are computed whenever a decomposition of X is at
-    hand (the secular path, or X given as a `SpectralDecomp`), NaN otherwise.
+    top eigenvalue, and returns the max, the winning index (ties broken by
+    lowest index), and the winning eigenvector. X's type picks the path: a
+    `SpectralDecomp` takes the secular path, a matrix the Lanczos path, whose
+    k runs take X unchecked after one `check_symmetric` here. Cost: k
+    eigenpair units. The two witness fields need the decomposition, so they
+    are NaN on the Lanczos path.
     """
-    X, dec, path, cost = _prepare(X, params, path)
-    values, i0, vectors, Z, units = _draw(X, dec, path, params, [rng], lanczos_tol)
+    X = _prepare(X, params)
+    values, i0, vectors, Z, units = _draw(X, params, [rng], lanczos_tol)
     value = float(values[0])
-    if dec is None:
-        gap_witness = witness_bound = float("nan")
+    if isinstance(X, SpectralDecomp):
+        gap_witness = value - float(X.values[0])
+        witness_bound = params.scale * float(np.max((X.vectors[:, 0] @ Z[0].T) ** 2))
     else:
-        gap_witness = value - float(dec.values[0])
-        witness_bound = params.scale * float(np.max((dec.vectors[:, 0] @ Z[0].T) ** 2))
+        gap_witness = witness_bound = float("nan")
     return OracleSample(
         value=value, i0=int(i0[0]), vector=vectors[0],
-        gap_witness=gap_witness, witness_bound=witness_bound, cost_eigvecs=cost + units,
+        gap_witness=gap_witness, witness_bound=witness_bound, cost_eigvecs=units,
     )
 
 
-def _prepare(X, params, path):
-    """Resolve the path and validate X: (X, decomposition, path, cost of a decomposition)."""
-    dec = X if isinstance(X, SpectralDecomp) else None
-    if path == "auto":
-        path = "lanczos" if dec is None else "secular"
-    extra_cost = 0.0
-    if path == "secular":
-        if dec is None:
-            dec = full_eig(X)
-            extra_cost = dec.cost_eigvecs
-        n = dec.n
-    elif path == "lanczos":
-        X = check_symmetric(X.reconstruct() if isinstance(X, SpectralDecomp) else X)
-        n = X.shape[0]
-    else:
-        raise ValueError(f"unknown path {path!r}")
+def _prepare(X, params):
+    """X checked once per call: a matrix by `check_symmetric`, either form against params.n."""
+    if not isinstance(X, SpectralDecomp):
+        X = check_symmetric(X)
+    n = X.n if isinstance(X, SpectralDecomp) else X.shape[0]
     if n != params.n:
         raise ValueError(f"params.n={params.n} does not match matrix dimension {n}")
-    return X, dec, path, extra_cost
+    return X
 
 
-def _draw(X, dec, path, params, gens, lanczos_tol):
-    """One realization per generator in `gens`, on inputs resolved by `_prepare`.
+def _decomposed(X, params):
+    """X's decomposition, made here (by the validating `full_eig`) for a matrix."""
+    return _prepare(X if isinstance(X, SpectralDecomp) else full_eig(X), params)
 
-    The secular path draws all noise first (one call for a shared generator)
-    and solves all samples in one kernel call; at eps = 0 a sample is then
-    the top pair of X. On the Lanczos path each generator draws its sample's
-    k noise vectors, then the start vectors of its k runs, each run given
-    update (eps/n, z). Returns values, winning indices and unit vectors
-    (q, n), noise Z (q, k, n) and units.
+
+def _draw(X, params, gens, lanczos_tol):
+    """One realization per generator in `gens`, on X checked by `_prepare`.
+
+    On the secular path (X a decomposition) all noise is drawn first (one
+    call for a shared generator) and all samples are solved in one kernel
+    call; at eps = 0 a sample is then the top pair of X. On the Lanczos path
+    each generator draws its sample's k noise vectors, then the start vectors
+    of its k runs, each run given update (eps/n, z). Returns values, winning
+    indices and unit vectors (q, n), noise Z (q, k, n) and units.
     """
     q, k, n = len(gens), params.k, params.n
     Z = np.empty((q, k, n))
-    if path == "secular" or (dec is not None and params.eps == 0.0):
+    if isinstance(X, SpectralDecomp):
         shared = len({id(gen) for gen in gens}) == 1
         for gen, noise in [(gens[0], Z)] if shared else zip(gens, Z):
             gen.standard_normal(noise.shape, out=noise)
         if params.eps == 0.0:
-            return (np.full(q, dec.values[0]), np.zeros(q, dtype=int),
-                    np.tile(dec.vectors[:, 0], (q, 1)), Z, 0.0)
-        values, _, i0, vectors = _rank_one_top(dec, Z, params.scale)
+            return (np.full(q, X.values[0]), np.zeros(q, dtype=int),
+                    np.tile(X.vectors[:, 0], (q, 1)), Z, 0.0)
+        values, _, i0, vectors = _rank_one_top(X, Z, params.scale)
         return values[np.arange(q), i0], i0, vectors, Z, float(q * k)
     values, i0, vectors, units = np.empty(q), np.zeros(q, dtype=int), np.empty((q, n)), 0.0
     for l, gen in enumerate(gens):
@@ -230,38 +222,38 @@ def _draw(X, dec, path, params, gens, lanczos_tol):
     return values, i0, vectors, Z, units
 
 
-def gradient_oracle(X, params, q, rng, path="auto", seed_key=(), lanczos_tol=1e-9):
+def gradient_oracle(X, params, q, rng, seed_key=(), lanczos_tol=1e-9):
     """Average of q independent rank-one gradient samples.
 
     `rng` may be a Generator (samples drawn sequentially from one stream) or
     an integer seed, in which case each sample l uses the counter-derived
     generator for key ``seed_key + (l,)`` so q-parallel evaluation would be
     reproducible and order-independent. The reduction always runs in sample
-    index order. X is validated or decomposed once for all q samples, and on
-    the secular path all q samples are solved in one batched kernel call.
-    Cost: q * (per-sample cost), plus n for a decomposition made here.
+    index order. X's type picks the path as in `sample_fk`; X is checked
+    once for all q samples, and on the secular path all q samples are
+    solved in one batched kernel call. Cost: q * (per-sample cost).
     """
     q = int(q)
     if q < 1:
         raise ValueError("q must be a positive integer")
-    X, dec, path, cost = _prepare(X, params, path)
+    X = _prepare(X, params)
     shared = isinstance(rng, np.random.Generator)
     gens = [rng if shared else sample_rng(rng, *seed_key, l) for l in range(q)]
-    values, _, vectors, _, units = _draw(X, dec, path, params, gens, lanczos_tol)
-    return GradientEstimate(vectors=vectors, value=float(values.mean()), cost_eigvecs=cost + units)
+    values, _, vectors, _, units = _draw(X, params, gens, lanczos_tol)
+    return GradientEstimate(vectors=vectors, value=float(values.mean()), cost_eigvecs=units)
 
 
 def fk_values_batch(decomp, params, draws, rng):
     """Monte Carlo realizations of the smoothed objective, vectorized.
 
     Returns `draws` values of max_i lambda_max(X + (eps/n) z_i z_i^T) through
-    the batched secular path; meant for estimator diagnostics and envelope
-    checks, not for the per-sample cost-accounted oracle.
+    the batched secular path (on a decomposition made here if `decomp` is a
+    matrix); meant for estimator diagnostics and envelope checks, not for
+    the per-sample cost-accounted oracle.
     """
     if int(draws) < 0:
         raise ValueError("draws must be a nonnegative integer")
-    X, dec, path, _ = _prepare(decomp, params, "secular")
-    return _draw(X, dec, path, params, [rng] * int(draws), None)[0]
+    return _draw(_decomposed(decomp, params), params, [rng] * int(draws), None)[0]
 
 
 def approximation_bounds(params):
@@ -304,8 +296,7 @@ def gradient_variance_probe(X, params, trials, rng):
     trials = int(trials)
     if trials < 100:
         raise ValueError("trials must be at least 100")
-    X, dec, path, _ = _prepare(X, params, "secular")
-    phis = _draw(X, dec, path, params, [rng] * trials, None)[2]
+    phis = _draw(_decomposed(X, params), params, [rng] * trials, None)[2]
     mean = (phis.T @ phis) / trials
     # ||phi phi^T - M||_F^2 = 1 - 2 phi^T M phi + ||M||_F^2 for unit phi
     mnorm2 = float(np.sum(mean**2))

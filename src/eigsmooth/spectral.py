@@ -484,12 +484,15 @@ def _secular_shifts(lambdas, weights, scale, rel_tol, max_iter):
     if np.count_nonzero(lam[1:] > lam[:-1]):
         raise ValueError("lambdas must be in decreasing order")
     totals = W.sum(axis=1)
+    # A NaN or +inf weight makes its row total non-finite: no pass over W.
+    if np.count_nonzero(~np.isfinite(totals)):
+        raise ValueError("weights must be finite")
     if np.count_nonzero(totals <= 0.0):
         raise ValueError("all weights vanish in some row")
-    # Only rows with an entry at or below the deflation level (or a NaN) are copied.
-    flag = np.flatnonzero(~(W.min(axis=1) > _DEFLATE_REL * totals))
+    # Only rows with an entry at or below the deflation level are copied.
+    flag = np.flatnonzero(W.min(axis=1) <= _DEFLATE_REL * totals)
     Wf = W[flag]
-    Wf[~(Wf > _DEFLATE_REL * totals[flag, None])] = 0.0
+    Wf[Wf <= _DEFLATE_REL * totals[flag, None]] = 0.0
     totals[flag] = Wf.sum(axis=1)
     d, merged = lam[0] - lam, np.count_nonzero(lam[1:] == lam[:-1])
     if merged:

@@ -64,6 +64,29 @@ def test_solve_rejects_bad_eps(tmp_path, capsys, algorithm, eps, fields):
     ("phase", {"eps_rule": "abc"}, "field 'eps_rule' has invalid value"),
     ("phase", {"n_list": 100, "multiplicity": 100},
      "'n_list' = [100] gives no model: multiplicity must leave room"),
+    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "ladder_span": -1}, "ladder_span must be finite"),
+    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "gamma_init": 1000}, "gamma_init=1000.0 is outside"),
+    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "true_obj_every": -3}, "true_obj_every must be"),
+    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "gamma_min": -1}, "gamma_min must be finite"),
+    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "lip_scale": 0}, "lip_scale must be finite"),
+    ("solve", {"algorithm": "det_smooth", "eps": 0.1, "det_lip_scale": 0},
+     "det_smooth: lip_scale must be finite"),
+    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "oracle_tol": 2}, "oracle_tol must lie in (0, 1)"),
+    ("solve", {"algorithm": "acsa", "eps": 0.1, "oracle_tol": 2, "oracle_path": "secular"},
+     "oracle_tol must lie in (0, 1)"),
+    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "oracle_path": "auto"},
+     "oracle_path must be 'lanczos' or 'secular'"),
+    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "gamma_d": 2}, "gamma_d must lie in (0, 1)"),
+    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "q": 0}, "q must be at least 1"),
+    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "N": 0}, "N must be at least 1"),
+    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "k": 0}, "k must be at least 1"),
+    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "k": 2}, "at least 3 when eps > 0, got 2"),
+    ("solve", {"algorithm": "acsa", "eps": 0.1, "k": 2, "gamma_min": 0.01},
+     "at least 3 when eps > 0, got 2"),
+    ("phase", {"eps_rule": -1}, "field 'eps_rule' has invalid value '-1'"),
+    ("phase", {"eps_rule": "nan"}, "field 'eps_rule' has invalid value 'nan'"),
+    ("phase", {"eps_rule": "-2 * eps0"}, "field 'eps_rule' has invalid value '-2 * eps0'"),
+    ("phase", {"n_list": ""}, "field 'n_list' lists no size"),
 ])
 def test_config_mistakes_are_config_errors(tmp_path, capsys, command, fields, message):
     # solve runs with eps = 0, which leaves no smoothed problem to derive the steps from
@@ -72,6 +95,19 @@ def test_config_mistakes_are_config_errors(tmp_path, capsys, command, fields, me
     cfg = write_config(tmp_path / "c.txt", seed=1, **{**base, **fields})
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_unset_solver_keys_take_solver_config_defaults(tmp_path):
+    # the defaults the command line once restated, spelled out, change no byte
+    base = dict(problem="maxcut", algorithm="stoch_ls", n=6, N=15, seed=42, eps=0.1, q=2)
+    spelled = dict(k=3, gamma_d=0.5, ladder_span=16.0, lip_scale=100.0, oracle_path="lanczos",
+                   oracle_tol=1e-6)
+    traces = []
+    for name, fields in (("unset", base), ("spelled", {**base, **spelled})):
+        cfg = write_config(tmp_path / f"{name}.txt", name=name, **fields)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        traces.append((tmp_path / f"{name}_trace.csv").read_bytes())
+    assert traces[0] == traces[1]
 
 
 @pytest.mark.parametrize("algorithm", ["stoch_ls", "acsa", "det_smooth", "subgrad"])
@@ -290,6 +326,19 @@ def test_phase_subcommand_critical_header(tmp_path):
     lines = (tmp_path / "phase.csv").read_text().splitlines()
     assert lines[0] == "n,eps,regime,median_T,predicted_order,slope"
     assert len(lines) == 3
+
+
+def test_phase_json_is_strict(tmp_path):
+    # a sub-critical row has no super-critical shift t0: null, not a bare NaN
+    cfg = write_config(tmp_path / "p.txt", model="equal_gap", n_list="100", eps_rule="0.5*eps0",
+                       trials=200, seed=1)
+    assert main(["phase", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads((tmp_path / "phase.json").read_text(), parse_constant=reject)
+    assert payload["rows"][0]["regime"] == "sub" and payload["rows"][0]["t0"] is None
 
 
 def test_phase_malformed_spectrum_names_line(tmp_path, capsys):

@@ -7,6 +7,7 @@ from eigsmooth.optimize import (
     FunctionOracle,
     ProxSetup,
     SolverConfig,
+    StochasticOracle,
     acsa_linesearch_run,
     acsa_run,
     coarse_gap_bound,
@@ -21,7 +22,8 @@ from eigsmooth.optimize import (
     write_trace,
 )
 from eigsmooth.problems import BallProblem, dspca_problem, maxcut_problem, synthetic_covariance
-from eigsmooth.spectral import symmetrize
+from eigsmooth.smoothing import SmoothingParams, gradient_oracle
+from eigsmooth.spectral import full_eig, symmetrize
 
 
 def box_setup(n, half):
@@ -422,6 +424,23 @@ def test_config_validation():
         SolverConfig(N=5, eps=0.1, gamma_max=0.2, gamma_min=0.1, gamma_init=0.5)
     cfg = SolverConfig(N=5, eps=0.1, gamma_max=0.2, gamma_min=0.1, gamma_init=0.15)
     assert cfg.gamma_init == 0.15
+    # the other field checks run in test_cli.py's config-mistake cases
+    for field, value in [("gamma_max", -1.0), ("gamma_init", math.inf), ("lip_scale", math.nan),
+                         ("oracle_tol", 0.0), ("oracle_path", "auto"), ("true_obj_every", 0)]:
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(N=5, eps=0.1, **{field: value})
+    assert SolverConfig(N=5, eps=0.0, k=1).k == 1  # k >= 3 only where the smoothing needs it
+
+
+def test_secular_oracle_decomposes_and_charges_n():
+    prob = _small_maxcut(n=7)
+    params = SmoothingParams(eps=0.2, n=7)
+    w = prob.project(np.random.default_rng(3).standard_normal(7))
+    ev = StochasticOracle(prob, params, q=4, seed=5, path="secular").evaluate(w, (2,))
+    est = gradient_oracle(full_eig(prob.matrix(w)), params, 4, rng=5, seed_key=(2,))
+    assert ev.value == est.value + prob.linear_value(w)
+    assert np.array_equal(ev.grad, np.diag(est.matrix) + prob.linear_grad(w))
+    assert ev.cost == 7 + 4 * params.k
 
 
 def test_gap_bound_logged():

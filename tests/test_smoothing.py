@@ -66,7 +66,7 @@ def test_sample_zero_matrix():
     rng = np.random.default_rng(0)
     probe_rng = np.random.default_rng(0)
     Z = probe_rng.standard_normal((params.k, n))
-    s = sample_fk(np.zeros((n, n)), params, rng, path="secular")
+    s = sample_fk(full_eig(np.zeros((n, n))), params, rng)
     norms = (Z**2).sum(axis=1)
     assert s.value == pytest.approx(params.scale * norms.max(), rel=1e-12)
     assert s.i0 == int(np.argmax(norms))
@@ -80,7 +80,7 @@ def test_sample_value_exceeds_top_eigenvalue():
     dec = full_eig(X)
     params = SmoothingParams(eps=0.3, n=12)
     for _ in range(50):
-        s = sample_fk(dec, params, rng, path="secular")
+        s = sample_fk(dec, params, rng)
         assert s.value > dec.values[0]
         assert s.gap_witness >= s.witness_bound - 1e-15
         assert abs(np.linalg.norm(s.vector) - 1.0) <= 1e-12
@@ -92,8 +92,8 @@ def test_sample_paths_agree():
     X = random_symmetric(15, rng)
     dec = full_eig(X)
     params = SmoothingParams(eps=0.5, n=15)
-    s1 = sample_fk(dec, params, np.random.default_rng(77), path="secular")
-    s2 = sample_fk(X, params, np.random.default_rng(77), path="lanczos", lanczos_tol=1e-11)
+    s1 = sample_fk(dec, params, np.random.default_rng(77))
+    s2 = sample_fk(X, params, np.random.default_rng(77), lanczos_tol=1e-11)
     assert s1.i0 == s2.i0
     assert abs(s1.value - s2.value) <= 1e-8 * max(1.0, abs(s1.value))
     assert min(np.max(np.abs(s1.vector - s2.vector)), np.max(np.abs(s1.vector + s2.vector))) <= 1e-6
@@ -170,8 +170,6 @@ def test_gradient_cost_accounting():
     params = SmoothingParams(eps=0.2, n=5)
     est = gradient_oracle(full_eig(X), params, q=6, rng=rng)
     assert est.cost_eigvecs == 6 * params.k
-    est2 = gradient_oracle(X, params, q=2, rng=rng, path="secular")
-    assert est2.cost_eigvecs == 2 * params.k + 5  # internal decomposition charged n
 
 
 # ------------------------------------------------ finite-difference audit
@@ -308,7 +306,7 @@ def test_gap_witness_bound_every_draw():
     dec = full_eig(X)
     params = SmoothingParams(eps=0.7, n=10)
     for _ in range(200):
-        s = sample_fk(dec, params, rng, path="secular")
+        s = sample_fk(dec, params, rng)
         assert s.gap_witness >= s.witness_bound - 1e-14
         assert s.gap_witness >= params.scale * 0.0  # strictly positive increase
         assert s.value > dec.values[0]
@@ -318,7 +316,7 @@ def test_gap_witness_bound_every_draw():
 
 
 @pytest.mark.parametrize("bad", ["asymmetric", "inf", "nan"])
-@pytest.mark.parametrize("path", ["lanczos", "auto"])
+@pytest.mark.parametrize("path", ["lanczos"])
 def test_lanczos_path_still_validates(bad, path):
     X = random_symmetric(5, np.random.default_rng(0))
     if bad == "asymmetric":
@@ -329,9 +327,9 @@ def test_lanczos_path_still_validates(bad, path):
         X[1, 3] = X[3, 1] = np.nan
     params = SmoothingParams(eps=0.1, n=5, k=3)
     with pytest.raises(ValueError):
-        gradient_oracle(X, params, 2, rng=0, path=path)
+        gradient_oracle(X, params, 2, rng=0)
     with pytest.raises(ValueError):
-        sample_fk(X, params, np.random.default_rng(1), path=path)
+        sample_fk(X, params, np.random.default_rng(1))
 
 
 def test_gradient_oracle_validates_once(monkeypatch):
@@ -350,7 +348,7 @@ def test_gradient_oracle_validates_once(monkeypatch):
     monkeypatch.setattr(smoothing, "lanczos_leading", counted("lanczos_leading", spectral.lanczos_leading))
     X = random_symmetric(12, np.random.default_rng(3))
     params = SmoothingParams(eps=0.1, n=12, k=3)
-    est = gradient_oracle(X, params, 2, rng=7, path="lanczos")
+    est = gradient_oracle(X, params, 2, rng=7)
     assert counts == {"check_symmetric": 1, "lanczos_leading": 6}
     assert est.cost_eigvecs == 6.0
 
@@ -365,8 +363,8 @@ def test_gradient_oracle_matches_sequential_samples(path):
     X = random_symmetric(n, rng)
     Xin = full_eig(X) if path == "secular" else X
     params = SmoothingParams(eps=0.3, n=n, k=3)
-    est = gradient_oracle(Xin, params, q, rng=21, seed_key=key, path=path)
-    samples = [sample_fk(Xin, params, sample_rng(21, *key, l), path=path) for l in range(q)]
+    est = gradient_oracle(Xin, params, q, rng=21, seed_key=key)
+    samples = [sample_fk(Xin, params, sample_rng(21, *key, l)) for l in range(q)]
     assert est.value == np.array([s.value for s in samples]).mean()
     assert est.cost_eigvecs == sum(s.cost_eigvecs for s in samples) == q * params.k
     vectors = np.array([s.vector for s in samples])
@@ -375,9 +373,9 @@ def test_gradient_oracle_matches_sequential_samples(path):
     else:
         assert np.max(np.abs(est.vectors - vectors)) <= 1e-14
         # one shared generator: the samples come from it in sample order
-        shared = gradient_oracle(Xin, params, q, rng=np.random.default_rng(22), path=path)
+        shared = gradient_oracle(Xin, params, q, rng=np.random.default_rng(22))
         gen = np.random.default_rng(22)
-        values = np.array([sample_fk(Xin, params, gen, path=path).value for _ in range(q)])
+        values = np.array([sample_fk(Xin, params, gen).value for _ in range(q)])
         assert shared.value == values.mean()
 
 
@@ -394,9 +392,9 @@ def test_secular_oracle_makes_one_kernel_call(monkeypatch):
     monkeypatch.setattr(smoothing, "_rank_one_top", spy)
     X = random_symmetric(7, np.random.default_rng(19))
     params = SmoothingParams(eps=0.2, n=7, k=3)
-    est = gradient_oracle(X, params, 4, rng=3, path="secular")
+    est = gradient_oracle(full_eig(X), params, 4, rng=3)
     assert calls == [(4, 3, 7)]
-    assert est.cost_eigvecs == 4 * 3 + 7
+    assert est.cost_eigvecs == 4 * 3
 
 
 def test_witness_fields_follow_decomposition():
@@ -405,13 +403,11 @@ def test_witness_fields_follow_decomposition():
     X = random_symmetric(n, rng)
     dec = full_eig(X)
     params = SmoothingParams(eps=0.4, n=n)
-    sec = sample_fk(dec, params, np.random.default_rng(4), path="secular")
-    lan = sample_fk(dec, params, np.random.default_rng(4), path="lanczos", lanczos_tol=1e-11)
-    assert lan.witness_bound == sec.witness_bound > 0.0
-    assert abs(lan.gap_witness - sec.gap_witness) <= 1e-9
-    plain = sample_fk(X, params, np.random.default_rng(4), path="lanczos")
+    sec = sample_fk(dec, params, np.random.default_rng(4))
+    assert sec.witness_bound > 0.0 and sec.gap_witness >= sec.witness_bound
+    plain = sample_fk(X, params, np.random.default_rng(4))
     assert np.isnan(plain.gap_witness) and np.isnan(plain.witness_bound)
-    exact = sample_fk(X, SmoothingParams(eps=0.0, n=n), np.random.default_rng(4), path="lanczos")
+    exact = sample_fk(X, SmoothingParams(eps=0.0, n=n), np.random.default_rng(4))
     assert np.isnan(exact.gap_witness) and np.isnan(exact.witness_bound)
     top = sample_fk(dec, SmoothingParams(eps=0.0, n=n), np.random.default_rng(4))
     assert top.gap_witness == 0.0 and top.witness_bound == 0.0
@@ -437,8 +433,8 @@ def test_shared_generator_draw_matches_per_sample_draws(monkeypatch):
     batch = fk_values_batch(dec, params, 300, np.random.default_rng(5))
     probe = gradient_variance_probe(dec, params, 150, np.random.default_rng(6))
     real = smoothing._draw
-    monkeypatch.setattr(smoothing, "_draw", lambda X, dec, path, params, gens, tol: real(
-        X, dec, path, params, [_Forward(gen) for gen in gens], tol))
+    monkeypatch.setattr(smoothing, "_draw", lambda X, params, gens, tol: real(
+        X, params, [_Forward(gen) for gen in gens], tol))
     assert np.array_equal(batch, fk_values_batch(dec, params, 300, np.random.default_rng(5)))
     assert probe == gradient_variance_probe(dec, params, 150, np.random.default_rng(6))
 
@@ -465,6 +461,6 @@ def test_lanczos_gradient_oracle_golden_values(case):
     A = synthetic_covariance(60, np.random.default_rng(2))
     params = SmoothingParams(eps=0.0 if case == "exact" else 0.05, n=60, k=3)
     rng = np.random.default_rng(8) if case == "shared" else 7
-    est = gradient_oracle(A, params, 2, rng=rng, seed_key=(5,), path="lanczos", lanczos_tol=1e-6)
+    est = gradient_oracle(A, params, 2, rng=rng, seed_key=(5,), lanczos_tol=1e-6)
     digest = hashlib.sha256(est.vectors.tobytes()).hexdigest()[:16]
     assert (est.value.hex(), digest, est.cost_eigvecs) == _ORACLE_GOLDEN[case]

@@ -342,6 +342,8 @@ def _copying_secular_shifts(lambdas, weights, scale, rel_tol, max_iter):
     if np.count_nonzero(lam[1:] > lam[:-1]):
         raise ValueError("lambdas must be in decreasing order")
     totals = W.sum(axis=1)
+    if np.count_nonzero(~np.isfinite(totals)):
+        raise ValueError("weights must be finite")
     if np.count_nonzero(totals <= 0.0):
         raise ValueError("all weights vanish in some row")
     keep = W > 1e-14 * totals[:, None]
@@ -405,6 +407,17 @@ def test_secular_prepass_matches_copying_prepass(case):
         if not isinstance(want[0], type):
             assert _outcome(lambda *a: [secular_shifts_batch(*a)], lam, W, scale)[0] == want[0]
     assert np.array_equal(W, before, equal_nan=True)
+
+
+def test_secular_shifts_reject_non_finite_weights():
+    # A NaN or +inf weight used to deflate its whole row and divide 0/0.
+    lam = np.array([1.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for bad in (np.nan, np.inf):
+            W = np.array([[1.0, 1.0, bad], [1.0, 1.0, 1.0]])
+            with pytest.raises(ValueError, match="weights must be finite"):
+                spectral._secular_shifts(lam, W, 1.0, 1e-13, 120)
 
 
 def test_secular_prepass_keeps_memory_off_the_weight_array():
@@ -548,7 +561,7 @@ def test_matrix_roundtrip(tmp_path):
     assert np.array_equal(load_matrix(path), X)
 
 
-def _bits(a):
+def _int_bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
@@ -561,7 +574,7 @@ def test_check_symmetric_fresh_and_same_as_symmetrize():
         for X in [symmetrize(G), symmetrize(G) + 1e-14 * np.triu(G, 1), np.diag([-0.0, 0.0, 3.0]),
                   np.zeros((0, 0)), big, big + np.array([[0.0, 1e290], [0.0, 0.0]]), near]:
             out = check_symmetric(X)
-            assert np.array_equal(_bits(out), _bits(symmetrize(X)))
+            assert np.array_equal(_int_bits(out), _int_bits(symmetrize(X)))
             assert not np.shares_memory(out, X)
             assert np.all(np.isfinite(out)) and np.array_equal(out, out.T)
     assert check_symmetric(big)[0, 0] == 1e308
