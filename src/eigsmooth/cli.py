@@ -32,7 +32,6 @@ from pathlib import Path
 
 from .optimize import (
     SolverConfig,
-    StepScaleError,
     acsa_linesearch_run,
     acsa_run,
     nesterov_smooth_baseline,
@@ -40,14 +39,7 @@ from .optimize import (
     subgradient_baseline,
     write_trace,
 )
-from .phase import (
-    MIN_TRIALS,
-    equal_gap_model,
-    load_spectrum,
-    monte_carlo_gap,
-    tile_model,
-    write_phase_report,
-)
+from .phase import equal_gap_model, load_spectrum, monte_carlo_gap, tile_model, write_phase_report
 from .problems import dspca_problem, load_covariance, maxcut_problem, synthetic_covariance
 from .smoothing import sample_rng
 
@@ -146,20 +138,13 @@ def _run_solver(cfg, seed):
     eps, q = cfg.float("eps", default=0.05), cfg.int("q")
     if not 0.0 <= eps < math.inf:
         raise ConfigError(f"{cfg.path}: field 'eps' must be finite and nonnegative, got {eps!r}")
-    if eps == 0.0 and (algorithm == "det_smooth" or algorithm != "subgrad" and q is None):
-        raise ConfigError(f"{cfg.path}: field 'eps' must be positive for det_smooth or without 'q'")
+    if eps == 0.0 and q is None and algorithm in ("stoch_ls", "acsa"):
+        # the default q = ceil(0.1 / eps) divides by eps
+        raise ConfigError(f"{cfg.path}: field 'eps' must be positive without 'q'")
     problem = _build_problem(cfg, seed)
     n = problem.dim
     setup = problem.prox_setup()
     budget = cfg.int("N", default=int(math.ceil(100.0 * math.sqrt(n))))
-    if algorithm in ("stoch_ls", "acsa"):
-        given = {key: getattr(cfg, kind)(key) for key, kind in SOLVER_KEYS.items()
-                 if key in cfg.values}
-        try:
-            config = SolverConfig(N=budget, eps=eps, seed=seed,
-                                  q=max(1, math.ceil(0.1 / eps)) if q is None else q, **given)
-        except ValueError as exc:
-            raise ConfigError(f"{cfg.path}: {exc}") from None
     try:
         if algorithm == "det_smooth":
             result = nesterov_smooth_baseline(
@@ -172,9 +157,13 @@ def _run_solver(cfg, seed):
                 problem, setup, budget, seed=seed, true_obj_every=cfg.int("true_obj_every"),
             )
         else:
+            given = {key: getattr(cfg, kind)(key) for key, kind in SOLVER_KEYS.items()
+                     if key in cfg.values}
+            config = SolverConfig(N=budget, eps=eps, seed=seed,
+                                  q=max(1, math.ceil(0.1 / eps)) if q is None else q, **given)
             runner = acsa_linesearch_run if algorithm == "stoch_ls" else acsa_run
             result = runner(problem, None, setup, config)
-    except StepScaleError as exc:
+    except ValueError as exc:  # a rejected setting: a run's numerical failures abort it
         raise ConfigError(f"{cfg.path}: {algorithm}: {exc}") from None
     return algorithm, problem, result
 
@@ -312,17 +301,12 @@ def cmd_phase(args):
         family = lambda n: base if n == base.n else tile_model(base, n)
         sizes = [base.n]
     sizes = cfg.parse("n_list", lambda v: [int(s) for s in v.split(",") if s.strip()], sizes)
-    if not sizes:
-        raise ConfigError(f"{cfg.path}: field 'n_list' lists no size")
-    try:
-        models = {n: family(n) for n in sizes}
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.path}: 'n_list' = {sizes} gives no model: {exc}") from None
     rule = cfg.parse("eps_rule", _parse_eps_rule, _parse_eps_rule("eps0"))
     trials = cfg.int("trials", default=500)
-    if trials < MIN_TRIALS:
-        raise ConfigError(f"{cfg.path}: field 'trials' must be at least {MIN_TRIALS}, got {trials}")
-    report = monte_carlo_gap(models.__getitem__, sizes, rule, trials, seed=seed)
+    try:
+        report = monte_carlo_gap(family, sizes, rule, trials, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.path}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "phase.csv"

@@ -55,15 +55,9 @@ __all__ = [
     "write_trace",
     "read_trace",
     "TRACE_HEADER",
-    "StepScaleError",
 ]
 
 TRACE_HEADER = "t,obj_true,obj_sampled,gamma,eigvecs,wall_ms"
-
-
-class StepScaleError(ValueError):
-    """The settings give a solver no usable step scale: none is set and no
-    smoothed problem derives one, or a set one is out of range."""
 
 
 @dataclass
@@ -107,8 +101,7 @@ class SolverConfig:
     true_obj_every: int | None = None
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be at least 1")
+        _check_run_length(self.N, self.true_obj_every)
         if not 0.0 < self.gamma_d < 1.0:
             raise ValueError("gamma_d must lie in (0, 1)")
         if self.q < 1:
@@ -123,11 +116,18 @@ class SolverConfig:
             raise ValueError(f"oracle_tol must lie in (0, 1), got {self.oracle_tol!r}")
         if self.oracle_path not in ("lanczos", "secular"):
             raise ValueError(f"oracle_path must be 'lanczos' or 'secular', got {self.oracle_path!r}")
-        if self.true_obj_every is not None and self.true_obj_every < 1:
-            raise ValueError(f"true_obj_every must be at least 1, got {self.true_obj_every!r}")
         ladder = [g for g in (self.gamma_min, self.gamma_init, self.gamma_max) if g is not None]
         if ladder != sorted(ladder):
             raise ValueError("gamma_min <= gamma_init <= gamma_max must hold among those set")
+
+
+def _check_run_length(N, true_obj_every):
+    """The rules every solver loop shares: a budget `N` of at least one
+    iteration, and a trace cadence unset or at least 1."""
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N!r}")
+    if true_obj_every is not None and true_obj_every < 1:
+        raise ValueError(f"true_obj_every must be at least 1, got {true_obj_every!r}")
 
 
 @dataclass
@@ -203,18 +203,18 @@ class StochasticOracle:
 
 
 class ExactEigOracle:
-    """Noise-free oracle: one leading eigenpair per evaluation (cost 1)."""
+    """Noise-free oracle: one leading eigenpair per evaluation (cost 1),
+    by Lanczos to relative precision 1e-9."""
 
     sigma2 = 0.0
 
-    def __init__(self, problem, seed, rel_tol=1e-9):
+    def __init__(self, problem, seed):
         self.problem = problem
         self.seed = int(seed)
-        self.rel_tol = rel_tol
 
     def evaluate(self, point, key):
         M = self.problem.matrix(point)
-        pair = lanczos_leading(M, rel_tol=self.rel_tol, rng=sample_rng(self.seed, *key))
+        pair = lanczos_leading(M, rel_tol=1e-9, rng=sample_rng(self.seed, *key))
         value = pair.value + self.problem.linear_value(point)
         grad = _gradient(self.problem, np.outer(pair.vector, pair.vector), point)
         return OracleEval(value=value, grad=grad, cost=pair.cost_eigvecs)
@@ -310,12 +310,12 @@ def _resolve_ladder(config, L):
     unset floor is the theory step capped at the ceiling, and an unset start
     is the ceiling. `L` is the scaled Lipschitz bound of the smoothed
     problem, or None when there is none; then both ends must be set. A
-    start outside the resolved ladder is a StepScaleError.
+    start outside the resolved ladder is a ValueError.
     """
     gamma_min, gamma_max = config.gamma_min, config.gamma_max
     if gamma_min is None or gamma_max is None:
         if L is None:
-            raise StepScaleError(
+            raise ValueError(
                 "explicit 'gamma_max' and 'gamma_min' are required without a "
                 "smoothed problem to derive them from"
             )
@@ -326,7 +326,7 @@ def _resolve_ladder(config, L):
             gamma_min = min(theory, gamma_max)
     gamma_init = config.gamma_init if config.gamma_init is not None else gamma_max
     if not gamma_min <= gamma_init <= gamma_max:
-        raise StepScaleError(f"gamma_init={gamma_init!r} is outside [{gamma_min!r}, {gamma_max!r}]")
+        raise ValueError(f"gamma_init={gamma_init!r} is outside [{gamma_min!r}, {gamma_max!r}]")
     return gamma_min, gamma_init, gamma_max
 
 
@@ -352,11 +352,13 @@ class _Recorder:
     """Trace rows, clock, cumulative cost and best monitored objective of one
     solver run. Rows are taken every `every` iterations (default: about 200
     rows per budget) and at the last one; the solver adds its oracle costs
-    to `cost`. Solvers never modify a recorded point in place, so a row
-    handed the same point object as the last row reuses its monitored
+    to `cost`. Budget and cadence are checked on construction, before the
+    first iteration. Solvers never modify a recorded point in place, so a
+    row handed the same point object as the last row reuses its monitored
     objective."""
 
     def __init__(self, problem, budget, every):
+        _check_run_length(budget, every)
         self.problem = problem
         self.budget = budget
         self.every = every or max(1, math.ceil(budget / 200))
@@ -459,7 +461,7 @@ def acsa_run(problem, oracle, setup, config):
         sigma2 = getattr(oracle, "sigma2", 0.0)
         gamma = _plain_gamma(setup, config, _scaled_lipschitz(problem, config), sigma2)
     else:
-        raise StepScaleError("set 'gamma_min' explicitly when no smoothed problem defines the scale")
+        raise ValueError("set 'gamma_min' explicitly when no smoothed problem defines the scale")
     result = _acsa_engine(problem, oracle, setup, config, gamma, gamma)
     if problem is not None and config.eps > 0:
         result.gap_bound = expected_gap_bound(
@@ -487,14 +489,15 @@ def acsa_linesearch_run(problem, oracle, setup, config):
     return result
 
 
-def subgradient_baseline(problem, setup, budget, seed=0, rel_tol=1e-9, true_obj_every=None):
+def subgradient_baseline(problem, setup, budget, seed=0, true_obj_every=None):
     """Projected subgradient descent on the exact objective.
 
-    Steps D / (||g|| sqrt(t)); one leading eigenpair per iteration. The best
+    Steps D / (||g|| sqrt(t)); one leading eigenpair per iteration, from
+    `ExactEigOracle` (relative precision 1e-9). The best
     objective is the lowest oracle value, and the trace monitors the point
     that attained it, so its objective column never increases.
     """
-    oracle = ExactEigOracle(problem, seed, rel_tol=rel_tol)
+    oracle = ExactEigOracle(problem, seed)
     x = np.array(setup.center, dtype=float, copy=True)
     best = float("inf")
     best_x = x.copy()
@@ -541,13 +544,15 @@ def nesterov_smooth_baseline(problem, setup, eps, budget, lip_scale=1.0,
     """Accelerated gradient on the soft-max smoothing with mu = eps / log n.
 
     One matrix exponential per iteration, charged n eigenvector units. The
-    gradient step uses 1/L with L = 1/(mu lip_scale).
+    gradient step uses 1/L with L = 1/(mu lip_scale). Needs n >= 2, eps > 0.
     """
     n = problem.dim
     if n < 2:
-        raise ValueError("soft-max smoothing needs dimension at least 2")
+        raise ValueError(f"n must be at least 2 for soft-max smoothing, got {n}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     if not 0.0 < lip_scale < math.inf:
-        raise StepScaleError(f"lip_scale must be finite and positive, got {lip_scale!r}")
+        raise ValueError(f"lip_scale must be finite and positive, got {lip_scale!r}")
     mu = eps / math.log(n)
     L = 1.0 / (mu * lip_scale)
     step = 1.0 / L

@@ -56,7 +56,7 @@ MIN_TRIALS = 200  # draws per size that monte_carlo_gap requires
 class SpectrumModel:
     """Decreasing spectrum with its top-eigenvalue structure made explicit.
 
-    `multiplicity` counts the copies of lambda_1, `gamma_gap` is
+    `multiplicity` counts the exact copies of lambda_1, `gamma_gap` is
     lambda_1 - lambda_{l+1} (> 0 required), and `deltas` holds the residual
     gaps lambda_1 - lambda_j - gamma_gap >= 0 for j > l.
     """
@@ -71,13 +71,13 @@ class SpectrumModel:
         return self.lambdas.shape[0]
 
     @classmethod
-    def from_lambdas(cls, lambdas, tie_tol=0.0):
+    def from_lambdas(cls, lambdas):
         lam = np.asarray(lambdas, dtype=float)
         if lam.ndim != 1 or lam.size < 2:
             raise ValueError("a spectrum needs at least two eigenvalues")
         if np.any(np.diff(lam) > 0.0):
             raise ValueError("eigenvalues must be in decreasing order")
-        mult = int(np.sum(lam >= lam[0] - tie_tol))
+        mult = int(np.sum(lam >= lam[0]))
         if mult >= lam.size:
             raise ValueError("the top eigenvalue must have a positive gap")
         gamma = float(lam[0] - lam[mult])
@@ -133,13 +133,13 @@ def eps_critical(model):
     return model.n / float(np.sum(1.0 / (model.gamma_gap + model.deltas)))
 
 
-def t0_solve(model, eps, rel_tol=1e-12, max_iter=200):
+def t0_solve(model, eps):
     """Unique positive t0 with (1/n) sum_{j>l} 1/(t0+gamma+delta_j) = 1/eps.
 
-    Exists only above the critical level; solved by the secular solver's
-    rational steps (Newton and bisection as fallbacks) inside
-    [0, (1 - l/n) eps], so t0 <= (1 - l/n) eps on return. Raises
-    SpectralError if t0 is not fixed after `max_iter` evaluations.
+    Exists only above the critical level; solved to relative precision
+    1e-12 by the secular solver's rational steps (Newton and bisection as
+    fallbacks) inside [0, (1 - l/n) eps], so t0 <= (1 - l/n) eps on return.
+    Raises SpectralError if t0 is not fixed after 200 evaluations.
     """
     eps0 = eps_critical(model)
     if eps <= eps0:
@@ -150,7 +150,7 @@ def t0_solve(model, eps, rel_tol=1e-12, max_iter=200):
     # eps; its bracket [0, eps * sum of weights] is [0, (1 - l/n) eps].
     t, _ = _secular_newton(
         base, np.full((1, base.size), 1.0 / n), eps,
-        np.zeros(1), np.array([(1.0 - model.multiplicity / n) * eps]), rel_tol, max_iter,
+        np.zeros(1), np.array([(1.0 - model.multiplicity / n) * eps]), 1e-12, 200,
     )
     return float(t[0])
 
@@ -211,13 +211,13 @@ class PhasePrediction:
         return self.w1(z) * self.xi1(z) / (1.0 / self.eps - 1.0 / self.eps0)
 
 
-def classify_regime(model, eps, crit_rtol=1e-9):
-    """Classify eps against the critical level (equality detected within
-    crit_rtol * eps0) and package the predicted scaling."""
+def classify_regime(model, eps):
+    """Classify eps against the critical level (critical within 1e-9 * eps0)
+    and package the predicted scaling."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     eps0 = eps_critical(model)
-    if abs(eps - eps0) <= crit_rtol * eps0:
+    if abs(eps - eps0) <= 1e-9 * eps0:
         return PhasePrediction("critical", eps, eps0, None, -0.5, model)
     if eps < eps0:
         return PhasePrediction("sub", eps, eps0, None, -1.0, model)
@@ -290,20 +290,24 @@ def monte_carlo_gap(model_family, n_list, eps_rule, trials, seed=0):
     median(T) in the sub-critical and critical regimes, median(|T - t0|) in
     the super-critical one, where the signed deviation is centered and the
     absolute deviation carries the sqrt(n) scale. The slope of
-    log(statistic) against log(n) estimates the predicted order.
+    log(statistic) against log(n) estimates the predicted order. Every
+    size's model and regime is settled before the first draw.
     """
     if int(trials) < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS} per size")
-    rows = []
-    regime = None
-    for idx, n in enumerate(n_list):
+    if not len(n_list):
+        raise ValueError("n_list must not be empty")
+    preds = []
+    for n in n_list:
         model = model_family(int(n))
-        eps0 = eps_critical(model)
-        eps = float(eps_rule(eps0, int(n)))
-        pred = classify_regime(model, eps)
-        regime = pred.regime if regime is None else regime
+        preds.append(classify_regime(model, float(eps_rule(eps_critical(model), int(n)))))
+    regime = preds[0].regime
+    for pred in preds:
         if pred.regime != regime:
-            raise ValueError(f"eps rule changes regime across sizes: {regime} vs {pred.regime}")
+            raise ValueError(f"eps_rule changes regime across sizes: {regime} vs {pred.regime}")
+    rows = []
+    for idx, (n, pred) in enumerate(zip(n_list, preds)):
+        model, eps, eps0 = pred.model, pred.eps, pred.eps0
         rng = sample_rng(seed, idx)
         shifts, top = sample_shifts(model, eps, trials, rng)
         violations = int(np.sum(shifts < (eps / model.n) * top - 1e-12))
@@ -336,9 +340,9 @@ def monte_carlo_gap(model_family, n_list, eps_rule, trials, seed=0):
     )
 
 
-def write_phase_report(report, csv_path, json_path=None):
-    """Emit the scaling report: one CSV row per size plus an optional JSON
-    summary of the regression diagnostics. JSON has no NaN or infinity, so
+def write_phase_report(report, csv_path, json_path):
+    """Emit the scaling report: one CSV row per size plus a JSON summary of
+    the regression diagnostics. JSON has no NaN or infinity, so
     a non-finite number (say the t0 of a sub- or critical-regime row) is
     written as null."""
     with open(csv_path, "w") as fh:
@@ -347,14 +351,13 @@ def write_phase_report(report, csv_path, json_path=None):
             fh.write(
                 f"{r.n},{r.eps!r},{r.regime},{r.median_T!r},{r.predicted_order!r},{report.slope!r}\n"
             )
-    if json_path is not None:
-        payload = {key: _finite_or_none(getattr(report, key))
-                   for key in ("regime", "slope", "intercept", "r2", "trials", "seed")}
-        payload["rows"] = [{key: _finite_or_none(v) for key, v in asdict(r).items()}
-                           for r in report.rows]
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+    payload = {key: _finite_or_none(getattr(report, key))
+               for key in ("regime", "slope", "intercept", "r2", "trials", "seed")}
+    payload["rows"] = [{key: _finite_or_none(v) for key, v in asdict(r).items()}
+                       for r in report.rows]
+    with open(json_path, "w") as fh:
+        json.dump(payload, fh, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def _finite_or_none(value):

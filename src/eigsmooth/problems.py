@@ -184,20 +184,20 @@ def load_covariance(path, n_select):
     return _normalize_spectral(check_symmetric(np.atleast_2d(cov), tol=1e-8))
 
 
-def synthetic_samples(m, n, rng, n_factors=2, factor_scale=4.0, noise=1.0):
-    """Observation matrix from a low-rank factor model plus isotropic noise."""
-    loadings = rng.standard_normal((n, n_factors))
-    strengths = factor_scale / (1.0 + np.arange(n_factors))
-    factors = rng.standard_normal((m, n_factors)) * strengths
-    return factors @ loadings.T + noise * rng.standard_normal((m, n))
+def synthetic_samples(m, n, rng):
+    """Observation matrix from a two-factor model (factor strengths 4 and 2)
+    plus isotropic noise of unit standard deviation."""
+    loadings = rng.standard_normal((n, 2))
+    factors = rng.standard_normal((m, 2)) * np.array([4.0, 2.0])
+    return factors @ loadings.T + rng.standard_normal((m, n))
 
 
-def synthetic_covariance(n, rng, n_factors=2, factor_scale=4.0, noise=0.5):
-    """Low-rank-plus-noise covariance with unit spectral norm and
-    well-separated leading eigenvalues."""
-    loadings = rng.standard_normal((n, n_factors)) / math.sqrt(n)
-    strengths = (factor_scale / (1.0 + np.arange(n_factors))) ** 2
-    A = (loadings * strengths) @ loadings.T + (noise**2 / n) * np.eye(n)
+def synthetic_covariance(n, rng):
+    """Two-factor (strengths 4 and 2) plus noise (standard deviation 0.5)
+    covariance with unit spectral norm and well-separated leading
+    eigenvalues."""
+    loadings = rng.standard_normal((n, 2)) / math.sqrt(n)
+    A = (loadings * np.array([16.0, 4.0])) @ loadings.T + (0.25 / n) * np.eye(n)
     return _normalize_spectral(check_symmetric(A))
 
 
@@ -228,7 +228,7 @@ def maxcut_problem(n, rng, radius=None):
     return BallProblem(C=C, radius=float(radius) if radius is not None else float(n))
 
 
-def _grid_refine(evaluate, center, half, levels, points, clamp=None):
+def _grid_refine(evaluate, center, half, levels, points, clamp):
     """Multilevel dense grid minimization: evaluate on a points^d grid
     centered on the incumbent, then shrink the window.
 
@@ -244,8 +244,7 @@ def _grid_refine(evaluate, center, half, levels, points, clamp=None):
         axes = [np.linspace(best_x[i] - half, best_x[i] + half, points) for i in range(d)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         grid_center = best_x.copy()
-        if clamp is not None:
-            mesh = clamp(mesh)
+        mesh = clamp(mesh)
         vals = evaluate(mesh)
         i = int(np.argmin(vals))
         if vals[i] < best_val:
@@ -285,9 +284,10 @@ def box_reference(problem, levels=18, points=13):
     return X, val
 
 
-def ball_reference(problem, levels=18, points=13, half=None):
+def ball_reference(problem, levels=18, points=13):
     """Brute-force reference optimum of a small ball problem by multilevel
-    dense grid over w (desk scale: n <= 4).
+    dense grid over w (desk scale: n <= 4), from a window of half-width the
+    radius.
 
     The objective decreases without bound along the all-ones direction, so
     the constraint always binds: the search covers the whole ball (grid
@@ -309,6 +309,4 @@ def ball_reference(problem, levels=18, points=13, half=None):
         factor = np.minimum(1.0, problem.radius / np.maximum(norms, 1e-300))
         return mesh * factor
 
-    start_half = half if half is not None else float(problem.radius)
-    w, val = _grid_refine(evaluate, np.zeros(n), start_half, levels, points, clamp=clamp)
-    return w, val
+    return _grid_refine(evaluate, np.zeros(n), float(problem.radius), levels, points, clamp)

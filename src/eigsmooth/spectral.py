@@ -53,6 +53,12 @@ __all__ = [
 # equation: they are rounding noise and would otherwise create spurious poles.
 _DEFLATE_REL = 1e-14
 
+# Lanczos budgets guarantee their precision with this failure probability.
+_LANCZOS_FAIL_PROB = 0.01
+
+# A top eigenvalue within this of the second is treated as multiple.
+_GAP_THRESHOLD = 1e-12
+
 # A secular residual within this many roundoffs of 1/scale is at the root to
 # working precision: further steps would only hop between the floats around it.
 _ROUNDING_FLOOR = 4.0 * np.finfo(float).eps
@@ -107,10 +113,10 @@ def check_symmetric(X, tol=1e-12):
     return S.copy() if np.may_share_memory(S, X) else S
 
 
-def load_matrix(path, tol=1e-12):
+def load_matrix(path):
     """Read a matrix from the plain-text format: line 1 holds n, then n rows
-    of n whitespace-separated decimals. Symmetry is validated, then enforced
-    exactly."""
+    of n whitespace-separated decimals. Symmetry is validated (to
+    `check_symmetric`'s 1e-12), then enforced exactly."""
     with open(path) as fh:
         raw = fh.read().split("\n")
     rows = [(i + 1, line.split()) for i, line in enumerate(raw) if line.strip()]
@@ -135,7 +141,7 @@ def load_matrix(path, tol=1e-12):
             data[i] = [float(t) for t in tokens]
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-numeric entry") from None
-    return check_symmetric(data, tol=tol)
+    return check_symmetric(data)
 
 
 def save_matrix(path, X):
@@ -241,22 +247,21 @@ def full_eig(X):
     return SpectralDecomp(values=w, vectors=V, cost_eigvecs=float(X.shape[0]))
 
 
-def lanczos_iteration_budget(n, rel_tol, fail_prob):
+def lanczos_iteration_budget(n, rel_tol):
     """Matrix-vector budget guaranteeing relative precision `rel_tol` with
-    probability 1 - fail_prob from a uniform random start:
-    ceil(log(n / fail_prob^2) / (4 sqrt(rel_tol)))."""
+    probability 1 - p, p = 0.01, from a uniform random start:
+    ceil(log(n / p^2) / (4 sqrt(rel_tol)))."""
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
-    if not 0.0 < fail_prob < 1.0:
-        raise ValueError("fail_prob must lie in (0, 1)")
-    return int(math.ceil(math.log(n / fail_prob**2) / (4.0 * math.sqrt(rel_tol))))
+    return int(math.ceil(math.log(n / _LANCZOS_FAIL_PROB**2) / (4.0 * math.sqrt(rel_tol))))
 
 
-def lanczos_leading(X, rel_tol=1e-8, fail_prob=0.01, rng=None, restart_limit=3, max_iter=None,
-                    update=None):
+def lanczos_leading(X, rel_tol=1e-8, *, rng, restart_limit=3, max_iter=None, update=None):
     """Leading eigenpair by Lanczos with full reorthogonalization.
 
-    The start vector is drawn uniformly on the sphere from `rng`. The run is
+    The start vector is drawn uniformly on the sphere from the seeded
+    generator `rng`. An attempt takes at most `max_iter` steps, by default
+    `lanczos_iteration_budget`'s (failure probability 0.01). The run is
     restarted with a fresh start vector on stagnation (budget exhausted or
     premature breakdown without a converged top pair). On success the Ritz
     residual satisfies ``||A v - value v|| <= rel_tol * max(1, |value|)`` for
@@ -271,8 +276,6 @@ def lanczos_leading(X, rel_tol=1e-8, fail_prob=0.01, rng=None, restart_limit=3, 
     Raises LanczosConvergenceError after `restart_limit` failed attempts;
     never returns a silently unconverged answer.
     """
-    if rng is None:
-        raise ValueError("lanczos_leading requires a seeded random generator")
     if update is None:
         X, scale, z = check_symmetric(X), 0.0, None
     else:
@@ -284,7 +287,7 @@ def lanczos_leading(X, rel_tol=1e-8, fail_prob=0.01, rng=None, restart_limit=3, 
     if n == 1:
         value = float(X[0, 0] if z is None else X[0, 0] + scale * z[0] ** 2)
         return EigPair(value=value, vector=np.ones(1), cost_eigvecs=1.0)
-    budget = lanczos_iteration_budget(n, rel_tol, fail_prob) if max_iter is None else int(max_iter)
+    budget = lanczos_iteration_budget(n, rel_tol) if max_iter is None else int(max_iter)
     # The Krylov space is the whole space after n steps; more cannot help.
     steps = max(2, min(budget, n))
     total_matvecs = 0
@@ -515,7 +518,7 @@ def _secular_shifts(lambdas, weights, scale, rel_tol, max_iter):
     return np.maximum(t - off, 0.0), degenerate, iterations
 
 
-def secular_root(problem, rel_tol=1e-12, max_iter=200):
+def secular_root(problem, rel_tol=1e-12):
     """Unique positive root of the rank-one update equation.
 
     Solved inside the analytic bracket [scale * w_top, scale * sum w], where
@@ -527,11 +530,11 @@ def secular_root(problem, rel_tol=1e-12, max_iter=200):
     carries no weight (update vector orthogonal to it) the root may sit at a
     pole: the deflated problem is solved and the result flagged degenerate.
     `iterations` counts the evaluations of the equation. Raises
-    SpectralError if the root is not fixed after `max_iter` of them.
+    SpectralError if the root is not fixed after 200 of them.
     """
     shifts, degenerate, iterations = _secular_shifts(
         problem.lambdas, np.asarray(problem.weights, dtype=float)[None], problem.scale,
-        rel_tol, max_iter,
+        rel_tol, 200,
     )
     return SecularRoot(
         shift=float(shifts[0]), degenerate=bool(degenerate[0]), iterations=int(iterations[0])
@@ -581,42 +584,44 @@ def _rank_one_top(decomp, Z, scale, rel_tol=1e-13):
     return values, degenerate, i0, _canonical_sign(vecs)
 
 
-def rank_one_leading(decomp, v, eps_over_n, rel_tol=1e-12):
+def rank_one_leading(decomp, v, eps_over_n):
     """Leading eigenpair of ``X + eps_over_n * v v^T`` from a decomposition of X.
 
-    The eigenvalue is lambda_1 + t* with t* from the secular equation;
-    eigenvector coordinates in the eigenbasis are (coords of v)_j /
-    (value - lambda_j), normalized and rotated back. Charged one eigenvector
-    unit. Raises ValueError unless eps_over_n > 0 and v is nonzero.
+    The eigenvalue is lambda_1 + t* with t* from the secular equation (to
+    relative precision 1e-12); eigenvector coordinates in the eigenbasis are
+    (coords of v)_j / (value - lambda_j), normalized and rotated back.
+    Charged one eigenvector unit. Raises ValueError unless eps_over_n > 0 and v is nonzero.
     """
     v = np.asarray(v, dtype=float)
-    values, degenerate, _, vecs = _rank_one_top(decomp, v[None, None, :], eps_over_n, rel_tol)
+    values, degenerate, _, vecs = _rank_one_top(decomp, v[None, None, :], eps_over_n, 1e-12)
     return EigPair(
         value=float(values[0, 0]), vector=vecs[0], cost_eigvecs=1.0,
         degenerate=bool(degenerate[0, 0]),
     )
 
 
-def local_lip_constant(decomp, gap_threshold=1e-12):
-    """1 / (lambda_1 - lambda_2), the local Lipschitz constant of the gradient
-    of the top-eigenvalue map when the top eigenvalue is simple."""
+def _leading_gap(decomp):
+    """lambda_1 - lambda_2; NonsmoothPointError if it is at most 1e-12."""
     gap = float(decomp.values[0] - decomp.values[1])
-    if gap <= gap_threshold:
+    if gap <= _GAP_THRESHOLD:
         raise NonsmoothPointError(
-            f"spectral gap {gap:.3e} at or below threshold {gap_threshold:g}"
+            f"spectral gap {gap:.3e} at or below threshold {_GAP_THRESHOLD:g}"
         )
-    return 1.0 / gap
+    return gap
 
 
-def extremal_direction(decomp, gap_threshold=1e-12):
+def local_lip_constant(decomp):
+    """1 / (lambda_1 - lambda_2), the local Lipschitz constant of the gradient
+    of the top-eigenvalue map when the top eigenvalue is simple (gap above
+    1e-12)."""
+    return 1.0 / _leading_gap(decomp)
+
+
+def extremal_direction(decomp):
     """Unit-Frobenius symmetric direction attaining the supremum of the second
     directional derivative of the top-eigenvalue map: the normalized swap of
-    the two leading eigenvectors."""
-    gap = float(decomp.values[0] - decomp.values[1])
-    if gap <= gap_threshold:
-        raise NonsmoothPointError(
-            f"spectral gap {gap:.3e} at or below threshold {gap_threshold:g}"
-        )
+    the two leading eigenvectors. The gap must exceed 1e-12."""
+    _leading_gap(decomp)
     p1 = decomp.vectors[:, 0]
     p2 = decomp.vectors[:, 1]
     return (np.outer(p1, p2) + np.outer(p2, p1)) / math.sqrt(2.0)

@@ -432,6 +432,33 @@ def test_config_validation():
     assert SolverConfig(N=5, eps=0.0, k=1).k == 1  # k >= 3 only where the smoothing needs it
 
 
+@pytest.mark.parametrize("run, kwargs, field", [
+    (nesterov_smooth_baseline, {"eps": 0.0, "budget": 5}, "eps"),
+    (nesterov_smooth_baseline, {"eps": 0.1, "budget": 0}, "N"),
+    (nesterov_smooth_baseline, {"eps": 0.1, "budget": 5, "true_obj_every": 0}, "true_obj_every"),
+    (subgradient_baseline, {"budget": 0}, "N"),
+    (subgradient_baseline, {"budget": 5, "true_obj_every": 0}, "true_obj_every"),
+])
+def test_baselines_reject_settings_before_any_oracle_call(monkeypatch, run, kwargs, field):
+    from eigsmooth import optimize
+
+    calls = []
+
+    def spying(name, fn):
+        def spy(*args):
+            calls.append(name)
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(optimize, "softmax_smoothed", spying("softmax", optimize.softmax_smoothed))
+    monkeypatch.setattr(optimize.ExactEigOracle, "evaluate",
+                        spying("exact", optimize.ExactEigOracle.evaluate))
+    prob = dspca_problem(synthetic_covariance(6, np.random.default_rng(5)))
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        run(prob, prob.prox_setup(), **kwargs)
+    assert calls == []
+
+
 def test_secular_oracle_decomposes_and_charges_n():
     prob = _small_maxcut(n=7)
     params = SmoothingParams(eps=0.2, n=7)

@@ -40,7 +40,7 @@ def test_load_normalizes_spectral_norm(tmp_path):
 
 def test_load_samples_selects_top_variance(tmp_path):
     rng = np.random.default_rng(1)
-    data = synthetic_samples(400, 30, rng, n_factors=2)
+    data = synthetic_samples(400, 30, rng)
     path = tmp_path / "samples.txt"
     with open(path, "w") as fh:
         fh.write("400 30\n")

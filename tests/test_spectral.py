@@ -137,14 +137,14 @@ def test_lanczos_diagonal():
 
 
 def test_lanczos_budget_formula():
-    assert lanczos_iteration_budget(1000, 1e-6, 0.01) == 4030
+    assert lanczos_iteration_budget(1000, 1e-6) == 4030
 
 
 def test_lanczos_matches_full_eig():
     rng = np.random.default_rng(2)
     X = random_symmetric(200, rng)
     top = full_eig(X).values[0]
-    pair = lanczos_leading(X, rel_tol=1e-10, fail_prob=0.01, rng=rng)
+    pair = lanczos_leading(X, rel_tol=1e-10, rng=rng)
     assert abs(pair.value - top) <= 1e-8 * max(1.0, abs(top))
     resid = np.linalg.norm(X @ pair.vector - pair.value * pair.vector)
     assert resid <= 1e-10 * max(1.0, abs(pair.value))
