@@ -107,60 +107,61 @@ class Config:
             raise ConfigError(f"{self.path}: unknown field {sorted(unknown)[0]!r}")
 
 
-# Solver keys and their Config parsers; a key left unset keeps SolverConfig's default.
+# Solver keys and their Config parsers; a key left unset keeps SolverConfig's
+# default, except q, which stoch_ls and acsa derive from eps.
 SOLVER_KEYS = {
-    "k": "int", "gamma_max": "float", "gamma_min": "float", "gamma_init": "float",
+    "q": "int", "k": "int", "gamma_max": "float", "gamma_min": "float", "gamma_init": "float",
     "gamma_d": "float", "ladder_span": "float", "lip_scale": "float",
     "oracle_path": "str", "oracle_tol": "float", "true_obj_every": "int",
 }
 SOLVE_KEYS = (
-    "problem", "algorithm", "n", "seed", "name", "eps", "q", "N",
+    "problem", "algorithm", "n", "seed", "name", "eps", "N",
     "radius", "rho", "data_path", "n_select", "det_lip_scale", *SOLVER_KEYS,
 )
 
 
-def _build_problem(cfg, seed):
-    kind = cfg.str("problem", required=True, choices=("dspca", "maxcut"))
-    n = cfg.int("n", required=True)
+def _build_problem(cfg, kind, n, seed, cov):
+    """The config's problem; a dspca one on `cov` when a data file gave it."""
     data_rng = sample_rng(seed, 9001)  # problem data stream, disjoint from the solver's
-    if kind == "dspca":
-        data_path = cfg.str("data_path")
-        if data_path is not None:
-            A = load_covariance(data_path, cfg.int("n_select", default=n))
-        else:
-            A = synthetic_covariance(n, data_rng)
-        return dspca_problem(A, rho=cfg.float("rho"))
-    return maxcut_problem(n, data_rng, radius=cfg.float("radius"))
+    if kind == "maxcut":
+        return maxcut_problem(n, data_rng, radius=cfg.float("radius"))
+    A = synthetic_covariance(n, data_rng) if cov is None else cov
+    return dspca_problem(A, rho=cfg.float("rho"))
 
 
 def _run_solver(cfg, seed):
     algorithm = cfg.str("algorithm", required=True, choices=ALGORITHMS)
-    eps, q = cfg.float("eps", default=0.05), cfg.int("q")
+    eps = cfg.float("eps", default=0.05)
     if not 0.0 <= eps < math.inf:
         raise ConfigError(f"{cfg.path}: field 'eps' must be finite and nonnegative, got {eps!r}")
-    if eps == 0.0 and q is None and algorithm in ("stoch_ls", "acsa"):
-        # the default q = ceil(0.1 / eps) divides by eps
-        raise ConfigError(f"{cfg.path}: field 'eps' must be positive without 'q'")
-    problem = _build_problem(cfg, seed)
-    n = problem.dim
-    setup = problem.prox_setup()
-    budget = cfg.int("N", default=int(math.ceil(100.0 * math.sqrt(n))))
+    # every solver key a file sets meets SolverConfig's rules, whichever algorithm runs
+    given = {key: getattr(cfg, cast)(key) for key, cast in SOLVER_KEYS.items() if key in cfg.values}
+    if "q" not in given and algorithm in ("stoch_ls", "acsa"):
+        if eps == 0.0:  # the default q = ceil(0.1 / eps) divides by eps
+            raise ConfigError(f"{cfg.path}: field 'eps' must be positive without 'q'")
+        given["q"] = max(1, math.ceil(0.1 / eps))
+    kind = cfg.str("problem", required=True, choices=("dspca", "maxcut"))
+    n, data_path, cov = cfg.int("n", required=True), cfg.str("data_path"), None
+    if data_path is None and "n_select" in cfg.values:
+        raise ConfigError(f"{cfg.path}: field 'n_select' needs 'data_path'")
+    if kind == "dspca" and data_path is not None:  # outside the handler: a bad file is no setting
+        cov = load_covariance(data_path, cfg.int("n_select", default=n))
     try:
+        problem = _build_problem(cfg, kind, n, seed, cov)
+        setup = problem.prox_setup()
+        budget = cfg.int("N", default=int(math.ceil(100.0 * math.sqrt(problem.dim))))
+        config = SolverConfig(N=budget, eps=eps, seed=seed, **given)
         if algorithm == "det_smooth":
             result = nesterov_smooth_baseline(
                 problem, setup, eps, budget,
                 lip_scale=cfg.float("det_lip_scale", default=1.0),
-                true_obj_every=cfg.int("true_obj_every"),
+                true_obj_every=config.true_obj_every,
             )
         elif algorithm == "subgrad":
             result = subgradient_baseline(
-                problem, setup, budget, seed=seed, true_obj_every=cfg.int("true_obj_every"),
+                problem, setup, budget, seed=seed, true_obj_every=config.true_obj_every,
             )
         else:
-            given = {key: getattr(cfg, kind)(key) for key, kind in SOLVER_KEYS.items()
-                     if key in cfg.values}
-            config = SolverConfig(N=budget, eps=eps, seed=seed,
-                                  q=max(1, math.ceil(0.1 / eps)) if q is None else q, **given)
             runner = acsa_linesearch_run if algorithm == "stoch_ls" else acsa_run
             result = runner(problem, None, setup, config)
     except ValueError as exc:  # a rejected setting: a run's numerical failures abort it

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimize import ProxSetup
-from .spectral import check_symmetric, load_matrix
+from .spectral import check_symmetric, load_matrix, symmetrize
 
 __all__ = [
     "BoxProblem",
@@ -47,13 +47,13 @@ __all__ = [
 
 @dataclass
 class BoxProblem:
-    """Entrywise box-constrained perturbation of a fixed symmetric matrix."""
+    """Entrywise box-constrained perturbation of a fixed symmetric matrix (kept as a copy)."""
 
     A: np.ndarray
     rho: float
 
     def __post_init__(self):
-        self.A = check_symmetric(self.A)
+        self.A = check_symmetric(self.A).copy()
         if self.rho <= 0.0:
             raise ValueError("rho must be positive")
 
@@ -93,13 +93,13 @@ class BoxProblem:
 
 @dataclass
 class BallProblem:
-    """Diagonal shift of a fixed matrix penalized by -1^T w over a ball."""
+    """Diagonal shift of a fixed matrix (kept as a copy) penalized by -1^T w over a ball."""
 
     C: np.ndarray
     radius: float
 
     def __post_init__(self):
-        self.C = check_symmetric(self.C)
+        self.C = check_symmetric(self.C).copy()
         if self.radius <= 0.0:
             raise ValueError("radius must be positive")
 
@@ -198,7 +198,7 @@ def synthetic_covariance(n, rng):
     eigenvalues."""
     loadings = rng.standard_normal((n, 2)) / math.sqrt(n)
     A = (loadings * np.array([16.0, 4.0])) @ loadings.T + (0.25 / n) * np.eye(n)
-    return _normalize_spectral(check_symmetric(A))
+    return _normalize_spectral(symmetrize(A))
 
 
 def dspca_problem(A, rho=None):
@@ -224,8 +224,8 @@ def maxcut_problem(n, rng, radius=None):
         raise ValueError("n must be at least 2")
     G = rng.standard_normal((n, n))
     C = G.T @ G
-    C = check_symmetric(C / np.linalg.eigvalsh(C)[-1])
-    return BallProblem(C=C, radius=float(radius) if radius is not None else float(n))
+    radius = float(radius) if radius is not None else float(n)
+    return BallProblem(C=C / np.linalg.eigvalsh(C)[-1], radius=radius)
 
 
 def _grid_refine(evaluate, center, half, levels, points, clamp):

@@ -173,7 +173,7 @@ def sample_fk(X, params, rng, lanczos_tol=1e-9):
 
 
 def _prepare(X, params):
-    """X checked once per call: a matrix by `check_symmetric`, either form against params.n."""
+    """X checked once per call, uncopied: a matrix by `check_symmetric`, either form against params.n."""
     if not isinstance(X, SpectralDecomp):
         X = check_symmetric(X)
     n = X.n if isinstance(X, SpectralDecomp) else X.shape[0]

@@ -12,6 +12,8 @@ deflation their weights are summed, one term per distinct eigenvalue. Like
 Lanczos, it either converges or raises SpectralError; it never returns a
 silently unconverged answer.
 
+Every matrix is validated by the one `check_symmetric`, which hands an
+exactly symmetric input back as is, so validation copies nothing.
 All routines are pure functions of their inputs plus an explicit seeded
 random stream, so they are safe to call concurrently.
 
@@ -83,8 +85,14 @@ def symmetrize(X):
     return 0.5 * X + 0.5 * X.T
 
 
-def _symmetric(X, tol):
-    """`check_symmetric` that returns an exactly symmetric X itself, uncopied."""
+def check_symmetric(X, tol=1e-12):
+    """Validate a square real matrix and return it exactly symmetric, with no
+    copy: ``np.asarray(X, float)`` itself when that is exactly symmetric, else
+    its exact symmetrization as a new array. A caller that keeps it copies it.
+
+    Rejects non-square shapes, non-finite entries, and asymmetry beyond
+    ``tol * max(1, max|X|)``.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {X.shape}")
@@ -100,17 +108,6 @@ def _symmetric(X, tol):
     if asym > 0.5 * tol * max(1.0, top, -bottom):
         raise ValueError(f"matrix is not symmetric: max |X - X^T| = {2.0 * asym:.3e}")
     return half + half.T
-
-
-def check_symmetric(X, tol=1e-12):
-    """Validate a square real matrix and return it exactly symmetrized, as a
-    new array (a copy when X is already exactly symmetric).
-
-    Rejects non-square shapes, non-finite entries, and asymmetry beyond
-    ``tol * max(1, max|X|)``.
-    """
-    S = _symmetric(X, tol)
-    return S.copy() if np.may_share_memory(S, X) else S
 
 
 def load_matrix(path):
@@ -236,10 +233,11 @@ def full_eig(X):
 
     Values come out in decreasing order with stable tie-breaking; each
     eigenvector is normalized with its first nonzero coordinate positive.
-    Costs n eigenvector units. Beyond eigh's output it allocates the
-    reordered vectors, and a symmetrized X only if X is not exactly symmetric.
+    Costs n eigenvector units. X is validated by `check_symmetric`; beyond
+    eigh's output it allocates the reordered vectors, and a symmetrized X
+    only if X is not exactly symmetric.
     """
-    X = _symmetric(X, 1e-12)
+    X = check_symmetric(X)
     w, V = np.linalg.eigh(X)
     order = np.argsort(-w, kind="stable")
     w, V = w[order], V.take(order, axis=1)

@@ -111,6 +111,48 @@ def test_config_mistakes_are_config_errors(tmp_path, capsys, command, fields, me
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, message", [
+    # the problem builders' rejections are settings too
+    ({"problem": "dspca", "rho": -1}, "stoch_ls: rho must be positive"),
+    ({"radius": -1}, "stoch_ls: radius must be positive"),
+    ({"n": 1}, "stoch_ls: n must be at least 2"),
+    # every solver key a file sets meets SolverConfig's rules, used or not
+    ({"algorithm": "det_smooth", "gamma_d": 2}, "det_smooth: gamma_d must lie in (0, 1)"),
+    ({"algorithm": "det_smooth", "q": 0}, "det_smooth: q must be at least 1"),
+    ({"algorithm": "subgrad", "k": 0}, "subgrad: k must be at least 1"),
+    ({"algorithm": "subgrad", "oracle_path": "auto"}, "subgrad: oracle_path must be"),
+    ({"algorithm": "det_smooth", "problem": "dspca", "n": 20, "gamma_d": 2, "q": 0, "k": 0},
+     "det_smooth: gamma_d must lie in (0, 1)"),
+    ({"problem": "dspca", "n_select": 3}, "field 'n_select' needs 'data_path'"),
+])
+def test_solve_setting_mistakes_exit_2_with_the_config_path(tmp_path, capsys, fields, message):
+    base = {"problem": "maxcut", "algorithm": "stoch_ls", "n": 4, "N": 3, "eps": 0.1, "q": 2}
+    cfg = write_config(tmp_path / "c.txt", seed=1, **{**base, **fields})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"{cfg}: {message}" in capsys.readouterr().err
+
+
+def test_solve_malformed_data_file_is_not_a_setting(tmp_path, capsys):
+    data = tmp_path / "cov.txt"
+    data.write_text("2\n1.0 x\n0.0 1.0\n")
+    cfg = write_config(tmp_path / "c.txt", problem="dspca", algorithm="det_smooth", n=2, N=3,
+                       seed=1, data_path=data)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "cov.txt:2: non-numeric entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm", ["det_smooth", "subgrad"])
+def test_baselines_run_with_valid_unused_solver_keys(tmp_path, algorithm):
+    base = dict(problem="dspca", algorithm=algorithm, n=8, N=5, seed=3, eps=0.1)
+    unused = dict(q=2, k=5, gamma_d=0.25, oracle_path="secular", oracle_tol=1e-3)
+    traces = []
+    for name, fields in (("plain", base), ("unused", {**base, **unused})):
+        cfg = write_config(tmp_path / f"{name}.txt", name=name, **fields)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        traces.append((tmp_path / f"{name}_trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+
+
 def test_unset_solver_keys_take_solver_config_defaults(tmp_path):
     # the defaults the command line once restated, spelled out, change no byte
     base = dict(problem="maxcut", algorithm="stoch_ls", n=6, N=15, seed=42, eps=0.1, q=2)

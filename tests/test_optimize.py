@@ -242,6 +242,56 @@ def test_collapsed_ladder_matches_plain_run():
     ]
 
 
+_PROBLEMS = {
+    "dspca": lambda: dspca_problem(synthetic_covariance(12, np.random.default_rng(6))),
+    "maxcut": lambda: _small_maxcut(n=10, seed=9),
+}
+
+
+def _rows(result):
+    return [(r.t, r.obj_true, r.obj_sampled, r.gamma, r.eigvecs) for r in result.trace]
+
+
+@pytest.mark.parametrize("path", ["lanczos", "secular"])
+@pytest.mark.parametrize("kind", sorted(_PROBLEMS))
+def test_linesearch_run_is_truncation_invariant(kind, path):
+    # N is only the loop length (and enters the reported bound), so a run cut
+    # at t* repeats the first t* rows of a longer run: the time-to-target
+    # measurements rest on this.
+    prob = _PROBLEMS[kind]()
+    config = dict(eps=0.1, q=2, seed=11, oracle_path=path, true_obj_every=1)
+    full = _rows(acsa_linesearch_run(prob, None, prob.prox_setup(), SolverConfig(N=60, **config)))
+    assert len(full) == 60
+    for t_star in (1, 7, 23, 59):
+        cut = acsa_linesearch_run(prob, None, prob.prox_setup(), SolverConfig(N=t_star, **config))
+        assert _rows(cut) == full[:t_star]
+
+
+@pytest.mark.parametrize("path", ["lanczos", "secular"])
+@pytest.mark.parametrize("kind", sorted(_PROBLEMS))
+def test_oracle_input_is_exactly_symmetric(monkeypatch, kind, path):
+    # the problems build A + X and C + diag(w) exactly symmetric, so the
+    # oracle's one check passes each matrix through unchanged and uncopied
+    from eigsmooth import optimize
+
+    seen = []
+
+    def spy(fn):
+        def wrapper(M, *args, **kwargs):
+            seen.append(M)
+            return fn(M, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(optimize, "gradient_oracle", spy(optimize.gradient_oracle))
+    monkeypatch.setattr(optimize, "full_eig", spy(optimize.full_eig))
+    prob = _PROBLEMS[kind]()
+    config = SolverConfig(N=15, eps=0.1, q=2, seed=12, oracle_path=path)
+    acsa_linesearch_run(prob, None, prob.prox_setup(), config)
+    matrices = [M for M in seen if isinstance(M, np.ndarray)]
+    assert len(matrices) >= 15
+    assert all(np.array_equal(M, M.T) for M in matrices)
+
+
 def test_noiseless_quadratic_accelerated_rate():
     # exact oracle, sigma = 0: doubling N cuts the gap by at least 3x
     n = 8

@@ -5,6 +5,7 @@ import pytest
 
 from eigsmooth.optimize import ExactEigOracle, StochasticOracle
 from eigsmooth.problems import (
+    BallProblem,
     BoxProblem,
     ball_reference,
     box_reference,
@@ -162,6 +163,19 @@ def test_maxcut_reference_solves_small_instance():
     assert val <= best + 1e-6
     # the objective decreases along +1, so the constraint binds
     assert np.linalg.norm(w) == pytest.approx(prob.radius, rel=1e-3)
+
+
+@pytest.mark.parametrize("cls, field, scalar", [(BoxProblem, "A", {"rho": 0.1}),
+                                                (BallProblem, "C", {"radius": 1.0})])
+def test_problems_keep_a_copy_of_their_matrix(cls, field, scalar):
+    # the one validator hands an exactly symmetric input back uncopied, so the
+    # problems, which keep it, copy it
+    M = synthetic_covariance(6, np.random.default_rng(3))
+    problem = cls(M, **scalar)
+    before = problem.matrix(problem.center())
+    M[0, 0] = M[1, 2] = M[2, 1] = 99.0
+    assert np.array_equal(problem.matrix(problem.center()), before)
+    assert not np.shares_memory(getattr(problem, field), M)
 
 
 # ------------------------------------------------------------- composite

@@ -1,9 +1,10 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from eigsmooth.problems import synthetic_covariance
+from eigsmooth.problems import dspca_problem, synthetic_covariance
 from eigsmooth.smoothing import (
     SmoothingParams,
     approximation_bounds,
@@ -351,6 +352,23 @@ def test_gradient_oracle_validates_once(monkeypatch):
     est = gradient_oracle(X, params, 2, rng=7)
     assert counts == {"check_symmetric": 1, "lanczos_leading": 6}
     assert est.cost_eigvecs == 6.0
+
+
+def test_lanczos_oracle_allocates_less_than_its_matrix():
+    # The validated matrix reaches the Lanczos kernel as is: one oracle call
+    # on a problem's matrix allocates less than one n x n array.
+    n = 400
+    problem = dspca_problem(synthetic_covariance(n, np.random.default_rng(1)))
+    M = problem.matrix(problem.center())
+    params = SmoothingParams(eps=0.05, n=n, k=3)
+    gradient_oracle(M, params, 2, rng=0, lanczos_tol=1e-6)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        gradient_oracle(M, params, 2, rng=1, lanczos_tol=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < M.nbytes
 
 
 # ------------------------------------------------------ one batched sampler

@@ -575,7 +575,9 @@ def test_check_symmetric_fresh_and_same_as_symmetrize():
                   np.zeros((0, 0)), big, big + np.array([[0.0, 1e290], [0.0, 0.0]]), near]:
             out = check_symmetric(X)
             assert np.array_equal(_int_bits(out), _int_bits(symmetrize(X)))
-            assert not np.shares_memory(out, X)
+            # X itself exactly when X is exactly symmetric, else a new array
+            symmetric = np.array_equal(X, X.T)
+            assert (out is X) == symmetric and (symmetric or not np.shares_memory(out, X))
             assert np.all(np.isfinite(out)) and np.array_equal(out, out.T)
     assert check_symmetric(big)[0, 0] == 1e308
     assert check_symmetric(near)[0, 1] == 0.5 * near[0, 1] + 0.5 * near[1, 0]
