@@ -34,6 +34,7 @@ from .optimize import (
     SolverConfig,
     acsa_linesearch_run,
     acsa_run,
+    check_finite_positive,
     nesterov_smooth_baseline,
     read_trace,
     subgradient_baseline,
@@ -142,11 +143,16 @@ def _run_solver(cfg, seed):
         given["q"] = max(1, math.ceil(0.1 / eps))
     kind = cfg.str("problem", required=True, choices=("dspca", "maxcut"))
     n, data_path, cov = cfg.int("n", required=True), cfg.str("data_path"), None
-    if data_path is None and "n_select" in cfg.values:
-        raise ConfigError(f"{cfg.path}: field 'n_select' needs 'data_path'")
-    if kind == "dspca" and data_path is not None:  # outside the handler: a bad file is no setting
+    for key, needs in (("data_path", "problem = dspca"), ("n_select", "'data_path' and problem = dspca")):
+        if key in cfg.values and (kind == "maxcut" or data_path is None):
+            raise ConfigError(f"{cfg.path}: field {key!r} needs {needs}")
+    if data_path is not None:  # outside the handler: a bad file is no setting
         cov = load_covariance(data_path, cfg.int("n_select", default=n))
     try:
+        for key, used in (("rho", kind == "dspca"), ("radius", kind == "maxcut"),
+                          ("det_lip_scale", algorithm == "det_smooth")):
+            if key in cfg.values and not used:  # a key the run uses is checked where it is used
+                check_finite_positive(key, cfg.float(key))
         problem = _build_problem(cfg, kind, n, seed, cov)
         setup = problem.prox_setup()
         budget = cfg.int("N", default=int(math.ceil(100.0 * math.sqrt(problem.dim))))
@@ -279,8 +285,7 @@ def _parse_eps_rule(text):
     if relative:
         text = text[: -len("eps0")].rstrip().removesuffix("*").strip() or "1"
     value = float(text)
-    if not 0.0 < value < math.inf:
-        raise ValueError("eps must be finite and positive")
+    check_finite_positive("eps", value)
     return (lambda eps0, n: value * eps0) if relative else (lambda eps0, n: value)
 
 

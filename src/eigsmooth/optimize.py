@@ -36,6 +36,7 @@ from .spectral import SpectralError, full_eig, lanczos_leading
 __all__ = [
     "ProxSetup",
     "SolverConfig",
+    "check_finite_positive",
     "TraceRecord",
     "OracleEval",
     "RunResult",
@@ -109,9 +110,8 @@ class SolverConfig:
         if self.k < (3 if self.eps > 0.0 else 1):
             raise ValueError(f"k must be at least 1, and at least 3 when eps > 0, got {self.k!r}")
         for name in ("gamma_max", "gamma_min", "gamma_init", "ladder_span", "lip_scale"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            if getattr(self, name) is not None:
+                check_finite_positive(name, getattr(self, name))
         if not 0.0 < self.oracle_tol < 1.0:
             raise ValueError(f"oracle_tol must lie in (0, 1), got {self.oracle_tol!r}")
         if self.oracle_path not in ("lanczos", "secular"):
@@ -119,6 +119,12 @@ class SolverConfig:
         ladder = [g for g in (self.gamma_min, self.gamma_init, self.gamma_max) if g is not None]
         if ladder != sorted(ladder):
             raise ValueError("gamma_min <= gamma_init <= gamma_max must hold among those set")
+
+
+def check_finite_positive(name, value):
+    """The rule of every scale setting (step scales, eps, lip_scale, rho, radius)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _check_run_length(N, true_obj_every):
@@ -161,17 +167,19 @@ class RunResult:
     abort_reason: str | None = None
 
 
-def _gradient(problem, G, point):
-    """pull_back(G) plus the linear term's gradient, skipped where that is 0.0."""
-    lin, grad = problem.linear_grad(point), problem.pull_back(G)
-    return grad if np.ndim(lin) == 0 and lin == 0.0 else grad + lin
+def _composite(problem, point, value, F, w, q=1):
+    """Composite (value, gradient): value and pull_back(F, w) / q, plus the linear term's."""
+    lin, grad = problem.linear_grad(point), problem.pull_back(F, w)
+    grad /= q  # in place, on pull_back's new sum; a factor weight 1/q would round it apart
+    value = value + problem.linear_value(point)
+    return value, (grad if np.ndim(lin) == 0 and lin == 0.0 else grad + lin)
 
 
 class StochasticOracle:
     """Smoothed value/gradient oracle for a matrix-valued composite problem.
 
     Each evaluation draws q independent smoothed samples at the mapped matrix
-    and chain-rules the averaged rank-one estimate back to the variable space.
+    and hands their q eigenvectors to the problem's `pull_back` as factors.
     Noise is keyed by (seed, *key, sample index). With path "secular" each
     evaluation decomposes the matrix first and charges its n units; any
     other path hands the matrix to the Lanczos path.
@@ -181,13 +189,10 @@ class StochasticOracle:
         self.problem = problem
         self.params = params
         self.q = int(q)
+        self.sigma2 = 1.0 / self.q  # variance bound of the q-average
         self.seed = int(seed)
         self.path = path
         self.lanczos_tol = lanczos_tol
-
-    @property
-    def sigma2(self):
-        return 1.0 / self.q
 
     def evaluate(self, point, key):
         M, cost = self.problem.matrix(point), 0.0
@@ -197,14 +202,13 @@ class StochasticOracle:
         est = gradient_oracle(
             M, self.params, self.q, rng=self.seed, seed_key=tuple(key), lanczos_tol=self.lanczos_tol,
         )
-        value = est.value + self.problem.linear_value(point)
-        grad = _gradient(self.problem, est.matrix, point)
+        value, grad = _composite(self.problem, point, est.value, est.vectors, None, est.q)
         return OracleEval(value=value, grad=grad, cost=cost + est.cost_eigvecs)
 
 
 class ExactEigOracle:
-    """Noise-free oracle: one leading eigenpair per evaluation (cost 1),
-    by Lanczos to relative precision 1e-9."""
+    """Noise-free oracle: one leading eigenpair per evaluation (cost 1), by
+    Lanczos to relative precision 1e-9, whose vector is the gradient's factor."""
 
     sigma2 = 0.0
 
@@ -215,8 +219,7 @@ class ExactEigOracle:
     def evaluate(self, point, key):
         M = self.problem.matrix(point)
         pair = lanczos_leading(M, rel_tol=1e-9, rng=sample_rng(self.seed, *key))
-        value = pair.value + self.problem.linear_value(point)
-        grad = _gradient(self.problem, np.outer(pair.vector, pair.vector), point)
+        value, grad = _composite(self.problem, point, pair.value, pair.vector[None], None)
         return OracleEval(value=value, grad=grad, cost=pair.cost_eigvecs)
 
 
@@ -528,15 +531,16 @@ def softmax_smoothed(M, mu):
 
     The value is a uniform lower approximation: lambda_max - mu log n <= value
     <= lambda_max. Computed through one full decomposition (n eigenvector
-    units), shifted by lambda_max so the exponentials never overflow.
+    units), shifted by lambda_max so the exponentials never overflow. Returns
+    (value, factors, weights, cost), the gradient left as factors: the
+    eigenvectors v_i as rows, weighted by p_i = exp(lambda_i/mu)/Tr exp(M/mu).
     """
     dec = full_eig(M)
     n = dec.n
     shifted = np.exp((dec.values - dec.values[0]) / mu)
     total = float(shifted.sum())
     value = dec.values[0] + mu * math.log(total) - mu * math.log(n)
-    grad = (dec.vectors * (shifted / total)) @ dec.vectors.T
-    return value, grad, dec.cost_eigvecs
+    return value, dec.vectors.T, shifted / total, dec.cost_eigvecs
 
 
 def nesterov_smooth_baseline(problem, setup, eps, budget, lip_scale=1.0,
@@ -549,10 +553,8 @@ def nesterov_smooth_baseline(problem, setup, eps, budget, lip_scale=1.0,
     n = problem.dim
     if n < 2:
         raise ValueError(f"n must be at least 2 for soft-max smoothing, got {n}")
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be finite and positive, got {eps!r}")
-    if not 0.0 < lip_scale < math.inf:
-        raise ValueError(f"lip_scale must be finite and positive, got {lip_scale!r}")
+    check_finite_positive("eps", eps)
+    check_finite_positive("lip_scale", lip_scale)
     mu = eps / math.log(n)
     L = 1.0 / (mu * lip_scale)
     step = 1.0 / L
@@ -564,13 +566,13 @@ def nesterov_smooth_baseline(problem, setup, eps, budget, lip_scale=1.0,
     for t in range(1, budget + 1):
         y = x + ((t - 2.0) / (t + 1.0)) * (x - x_prev) if t > 1 else x
         try:
-            value, grad_m, cost = _evaluate(softmax_smoothed, problem.matrix(y), mu)
+            value, factors, weights, cost = _evaluate(softmax_smoothed, M := problem.matrix(y), mu)
         except SpectralError as exc:
             error = exc
             break
         rec.cost += cost
-        value = value + problem.linear_value(y)
-        grad = _gradient(problem, grad_m, y)
+        value, grad = _composite(problem, y, value, factors, weights)
+        del M, factors  # after the product: freed earlier, blocks get fresh pages; later, RSS
         x_prev = x
         x = setup.project(y - step * grad)
         rec.row(t, x, value)

@@ -13,9 +13,12 @@ Two families:
 
 Both expose the composite-objective interface the solvers consume:
 `matrix(point)` maps the variable to the symmetric matrix whose top
-eigenvalue is measured, `pull_back(G)` chain-rules a matrix gradient to the
-variable space, `linear_value` / `linear_grad` carry the affine term (0.0
-for none), and `prox_setup()` packages projection, diameter, and start point.
+eigenvalue is measured, `pull_back(F, w)` chain-rules a matrix gradient
+given as rank-one factors, sum_k w_k f_k f_k^T over the rows f_k of F (unit
+weights when w is None): the box problem forms that n x n sum, the ball
+problem only its diagonal sum_k w_k f_k^2 in O(kn). `linear_value` /
+`linear_grad` carry the affine term (0.0 for none); `prox_setup()` packages
+projection, diameter, and start point.
 
 Also here: covariance ingestion with top-variance coordinate selection, a
 synthetic low-rank-plus-noise generator reproducing the well-separated
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimize import ProxSetup
+from .optimize import ProxSetup, check_finite_positive
 from .spectral import check_symmetric, load_matrix, symmetrize
 
 __all__ = [
@@ -54,8 +57,7 @@ class BoxProblem:
 
     def __post_init__(self):
         self.A = check_symmetric(self.A).copy()
-        if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
+        check_finite_positive("rho", self.rho)
 
     @property
     def dim(self):
@@ -67,8 +69,8 @@ class BoxProblem:
     def project(self, X):
         return np.clip(X, -self.rho, self.rho)
 
-    def pull_back(self, G):
-        return G
+    def pull_back(self, F, w=None):
+        return F.T @ F if w is None else (F.T * w) @ F  # one buffer: numpy's symmetric product
 
     def linear_value(self, X):
         return 0.0
@@ -100,8 +102,7 @@ class BallProblem:
 
     def __post_init__(self):
         self.C = check_symmetric(self.C).copy()
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+        check_finite_positive("radius", self.radius)
 
     @property
     def dim(self):
@@ -116,8 +117,8 @@ class BallProblem:
             return w
         return w * (self.radius / norm)
 
-    def pull_back(self, G):
-        return np.diag(G).copy()
+    def pull_back(self, F, w=None):
+        return (F * F).sum(axis=0) if w is None else w @ (F * F)
 
     def linear_value(self, w):
         return -float(np.sum(w))
@@ -196,6 +197,8 @@ def synthetic_covariance(n, rng):
     """Two-factor (strengths 4 and 2) plus noise (standard deviation 0.5)
     covariance with unit spectral norm and well-separated leading
     eigenvalues."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     loadings = rng.standard_normal((n, 2)) / math.sqrt(n)
     A = (loadings * np.array([16.0, 4.0])) @ loadings.T + (0.25 / n) * np.eye(n)
     return _normalize_spectral(symmetrize(A))

@@ -18,7 +18,7 @@ order so results are bit-reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,31 +96,20 @@ class OracleSample:
 
 @dataclass
 class GradientEstimate:
-    """Average of q rank-one gradient samples.
+    """Average of q rank-one gradient samples, kept as its factors.
 
-    The factors are kept as a list of eigenvectors; the dense q-average is
-    materialized on first access of `matrix`. `value` is the matching average
-    of the sampled objective realizations.
+    The gradient (1/q) sum_l v_l v_l^T over the rows of `vectors` is never
+    formed here: a problem's `pull_back(vectors)` sums it in the variable
+    space, divided by q after. `value` averages the sampled objective values.
     """
 
     vectors: np.ndarray  # (q, n), one unit eigenvector per sample
     value: float
     cost_eigvecs: float
-    _matrix: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def q(self):
         return self.vectors.shape[0]
-
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            self._matrix = (self.vectors.T @ self.vectors) / self.q
-        return self._matrix
-
-    @property
-    def trace(self):
-        return float(np.trace(self.matrix))
 
 
 def sample_rng(seed, *key):

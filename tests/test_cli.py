@@ -113,8 +113,8 @@ def test_config_mistakes_are_config_errors(tmp_path, capsys, command, fields, me
 
 @pytest.mark.parametrize("fields, message", [
     # the problem builders' rejections are settings too
-    ({"problem": "dspca", "rho": -1}, "stoch_ls: rho must be positive"),
-    ({"radius": -1}, "stoch_ls: radius must be positive"),
+    ({"problem": "dspca", "rho": -1}, "stoch_ls: rho must be finite and positive, got -1.0"),
+    ({"radius": -1}, "stoch_ls: radius must be finite and positive, got -1.0"),
     ({"n": 1}, "stoch_ls: n must be at least 2"),
     # every solver key a file sets meets SolverConfig's rules, used or not
     ({"algorithm": "det_smooth", "gamma_d": 2}, "det_smooth: gamma_d must lie in (0, 1)"),
@@ -124,6 +124,15 @@ def test_config_mistakes_are_config_errors(tmp_path, capsys, command, fields, me
     ({"algorithm": "det_smooth", "problem": "dspca", "n": 20, "gamma_d": 2, "q": 0, "k": 0},
      "det_smooth: gamma_d must lie in (0, 1)"),
     ({"problem": "dspca", "n_select": 3}, "field 'n_select' needs 'data_path'"),
+    ({"problem": "dspca", "n": 0}, "stoch_ls: n must be at least 1"),  # before any division
+    # a problem or baseline key the run does not use meets the library's rules too
+    ({"rho": -1}, "stoch_ls: rho must be finite and positive, got -1.0"),
+    ({"problem": "dspca", "radius": 0}, "stoch_ls: radius must be finite and positive, got 0.0"),
+    ({"det_lip_scale": -1}, "stoch_ls: det_lip_scale must be finite and positive, got -1.0"),
+    ({"algorithm": "subgrad", "det_lip_scale": "inf"}, "subgrad: det_lip_scale must be finite"),
+    # a maxcut instance reads no data file
+    ({"data_path": "no-such-file.txt"}, "field 'data_path' needs problem = dspca"),
+    ({"n_select": 3}, "field 'n_select' needs 'data_path' and problem = dspca"),
 ])
 def test_solve_setting_mistakes_exit_2_with_the_config_path(tmp_path, capsys, fields, message):
     base = {"problem": "maxcut", "algorithm": "stoch_ls", "n": 4, "N": 3, "eps": 0.1, "q": 2}
@@ -185,7 +194,7 @@ def test_solve_deterministic_trace_bytes(tmp_path, algorithm):
 # two BLAS threads; the last two runs take the secular oracle path.
 _TRACE_GOLDEN = {
     "stoch_ls_maxcut": (
-        dict(problem="maxcut", algorithm="stoch_ls", n=30, N=200, seed=11), "7ea94b89785735a1"),
+        dict(problem="maxcut", algorithm="stoch_ls", n=30, N=200, seed=11), "b270843e04e3440b"),
     "stoch_ls_dspca": (dict(problem="dspca", algorithm="stoch_ls", n=40, N=120, seed=11,
                             true_obj_every=3), "5854e3f46e474ece"),
     "det_smooth_dspca": (
@@ -193,7 +202,7 @@ _TRACE_GOLDEN = {
     "subgrad_maxcut": (
         dict(problem="maxcut", algorithm="subgrad", n=30, N=400, seed=3), "58000792ac7443aa"),
     "acsa_maxcut_secular": (dict(problem="maxcut", algorithm="acsa", n=30, N=150, seed=7,
-                                 oracle_path="secular"), "f0827db16458a30c"),
+                                 oracle_path="secular"), "2f807bdb34fe5bde"),
     "stoch_ls_dspca_secular": (dict(problem="dspca", algorithm="stoch_ls", n=40, N=120, seed=11,
                                     true_obj_every=3, oracle_path="secular"), "53e85a0e87079bdf"),
 }

@@ -138,8 +138,8 @@ def test_singleton_feasible_set_is_fixed_point():
         def project(self, X):
             return X0.copy()
 
-        def pull_back(self, G):
-            return G
+        def pull_back(self, F, w=None):
+            return F.T @ F if w is None else (F.T * w) @ F
 
         def linear_value(self, X):
             return 0.0
@@ -516,7 +516,7 @@ def test_secular_oracle_decomposes_and_charges_n():
     ev = StochasticOracle(prob, params, q=4, seed=5, path="secular").evaluate(w, (2,))
     est = gradient_oracle(full_eig(prob.matrix(w)), params, 4, rng=5, seed_key=(2,))
     assert ev.value == est.value + prob.linear_value(w)
-    assert np.array_equal(ev.grad, np.diag(est.matrix) + prob.linear_grad(w))
+    assert np.array_equal(ev.grad, prob.pull_back(est.vectors) / 4 + prob.linear_grad(w))
     assert ev.cost == 7 + 4 * params.k
 
 
@@ -612,7 +612,8 @@ def test_softmax_envelope_and_gradient():
     X = symmetrize(rng.standard_normal((n, n)))
     eps = 0.3
     mu = eps / math.log(n)
-    value, grad, cost = softmax_smoothed(X, mu)
+    value, F, p, cost = softmax_smoothed(X, mu)
+    grad = (F.T * p) @ F  # the gradient sum_i p_i f_i f_i^T of the factors
     top = float(np.linalg.eigvalsh(X)[-1])
     assert top - eps <= value <= top
     assert cost == n
@@ -623,8 +624,8 @@ def test_softmax_envelope_and_gradient():
         Y = symmetrize(rng.standard_normal((n, n)))
         Y /= np.linalg.norm(Y, "fro")
         h = 1e-6
-        up, _, _ = softmax_smoothed(X + h * Y, mu)
-        dn, _, _ = softmax_smoothed(X - h * Y, mu)
+        up = softmax_smoothed(X + h * Y, mu)[0]
+        dn = softmax_smoothed(X - h * Y, mu)[0]
         fd = (up - dn) / (2 * h)
         an = float(np.sum(grad * Y))
         assert abs(fd - an) <= 1e-5 * max(1.0, abs(an))
@@ -642,7 +643,8 @@ def test_softmax_matches_exponential_series():
     for k in range(1, 51):
         term = term @ (X / mu) / k
         series = series + term
-    value, grad, _ = softmax_smoothed(X, mu)
+    value, F, p, _ = softmax_smoothed(X, mu)
+    grad = (F.T * p) @ F
     trace = float(np.trace(series))
     assert np.max(np.abs(grad - series / trace)) <= 1e-12
     assert value == pytest.approx(mu * math.log(trace) - mu * math.log(n), rel=1e-12, abs=1e-14)
@@ -650,7 +652,8 @@ def test_softmax_matches_exponential_series():
 
 def test_softmax_at_zero():
     n = 5
-    value, grad, _ = softmax_smoothed(np.zeros((n, n)), 0.3)
+    value, F, p, _ = softmax_smoothed(np.zeros((n, n)), 0.3)
+    grad = (F.T * p) @ F
     assert value == 0.0
     assert np.max(np.abs(grad - np.eye(n) / n)) <= 1e-15
 
@@ -658,7 +661,8 @@ def test_softmax_at_zero():
 def test_softmax_far_apart_eigenvalues_do_not_overflow():
     # exp(1e4) overflows, but the shifted exponentials never see it
     with np.errstate(over="raise"):
-        value, grad, _ = softmax_smoothed(np.diag([1e4, 0.0]), 1.0)
+        value, F, p, _ = softmax_smoothed(np.diag([1e4, 0.0]), 1.0)
+        grad = (F.T * p) @ F
     assert np.isfinite(value) and np.all(np.isfinite(grad))
     assert np.array_equal(grad, np.diag([1.0, 0.0]))
 

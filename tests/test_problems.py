@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from eigsmooth.optimize import ExactEigOracle, StochasticOracle
+from eigsmooth.optimize import ExactEigOracle, StochasticOracle, _composite, softmax_smoothed
 from eigsmooth.problems import (
     BallProblem,
     BoxProblem,
@@ -15,8 +16,8 @@ from eigsmooth.problems import (
     synthetic_covariance,
     synthetic_samples,
 )
-from eigsmooth.smoothing import SmoothingParams
-from eigsmooth.spectral import save_matrix
+from eigsmooth.smoothing import SmoothingParams, gradient_oracle, sample_rng
+from eigsmooth.spectral import full_eig, lanczos_leading, save_matrix, symmetrize
 
 
 # ----------------------------------------------------------------- loading
@@ -244,14 +245,128 @@ def test_composite_sampled_envelope():
 
 
 def test_composite_gradient_skips_a_zero_linear_term():
-    from eigsmooth.optimize import _gradient
-
     rng = np.random.default_rng(15)
     box = dspca_problem(synthetic_covariance(6, rng))
-    G = rng.standard_normal((6, 6))
-    assert _gradient(box, G, np.zeros((6, 6))) is G  # no n x n copy for the box
+    F = rng.standard_normal((2, 6))
+    sums = []
+
+    def pull_back(*args, _pull_back=box.pull_back):
+        sums.append(_pull_back(*args))
+        return sums[-1]
+
+    box.pull_back = pull_back
+    value, grad = _composite(box, np.zeros((6, 6)), 0.5, F, None, 2)
+    assert grad is sums[0]  # no n x n copy for the box
+    assert value == 0.5 and np.array_equal(grad, (F.T @ F) / 2)
     ball = maxcut_problem(6, rng)
-    assert np.array_equal(_gradient(ball, G, np.zeros(6)), np.diag(G) - 1.0)
+    value, grad = _composite(ball, np.zeros(6), 0.5, F, None, 2)
+    assert value == 0.5 and np.array_equal(grad, np.sum(F * F, axis=0) / 2 - 1.0)
+
+
+# ------------------------------------------------- gradients as rank-one factors
+
+
+def _dense_sample_average(V):
+    """Reference: the q-sample gradient as a dense matrix, (V^T V) / q."""
+    return (V.T @ V) / V.shape[0]
+
+
+def _dense_softmax_gradient(M, mu):
+    """Reference: the soft-max gradient as a dense matrix, V diag(p) V^T."""
+    dec = full_eig(M)
+    shifted = np.exp((dec.values - dec.values[0]) / mu)
+    total = float(shifted.sum())
+    return (dec.vectors * (shifted / total)) @ dec.vectors.T
+
+
+@pytest.mark.parametrize("n", [5, 37, 400])
+def test_box_gradient_from_sample_factors_is_the_dense_average_bit_for_bit(n):
+    # Unit weights take numpy's symmetric product, whose bits a general
+    # product need not match (at n = 37 it does not); 1/q is divided after.
+    rng = np.random.default_rng(n)
+    box = dspca_problem(synthetic_covariance(n, rng))
+    X = np.zeros((n, n))
+    for q in range(1, 7):
+        V = rng.standard_normal((q, n))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        assert np.array_equal(_composite(box, X, 0.0, V, None, q)[1], _dense_sample_average(V))
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_box_oracle_gradient_is_the_dense_average_bit_for_bit(q):
+    n = 37
+    box = dspca_problem(synthetic_covariance(n, np.random.default_rng(4)))
+    X = box.project(0.05 * symmetrize(np.random.default_rng(5).standard_normal((n, n))))
+    params = SmoothingParams(eps=0.05, n=n)
+    ev = StochasticOracle(box, params, q, seed=6, lanczos_tol=1e-6).evaluate(X, (3,))
+    est = gradient_oracle(box.matrix(X), params, q, rng=6, seed_key=(3,), lanczos_tol=1e-6)
+    assert np.array_equal(ev.grad, _dense_sample_average(est.vectors))
+
+
+@pytest.mark.parametrize("n", [5, 37, 400])
+def test_box_gradient_from_softmax_factors_is_the_dense_gradient_bit_for_bit(n):
+    box = dspca_problem(synthetic_covariance(n, np.random.default_rng(n)))
+    X = box.project(0.05 * symmetrize(np.random.default_rng(n + 1).standard_normal((n, n))))
+    mu = 0.05 / math.log(n)
+    value, F, p, _ = softmax_smoothed(box.matrix(X), mu)
+    assert np.array_equal(_composite(box, X, value, F, p)[1],
+                          _dense_softmax_gradient(box.matrix(X), mu))
+
+
+def test_ball_gradient_is_the_dense_diagonal_to_rounding():
+    # A sum of k positive terms rounds apart from a BLAS diagonal, which may
+    # fuse its multiply-adds, by at most k roundoffs; one factor rounds once.
+    n, eps = 37, np.finfo(float).eps
+    rng = np.random.default_rng(7)
+    ball = maxcut_problem(n, rng)
+    w = np.zeros(n)
+    for q in range(1, 7):
+        V = rng.standard_normal((q, n))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        dense = np.diag(_dense_sample_average(V))
+        if q == 1:  # the dense diagonal plus the linear term's gradient
+            assert np.array_equal(_composite(ball, w, 0.0, V, None)[1], dense + ball.linear_grad(w))
+        assert np.allclose(ball.pull_back(V) / q, dense, rtol=q * eps, atol=0)
+    mu = 0.05 / math.log(n)
+    _, F, p, _ = softmax_smoothed(ball.matrix(w), mu)
+    dense = np.diag(_dense_softmax_gradient(ball.matrix(w), mu))
+    assert np.allclose(ball.pull_back(F, p), dense, rtol=n * eps, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["stochastic", "exact"])
+def test_ball_evaluation_allocates_no_n_by_n_gradient(kind):
+    # Past the problem's matrix build, a ball evaluation allocates what its
+    # spectral kernel allocates plus O(qn) for the gradient.
+    n, q, key = 400, 2, (7,)
+    ball = maxcut_problem(n, np.random.default_rng(8))
+    w = ball.project(np.random.default_rng(9).standard_normal(n))
+    params = SmoothingParams(eps=0.05, n=n)
+    if kind == "stochastic":
+        oracle = StochasticOracle(ball, params, q, seed=1, lanczos_tol=1e-6)
+        kernel = lambda M: gradient_oracle(M, params, q, rng=1, seed_key=key, lanczos_tol=1e-6)
+    else:
+        oracle = ExactEigOracle(ball, seed=1)
+        kernel = lambda M: lanczos_leading(M, rel_tol=1e-9, rng=sample_rng(1, *key))
+    oracle.evaluate(w, key)  # warm numpy's caches
+    build, base = ball.matrix, {}
+
+    def matrix(point):
+        M = build(point)
+        base["bytes"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return M
+
+    ball.matrix = matrix
+    tracemalloc.start()
+    try:
+        oracle.evaluate(w, key)
+        evaluation = tracemalloc.get_traced_memory()[1] - base["bytes"]
+        M = matrix(w)
+        kernel(M)
+        spectral = tracemalloc.get_traced_memory()[1] - base["bytes"]
+    finally:
+        tracemalloc.stop()
+    assert evaluation - spectral <= 8 * (4 * q + 4) * n  # a dense gradient takes n * n
 
 
 def test_synthetic_covariance_separated_spectrum():

@@ -129,9 +129,10 @@ def test_gradient_trace_one():
     rng = np.random.default_rng(5)
     X = random_symmetric(9, rng)
     est = gradient_oracle(full_eig(X), SmoothingParams(eps=0.2, n=9), q=7, rng=rng)
-    assert abs(est.trace - 1.0) <= 1e-12
+    V = est.vectors
+    assert abs(np.sum(V * V) / est.q - 1.0) <= 1e-12  # trace of (1/q) sum_l v_l v_l^T
     # PSD: average of rank-one projectors
-    assert np.min(np.linalg.eigvalsh(est.matrix)) >= -1e-14
+    assert np.min(np.linalg.eigvalsh((V.T @ V) / est.q)) >= -1e-14
 
 
 def test_gradient_concentrates_on_gap():
@@ -139,8 +140,10 @@ def test_gradient_concentrates_on_gap():
     n = 12
     X = np.diag(np.concatenate(([1.0], np.zeros(n - 1))))
     est = gradient_oracle(full_eig(X), SmoothingParams(eps=1e-3, n=n), q=200, rng=rng)
-    off = est.matrix - np.diag(np.diag(est.matrix))
-    assert est.matrix[0, 0] > 0.95
+    V = est.vectors
+    mean = (V.T @ V) / est.q
+    off = mean - np.diag(np.diag(mean))
+    assert np.mean(V[:, 0] ** 2) > 0.95
     assert np.max(np.abs(off)) < 0.05
 
 
@@ -148,7 +151,7 @@ def test_gradient_isotropic_at_zero():
     rng = np.random.default_rng(7)
     n = 20
     est = gradient_oracle(full_eig(np.zeros((n, n))), SmoothingParams(eps=0.5, n=n), q=10**4, rng=rng)
-    diag = np.diag(est.matrix)
+    diag = np.mean(est.vectors**2, axis=0)
     serr = 3.0 / np.sqrt(est.q)  # crude bound on 3 standard errors of each entry
     assert np.max(np.abs(diag - 1.0 / n)) <= serr
 
@@ -160,9 +163,9 @@ def test_gradient_counter_seeding_reproducible():
     params = SmoothingParams(eps=0.3, n=6)
     a = gradient_oracle(dec, params, q=4, rng=12345, seed_key=(9,))
     b = gradient_oracle(dec, params, q=4, rng=12345, seed_key=(9,))
-    assert np.array_equal(a.matrix, b.matrix) and a.value == b.value
+    assert np.array_equal(a.vectors, b.vectors) and a.value == b.value
     c = gradient_oracle(dec, params, q=4, rng=12345, seed_key=(10,))
-    assert not np.array_equal(a.matrix, c.matrix)
+    assert not np.array_equal(a.vectors, c.vectors)
 
 
 def test_gradient_cost_accounting():
@@ -268,7 +271,7 @@ def test_diagonal_concentration():
     n = 6
     X = np.diag(np.linspace(1.0, 0.0, n))
     est = gradient_oracle(full_eig(X), SmoothingParams(eps=0.5, n=n), q=10**4, rng=rng)
-    off = est.matrix[~np.eye(n, dtype=bool)]
+    off = ((est.vectors.T @ est.vectors) / est.q)[~np.eye(n, dtype=bool)]
     assert np.max(np.abs(off)) <= 3.0 / np.sqrt(est.q)
 
 
