@@ -147,7 +147,10 @@ def _run_solver(cfg, seed):
         if key in cfg.values and (kind == "maxcut" or data_path is None):
             raise ConfigError(f"{cfg.path}: field {key!r} needs {needs}")
     if data_path is not None:  # outside the handler: a bad file is no setting
-        cov = load_covariance(data_path, cfg.int("n_select", default=n))
+        n_select = cfg.int("n_select", default=n)
+        if n_select < 1:
+            raise ConfigError(f"{cfg.path}: field 'n_select' must be at least 1, got {n_select}")
+        cov = load_covariance(data_path, n_select)
     try:
         for key, used in (("rho", kind == "dspca"), ("radius", kind == "maxcut"),
                           ("det_lip_scale", algorithm == "det_smooth")):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .smoothing import SmoothingParams, gradient_oracle, lipschitz_bound, sample_rng, smoothing_constant
-from .spectral import SpectralError, full_eig, lanczos_leading
+from .spectral import SpectralError, check_symmetric, full_eig, lanczos_leading
 
 __all__ = [
     "ProxSetup",
@@ -170,7 +170,8 @@ class RunResult:
 def _composite(problem, point, value, F, w, q=1):
     """Composite (value, gradient): value and pull_back(F, w) / q, plus the linear term's."""
     lin, grad = problem.linear_grad(point), problem.pull_back(F, w)
-    grad /= q  # in place, on pull_back's new sum; a factor weight 1/q would round it apart
+    if q != 1:
+        grad /= q  # in place, on pull_back's new sum; a factor weight 1/q would round it apart
     value = value + problem.linear_value(point)
     return value, (grad if np.ndim(lin) == 0 and lin == 0.0 else grad + lin)
 
@@ -217,7 +218,7 @@ class ExactEigOracle:
         self.seed = int(seed)
 
     def evaluate(self, point, key):
-        M = self.problem.matrix(point)
+        M = check_symmetric(self.problem.matrix(point))  # Lanczos trusts its input
         pair = lanczos_leading(M, rel_tol=1e-9, rng=sample_rng(self.seed, *key))
         value, grad = _composite(self.problem, point, pair.value, pair.vector[None], None)
         return OracleEval(value=value, grad=grad, cost=pair.cost_eigvecs)

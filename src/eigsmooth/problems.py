@@ -50,13 +50,16 @@ __all__ = [
 
 @dataclass
 class BoxProblem:
-    """Entrywise box-constrained perturbation of a fixed symmetric matrix (kept as a copy)."""
+    """Entrywise box-constrained perturbation of a fixed symmetric matrix (kept
+    as a copy); the half-width rho defaults to max(diag(A)) / 2."""
 
     A: np.ndarray
-    rho: float
+    rho: float | None = None
 
     def __post_init__(self):
         self.A = check_symmetric(self.A).copy()
+        if self.rho is None:
+            self.rho = float(np.max(np.diag(self.A))) / 2.0
         check_finite_positive("rho", self.rho)
 
     @property
@@ -154,8 +157,10 @@ def load_covariance(path, n_select):
     holding the covariance itself, or a sample layout (first line `m n`)
     holding m observation rows of n values from which the covariance is
     formed. The `n_select` coordinates of highest variance are kept, in
-    their original order.
+    their original order; `n_select` must be at least 1.
     """
+    if n_select < 1:
+        raise ValueError(f"n_select must be at least 1, got {n_select!r}")
     with open(path) as fh:
         first = ""
         for line in fh:
@@ -206,14 +211,12 @@ def synthetic_covariance(n, rng):
 
 def dspca_problem(A, rho=None):
     """Box problem over a normalized covariance; default half-width is
-    max(diag(A)) / 2."""
-    A = check_symmetric(A)
-    top = float(np.max(np.abs(np.linalg.eigvalsh(A))))
+    max(diag(A)) / 2. A is checked once, by the `BoxProblem` that keeps it."""
+    problem = BoxProblem(A=A, rho=rho)
+    top = float(np.max(np.abs(np.linalg.eigvalsh(problem.A))))
     if abs(top - 1.0) > 1e-10:
         raise ValueError(f"A must have unit spectral norm, got {top!r}")
-    if rho is None:
-        rho = float(np.max(np.diag(A))) / 2.0
-    return BoxProblem(A=A, rho=rho)
+    return problem
 
 
 def maxcut_problem(n, rng, radius=None):

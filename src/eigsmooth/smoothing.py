@@ -32,11 +32,9 @@ from .spectral import (
 
 __all__ = [
     "SmoothingParams",
-    "OracleSample",
     "GradientEstimate",
     "VarianceProbe",
     "sample_rng",
-    "sample_fk",
     "gradient_oracle",
     "fk_value",
     "fk_values_batch",
@@ -73,25 +71,6 @@ class SmoothingParams:
     def scale(self):
         """Perturbation scale eps / n."""
         return self.eps / self.n
-
-
-@dataclass
-class OracleSample:
-    """One realization of the smoothed objective and its rank-one gradient.
-
-    `vector` is the unit leading eigenvector of the winning perturbed matrix,
-    so the realized gradient is the projector vector vector^T (unit trace by
-    construction). `gap_witness` records value - lambda_max(X) and
-    `witness_bound` the analytic lower bound (eps/n) * max_i (leading
-    coordinate of z_i)^2; both need a decomposition of X and are NaN without.
-    """
-
-    value: float
-    i0: int
-    vector: np.ndarray
-    gap_witness: float
-    witness_bound: float
-    cost_eigvecs: float
 
 
 @dataclass
@@ -136,31 +115,6 @@ def fk_value(X, Z, params):
     return float(values[0, i0]), i0, vecs[0], values[0]
 
 
-def sample_fk(X, params, rng, lanczos_tol=1e-9):
-    """Draw one realization of the smoothed objective and its gradient factor.
-
-    Draws k iid standard Gaussian vectors from `rng`, computes each perturbed
-    top eigenvalue, and returns the max, the winning index (ties broken by
-    lowest index), and the winning eigenvector. X's type picks the path: a
-    `SpectralDecomp` takes the secular path, a matrix the Lanczos path, whose
-    k runs take X unchecked after one `check_symmetric` here. Cost: k
-    eigenpair units. The two witness fields need the decomposition, so they
-    are NaN on the Lanczos path.
-    """
-    X = _prepare(X, params)
-    values, i0, vectors, Z, units = _draw(X, params, [rng], lanczos_tol)
-    value = float(values[0])
-    if isinstance(X, SpectralDecomp):
-        gap_witness = value - float(X.values[0])
-        witness_bound = params.scale * float(np.max((X.vectors[:, 0] @ Z[0].T) ** 2))
-    else:
-        gap_witness = witness_bound = float("nan")
-    return OracleSample(
-        value=value, i0=int(i0[0]), vector=vectors[0],
-        gap_witness=gap_witness, witness_bound=witness_bound, cost_eigvecs=units,
-    )
-
-
 def _prepare(X, params):
     """X checked once per call, uncopied: a matrix by `check_symmetric`, either form against params.n."""
     if not isinstance(X, SpectralDecomp):
@@ -183,32 +137,32 @@ def _draw(X, params, gens, lanczos_tol):
     call for a shared generator) and all samples are solved in one kernel
     call; at eps = 0 a sample is then the top pair of X. On the Lanczos path
     each generator draws its sample's k noise vectors, then the start vectors
-    of its k runs, each run given update (eps/n, z). Returns values, winning
-    indices and unit vectors (q, n), noise Z (q, k, n) and units.
+    of its k runs, each run given update (eps/n, z). A sample is the largest
+    perturbed top eigenvalue (ties to the lowest index) and its unit vector.
+    Returns values (q,), vectors (q, n) and units.
     """
     q, k, n = len(gens), params.k, params.n
-    Z = np.empty((q, k, n))
     if isinstance(X, SpectralDecomp):
+        Z = np.empty((q, k, n))
         shared = len({id(gen) for gen in gens}) == 1
         for gen, noise in [(gens[0], Z)] if shared else zip(gens, Z):
             gen.standard_normal(noise.shape, out=noise)
         if params.eps == 0.0:
-            return (np.full(q, X.values[0]), np.zeros(q, dtype=int),
-                    np.tile(X.vectors[:, 0], (q, 1)), Z, 0.0)
+            return np.full(q, X.values[0]), np.tile(X.vectors[:, 0], (q, 1)), 0.0
         values, _, i0, vectors = _rank_one_top(X, Z, params.scale)
-        return values[np.arange(q), i0], i0, vectors, Z, float(q * k)
-    values, i0, vectors, units = np.empty(q), np.zeros(q, dtype=int), np.empty((q, n)), 0.0
+        return values[np.arange(q), i0], vectors, float(q * k)
+    values, vectors, units = np.empty(q), np.empty((q, n)), 0.0
     for l, gen in enumerate(gens):
-        gen.standard_normal((k, n), out=Z[l])
+        Z = gen.standard_normal((k, n))
         if params.eps == 0.0:
             pairs = [lanczos_leading(X, rel_tol=lanczos_tol, rng=gen)]
         else:
             pairs = [lanczos_leading(X, rel_tol=lanczos_tol, rng=gen, update=(params.scale, z))
-                     for z in Z[l]]
-        i0[l] = np.argmax([p.value for p in pairs])
-        values[l], vectors[l] = pairs[i0[l]].value, pairs[i0[l]].vector
+                     for z in Z]
+        best = pairs[int(np.argmax([p.value for p in pairs]))]
+        values[l], vectors[l] = best.value, best.vector
         units += sum(p.cost_eigvecs for p in pairs)
-    return values, i0, vectors, Z, units
+    return values, vectors, units
 
 
 def gradient_oracle(X, params, q, rng, seed_key=(), lanczos_tol=1e-9):
@@ -218,9 +172,11 @@ def gradient_oracle(X, params, q, rng, seed_key=(), lanczos_tol=1e-9):
     an integer seed, in which case each sample l uses the counter-derived
     generator for key ``seed_key + (l,)`` so q-parallel evaluation would be
     reproducible and order-independent. The reduction always runs in sample
-    index order. X's type picks the path as in `sample_fk`; X is checked
-    once for all q samples, and on the secular path all q samples are
-    solved in one batched kernel call. Cost: q * (per-sample cost).
+    index order. X's type picks the path: a `SpectralDecomp` takes the
+    secular path, all q samples solved in one batched kernel call; a matrix
+    the Lanczos path, whose runs take X unchecked after one `check_symmetric`
+    here. Cost: k eigenpair units per sample; at eps = 0, one Lanczos run,
+    or none given a decomposition.
     """
     q = int(q)
     if q < 1:
@@ -228,7 +184,7 @@ def gradient_oracle(X, params, q, rng, seed_key=(), lanczos_tol=1e-9):
     X = _prepare(X, params)
     shared = isinstance(rng, np.random.Generator)
     gens = [rng if shared else sample_rng(rng, *seed_key, l) for l in range(q)]
-    values, _, vectors, _, units = _draw(X, params, gens, lanczos_tol)
+    values, vectors, units = _draw(X, params, gens, lanczos_tol)
     return GradientEstimate(vectors=vectors, value=float(values.mean()), cost_eigvecs=units)
 
 
@@ -285,7 +241,7 @@ def gradient_variance_probe(X, params, trials, rng):
     trials = int(trials)
     if trials < 100:
         raise ValueError("trials must be at least 100")
-    phis = _draw(_decomposed(X, params), params, [rng] * trials, None)[2]
+    phis = _draw(_decomposed(X, params), params, [rng] * trials, None)[1]
     mean = (phis.T @ phis) / trials
     # ||phi phi^T - M||_F^2 = 1 - 2 phi^T M phi + ||M||_F^2 for unit phi
     mnorm2 = float(np.sum(mean**2))

@@ -4,16 +4,17 @@ Leading eigenpairs by randomized Lanczos with restarts, full symmetric
 decompositions, rank-one updates through the secular equation with analytic
 eigenvectors, and spectral-gap smoothness constants.
 
-Every secular equation in the package (single roots, batches of weight rows,
-and the phase lab's t0) goes through one row-vectorized solver. Its step is
-the root of a two-pole rational model of the equation, with Newton's step and
-bisection as fallbacks. Exactly equal eigenvalues are one pole: after
-deflation their weights are summed, one term per distinct eigenvalue. Like
-Lanczos, it either converges or raises SpectralError; it never returns a
-silently unconverged answer.
+Every secular equation in the package (the oracle's rank-one updates, the
+phase lab's batches of weight rows, and its t0) goes through one
+row-vectorized solver. Its step is the root of a two-pole rational model of
+the equation, with Newton's step and bisection as fallbacks. Exactly equal
+eigenvalues are one pole: after deflation their weights are summed, one term
+per distinct eigenvalue. Like Lanczos, it either converges or raises
+SpectralError; it never returns a silently unconverged answer.
 
-Every matrix is validated by the one `check_symmetric`, which hands an
-exactly symmetric input back as is, so validation copies nothing.
+Every matrix is validated by the one `check_symmetric`, where it enters,
+and handed back as is when exactly symmetric, so validation copies nothing;
+`lanczos_leading` trusts the matrix its caller validated.
 All routines are pure functions of their inputs plus an explicit seeded
 random stream, so they are safe to call concurrently.
 
@@ -35,8 +36,6 @@ __all__ = [
     "NonsmoothPointError",
     "EigPair",
     "SpectralDecomp",
-    "SecularProblem",
-    "SecularRoot",
     "symmetrize",
     "check_symmetric",
     "load_matrix",
@@ -44,7 +43,6 @@ __all__ = [
     "full_eig",
     "lanczos_iteration_budget",
     "lanczos_leading",
-    "secular_root",
     "secular_shifts_batch",
     "rank_one_leading",
     "local_lip_constant",
@@ -191,36 +189,6 @@ class SpectralDecomp:
         return (self.vectors * self.values) @ self.vectors.T
 
 
-@dataclass
-class SecularProblem:
-    """Data of the scalar rank-one update equation.
-
-    The unique positive root t* of
-        s(t) = 1/scale - sum_j weights_j / ((lambdas_0 - lambdas_j) + t) = 0
-    is the increase of the top eigenvalue under the update
-    ``X + scale * v v^T``, where `weights` are the squared eigenbasis
-    coordinates of v and `scale` is the (positive) perturbation scale.
-    """
-
-    lambdas: np.ndarray
-    weights: np.ndarray
-    scale: float
-
-
-@dataclass
-class SecularRoot:
-    """Root of a secular problem: the shift of the top eigenvalue.
-
-    `degenerate` is set when the update vector carried no weight on the
-    leading eigenspace; the shift then comes from the deflated problem and
-    may be exactly zero (root at the pole).
-    """
-
-    shift: float
-    degenerate: bool = False
-    iterations: int = 0
-
-
 def _canonical_sign(vecs):
     """Negate in place each vector (the last axis) whose first nonzero entry is negative."""
     first = np.argmax(vecs != 0.0, axis=-1)
@@ -265,17 +233,19 @@ def lanczos_leading(X, rel_tol=1e-8, *, rng, restart_limit=3, max_iter=None, upd
     residual satisfies ``||A v - value v|| <= rel_tol * max(1, |value|)`` for
     the operator A and the pair is charged one eigenvector unit.
 
-    Without `update`, A is X, validated here by `check_symmetric`. With
-    ``update=(scale, z)``, A is ``X + scale * z z^T``, applied as
-    ``X q + scale * z (z^T q)`` and never formed; the caller validates X
-    (only the pair is checked here). Breakdown is judged from the Lanczos
-    tridiagonal alone, and the workspace grows with the steps taken.
+    A is X, or with ``update=(scale, z)`` the operator ``X + scale * z z^T``,
+    applied as ``X q + scale * z (z^T q)`` and never formed. On both paths
+    X is trusted as its caller validated it (by `check_symmetric`): it is
+    only converted by ``np.asarray``, and only the update pair is checked
+    here. Breakdown is judged from the Lanczos tridiagonal alone, and the
+    workspace grows with the steps taken.
 
     Raises LanczosConvergenceError after `restart_limit` failed attempts;
     never returns a silently unconverged answer.
     """
+    X = np.asarray(X, dtype=float)
     if update is None:
-        X, scale, z = check_symmetric(X), 0.0, None
+        scale, z = 0.0, None
     else:
         scale, z = update  # a tuple other than the pair fails to unpack
         scale, z = float(scale), np.asarray(z, dtype=float)
@@ -516,39 +486,22 @@ def _secular_shifts(lambdas, weights, scale, rel_tol, max_iter):
     return np.maximum(t - off, 0.0), degenerate, iterations
 
 
-def secular_root(problem, rel_tol=1e-12):
-    """Unique positive root of the rank-one update equation.
-
-    Solved inside the analytic bracket [scale * w_top, scale * sum w], where
-    w_top is the weight carried by the leading eigenspace, by rational
-    two-pole steps (the leading pole exact, the rest fitted by one more)
-    that fall back on Newton's step and on bisection. Coordinates below
-    1e-14 of the total weight are deflated, and the weights of exactly
-    equal eigenvalues then summed into one pole. If the leading eigenspace
-    carries no weight (update vector orthogonal to it) the root may sit at a
-    pole: the deflated problem is solved and the result flagged degenerate.
-    `iterations` counts the evaluations of the equation. Raises
-    SpectralError if the root is not fixed after 200 of them.
-    """
-    shifts, degenerate, iterations = _secular_shifts(
-        problem.lambdas, np.asarray(problem.weights, dtype=float)[None], problem.scale,
-        rel_tol, 200,
-    )
-    return SecularRoot(
-        shift=float(shifts[0]), degenerate=bool(degenerate[0]), iterations=int(iterations[0])
-    )
-
-
 def secular_shifts_batch(lambdas, weights, scale, rel_tol=1e-13, max_iter=120):
     """Vectorized secular roots for many weight rows over one spectrum.
 
-    `weights` has shape (m, n); returns the m positive shifts. All rows,
-    including those whose leading-eigenspace weight deflates to zero (the
-    degenerate treatment of `secular_root`), go through one solve with the
-    rational steps, deflation and equal-pole merge of `secular_root` that
-    either converges on every row or raises SpectralError. It copies only the
-    rows that deflation zeroes (all of W if some are and no eigenvalues tie)
-    and allocates m x (distinct eigenvalues) arrays; `weights` is never written.
+    Row i of `weights` (m, n) holds the squared eigenbasis coordinates of an
+    update vector v_i; the i-th shift is the rise of the top eigenvalue under
+    ``X + scale * v_i v_i^T``, the positive root t of 1/scale = sum_j w_ij /
+    ((lambda_1 - lambda_j) + t) in [scale * w_top, scale * sum_j w_ij], w_top
+    the row's weight on the leading eigenspace. Weights below 1e-14 of their
+    row total are deflated, then those of exactly equal eigenvalues summed
+    into one pole. A row left with no weight on the leading eigenspace is
+    solved relative to the first eigenvalue it keeps, at offset d below the
+    top, and the top rises by max(0, t - d): exactly zero when the root sits
+    at the pole. One solve either converges on every row or raises
+    SpectralError. It copies only the rows that deflation zeroes (all of W if
+    some are and no eigenvalues tie) and allocates m x (distinct eigenvalues)
+    arrays; `weights` is never written.
     """
     return _secular_shifts(lambdas, np.atleast_2d(weights), scale, rel_tol, max_iter)[0]
 

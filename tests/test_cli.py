@@ -7,6 +7,8 @@ import pytest
 
 from eigsmooth.cli import main, parse_config, read_report
 from eigsmooth.optimize import read_trace
+from eigsmooth.problems import synthetic_covariance
+from eigsmooth.spectral import save_matrix
 
 
 def write_config(path, **fields):
@@ -133,9 +135,15 @@ def test_config_mistakes_are_config_errors(tmp_path, capsys, command, fields, me
     # a maxcut instance reads no data file
     ({"data_path": "no-such-file.txt"}, "field 'data_path' needs problem = dspca"),
     ({"n_select": 3}, "field 'n_select' needs 'data_path' and problem = dspca"),
+    # a coordinate count below 1 is a setting, whatever the file holds
+    *(({"problem": "dspca", "algorithm": "det_smooth", "data_path": "cov.txt", "n_select": k},
+       f"field 'n_select' must be at least 1, got {k}") for k in (-1, 0, -6)),
 ])
 def test_solve_setting_mistakes_exit_2_with_the_config_path(tmp_path, capsys, fields, message):
     base = {"problem": "maxcut", "algorithm": "stoch_ls", "n": 4, "N": 3, "eps": 0.1, "q": 2}
+    if fields.get("data_path") == "cov.txt":  # a readable 6 x 6 covariance
+        fields = {**fields, "data_path": tmp_path / "cov.txt"}
+        save_matrix(fields["data_path"], synthetic_covariance(6, np.random.default_rng(0)))
     cfg = write_config(tmp_path / "c.txt", seed=1, **{**base, **fields})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert f"{cfg}: {message}" in capsys.readouterr().err

@@ -438,6 +438,17 @@ def test_numerical_oracle_failure_aborts(monkeypatch, failure):
     reason = {"nonfinite": "ValueError: matrix entries must be finite",
               "linalg": "LinAlgError: injected", "spectral": "injected failure"}[failure]
     assert reason in res.abort_reason
+    if failure == "nonfinite":  # the exact oracle checks the matrix its Lanczos run trusts
+        exact = optimize.ExactEigOracle.evaluate
+
+        def nan_at_3(self, point, key):
+            return exact(self, np.full_like(point, np.nan) if key[0] == 3 else point, key)
+
+        monkeypatch.setattr(optimize.ExactEigOracle, "evaluate", nan_at_3)
+        res = subgradient_baseline(prob, prob.prox_setup(), 10, seed=5, true_obj_every=1)
+        assert res.aborted and res.iterations == 2
+        assert [r.t for r in res.trace] == [1, 2]
+        assert reason in res.abort_reason
 
 
 def test_det_smooth_failure_aborts(monkeypatch):

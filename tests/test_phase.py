@@ -18,7 +18,7 @@ from eigsmooth.phase import (
 )
 from eigsmooth import spectral
 from eigsmooth.smoothing import sample_rng
-from eigsmooth.spectral import SecularProblem, SpectralError, secular_root, secular_shifts_batch
+from eigsmooth.spectral import SpectralError, secular_shifts_batch
 
 FIG_SPECTRUM = np.array([1.0, 0.0, -2.0, -2.0])
 
@@ -192,7 +192,7 @@ def test_secular_path_matches_dense_path():
     X = np.diag(m.lambdas)
     for _ in range(10):
         z = rng.standard_normal(n)
-        t_sec = secular_root(SecularProblem(m.lambdas, z**2, eps / n)).shift
+        t_sec = secular_shifts_batch(m.lambdas, z**2, eps / n, rel_tol=1e-12)[0]
         t_dense = np.linalg.eigvalsh(X + (eps / n) * np.outer(z, z))[-1] - m.lambdas[0]
         assert abs(t_sec - t_dense) <= 1e-10 * max(1.0, abs(t_dense))
 
@@ -206,11 +206,11 @@ def test_secular_row_at_rounding_floor_converges():
     scale = eps / m.n
     shifts, _ = sample_shifts(m, eps, 200, sample_rng(40, 2))
     z = sample_rng(40, 2).standard_normal((200, m.n))[18]
-    root = secular_root(SecularProblem(m.lambdas, z**2, scale), rel_tol=1e-13)
-    assert root.iterations < 200
+    root, _, iterations = spectral._secular_shifts(m.lambdas, z[None] ** 2, scale, 1e-13, 200)
+    assert iterations[0] < 200
     top = np.linalg.eigvalsh(np.diag(m.lambdas) + scale * np.outer(z, z))[-1]
-    assert abs(root.shift - (top - m.lambdas[0])) <= 1e-10 * max(1.0, abs(top))
-    assert abs(shifts[18] - root.shift) <= 1e-12 * root.shift
+    assert abs(root[0] - (top - m.lambdas[0])) <= 1e-10 * max(1.0, abs(top))
+    assert abs(shifts[18] - root[0]) <= 1e-12 * root[0]
     with pytest.raises(SpectralError):
         secular_shifts_batch(m.lambdas, z[None, :] ** 2, scale, max_iter=1)
 
@@ -237,7 +237,7 @@ def test_secular_batch_equal_gap_closed_form(n):
 
 
 def _evaluations(m, W, scale):
-    return max(secular_root(SecularProblem(m.lambdas, w, scale), rel_tol=1e-13).iterations for w in W)
+    return max(spectral._secular_shifts(m.lambdas, w[None], scale, 1e-13, 200)[2][0] for w in W)
 
 
 def test_secular_evaluation_counts():

@@ -66,6 +66,18 @@ def test_load_rejects_excess_selection(tmp_path):
         load_covariance(path, 4)
 
 
+def test_load_rejects_nonpositive_selection(tmp_path):
+    matrix, samples = tmp_path / "cov.txt", tmp_path / "samples.txt"
+    save_matrix(matrix, np.eye(6))
+    data = synthetic_samples(10, 6, np.random.default_rng(5))
+    samples.write_text("10 6\n" + "".join(" ".join(map(repr, row)) + "\n" for row in data.tolist()))
+    for path in (matrix, samples):
+        assert load_covariance(path, 1).shape == (1, 1)
+        for n_select in (0, -1, -6):
+            with pytest.raises(ValueError, match=f"n_select must be at least 1, got {n_select}"):
+                load_covariance(path, n_select)
+
+
 # ------------------------------------------------------------------- DSPCA
 
 
@@ -102,6 +114,24 @@ def test_dspca_diameter_matches_direct_maximization():
 def test_dspca_rejects_unnormalized():
     with pytest.raises(ValueError):
         dspca_problem(2.0 * np.eye(3))
+
+
+def test_dspca_problem_checks_its_matrix_once(monkeypatch):
+    from eigsmooth import problems
+
+    calls = []
+    check = problems.check_symmetric
+    monkeypatch.setattr(problems, "check_symmetric", lambda *a, **kw: calls.append(1) or check(*a, **kw))
+    dspca_problem(synthetic_covariance(6, np.random.default_rng(4)))
+    assert len(calls) == 1
+    # an input with one fault is rejected in that fault's words
+    asym, nonfinite = np.eye(3), np.eye(3)
+    asym[0, 1] = 1e-3
+    nonfinite[1, 1] = np.nan
+    for A, message in ((asym, "matrix is not symmetric"), (nonfinite, "matrix entries must be finite"),
+                       (2.0 * np.eye(3), "A must have unit spectral norm, got 2.0")):
+        with pytest.raises(ValueError, match=message):
+            dspca_problem(A)
 
 
 def test_dspca_permutation_invariance():

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import tracemalloc
 
@@ -13,7 +14,6 @@ from eigsmooth.smoothing import (
     gradient_oracle,
     gradient_variance_probe,
     lipschitz_bound,
-    sample_fk,
     sample_rng,
     smoothing_constant,
 )
@@ -67,12 +67,14 @@ def test_sample_zero_matrix():
     rng = np.random.default_rng(0)
     probe_rng = np.random.default_rng(0)
     Z = probe_rng.standard_normal((params.k, n))
-    s = sample_fk(full_eig(np.zeros((n, n))), params, rng)
+    s = gradient_oracle(full_eig(np.zeros((n, n))), params, 1, rng=rng)
     norms = (Z**2).sum(axis=1)
     assert s.value == pytest.approx(params.scale * norms.max(), rel=1e-12)
-    assert s.i0 == int(np.argmax(norms))
-    zwin = Z[s.i0] / np.linalg.norm(Z[s.i0])
-    assert min(np.linalg.norm(s.vector - zwin), np.linalg.norm(s.vector + zwin)) <= 1e-10
+    # the winner is the longest draw: its direction is the gradient factor
+    i0 = int(np.argmax(norms))
+    zwin = Z[i0] / np.linalg.norm(Z[i0])
+    vector = s.vectors[0]
+    assert min(np.linalg.norm(vector - zwin), np.linalg.norm(vector + zwin)) <= 1e-10
 
 
 def test_sample_value_exceeds_top_eigenvalue():
@@ -80,11 +82,14 @@ def test_sample_value_exceeds_top_eigenvalue():
     X = random_symmetric(12, rng)
     dec = full_eig(X)
     params = SmoothingParams(eps=0.3, n=12)
+    twin = copy.deepcopy(rng)  # draws the noise each oracle call draws
     for _ in range(50):
-        s = sample_fk(dec, params, rng)
+        s = gradient_oracle(dec, params, 1, rng=rng)
+        Z = twin.standard_normal((params.k, 12))
         assert s.value > dec.values[0]
-        assert s.gap_witness >= s.witness_bound - 1e-15
-        assert abs(np.linalg.norm(s.vector) - 1.0) <= 1e-12
+        witness_bound = params.scale * np.max((dec.vectors[:, 0] @ Z.T) ** 2)
+        assert s.value - dec.values[0] >= witness_bound - 1e-15
+        assert abs(np.linalg.norm(s.vectors[0]) - 1.0) <= 1e-12
         assert s.cost_eigvecs == params.k
 
 
@@ -93,20 +98,20 @@ def test_sample_paths_agree():
     X = random_symmetric(15, rng)
     dec = full_eig(X)
     params = SmoothingParams(eps=0.5, n=15)
-    s1 = sample_fk(dec, params, np.random.default_rng(77))
-    s2 = sample_fk(X, params, np.random.default_rng(77), lanczos_tol=1e-11)
-    assert s1.i0 == s2.i0
+    s1 = gradient_oracle(dec, params, 1, rng=np.random.default_rng(77))
+    s2 = gradient_oracle(X, params, 1, rng=np.random.default_rng(77), lanczos_tol=1e-11)
     assert abs(s1.value - s2.value) <= 1e-8 * max(1.0, abs(s1.value))
-    assert min(np.max(np.abs(s1.vector - s2.vector)), np.max(np.abs(s1.vector + s2.vector))) <= 1e-6
+    v1, v2 = s1.vectors[0], s2.vectors[0]
+    assert min(np.max(np.abs(v1 - v2)), np.max(np.abs(v1 + v2))) <= 1e-6
 
 
 def test_sample_eps_zero_is_exact():
     rng = np.random.default_rng(3)
     X = random_symmetric(10, rng)
     dec = full_eig(X)
-    s = sample_fk(dec, SmoothingParams(eps=0.0, n=10), rng)
+    s = gradient_oracle(dec, SmoothingParams(eps=0.0, n=10), 1, rng=rng)
     assert s.value == dec.values[0]
-    assert np.array_equal(s.vector, dec.vectors[:, 0])
+    assert np.array_equal(s.vectors[0], dec.vectors[:, 0])
 
 
 def test_mean_inside_envelope():
@@ -310,10 +315,13 @@ def test_gap_witness_bound_every_draw():
     dec = full_eig(X)
     params = SmoothingParams(eps=0.7, n=10)
     for _ in range(200):
-        s = sample_fk(dec, params, rng)
-        assert s.gap_witness >= s.witness_bound - 1e-14
-        assert s.gap_witness >= params.scale * 0.0  # strictly positive increase
-        assert s.value > dec.values[0]
+        Z = rng.standard_normal((params.k, 10))
+        value = fk_value(dec, Z, params)[0]
+        gap_witness = value - dec.values[0]
+        witness_bound = params.scale * np.max((dec.vectors[:, 0] @ Z.T) ** 2)
+        assert gap_witness >= witness_bound - 1e-14
+        assert gap_witness >= params.scale * 0.0  # strictly positive increase
+        assert value > dec.values[0]
 
 
 # ------------------------------------------------- validation, once per call
@@ -333,7 +341,7 @@ def test_lanczos_path_still_validates(bad, path):
     with pytest.raises(ValueError):
         gradient_oracle(X, params, 2, rng=0)
     with pytest.raises(ValueError):
-        sample_fk(X, params, np.random.default_rng(1))
+        gradient_oracle(X, params, 1, rng=np.random.default_rng(1))
 
 
 def test_gradient_oracle_validates_once(monkeypatch):
@@ -351,10 +359,12 @@ def test_gradient_oracle_validates_once(monkeypatch):
         monkeypatch.setattr(module, "check_symmetric", counted("check_symmetric", spectral.check_symmetric))
     monkeypatch.setattr(smoothing, "lanczos_leading", counted("lanczos_leading", spectral.lanczos_leading))
     X = random_symmetric(12, np.random.default_rng(3))
-    params = SmoothingParams(eps=0.1, n=12, k=3)
-    est = gradient_oracle(X, params, 2, rng=7)
-    assert counts == {"check_symmetric": 1, "lanczos_leading": 6}
-    assert est.cost_eigvecs == 6.0
+    # at eps = 0 each sample is one plain run on X, which trusts the checked X
+    for eps, runs in ((0.1, 6), (0.0, 2)):
+        counts.update(check_symmetric=0, lanczos_leading=0)
+        est = gradient_oracle(X, SmoothingParams(eps=eps, n=12, k=3), 2, rng=7)
+        assert counts == {"check_symmetric": 1, "lanczos_leading": runs}
+        assert est.cost_eigvecs == runs
 
 
 def test_lanczos_oracle_allocates_less_than_its_matrix():
@@ -385,10 +395,10 @@ def test_gradient_oracle_matches_sequential_samples(path):
     Xin = full_eig(X) if path == "secular" else X
     params = SmoothingParams(eps=0.3, n=n, k=3)
     est = gradient_oracle(Xin, params, q, rng=21, seed_key=key)
-    samples = [sample_fk(Xin, params, sample_rng(21, *key, l)) for l in range(q)]
+    samples = [gradient_oracle(Xin, params, 1, rng=sample_rng(21, *key, l)) for l in range(q)]
     assert est.value == np.array([s.value for s in samples]).mean()
     assert est.cost_eigvecs == sum(s.cost_eigvecs for s in samples) == q * params.k
-    vectors = np.array([s.vector for s in samples])
+    vectors = np.array([s.vectors[0] for s in samples])
     if path == "lanczos":
         assert np.array_equal(est.vectors, vectors)
     else:
@@ -396,7 +406,7 @@ def test_gradient_oracle_matches_sequential_samples(path):
         # one shared generator: the samples come from it in sample order
         shared = gradient_oracle(Xin, params, q, rng=np.random.default_rng(22))
         gen = np.random.default_rng(22)
-        values = np.array([sample_fk(Xin, params, gen).value for _ in range(q)])
+        values = np.array([gradient_oracle(Xin, params, 1, rng=gen).value for _ in range(q)])
         assert shared.value == values.mean()
 
 
@@ -421,17 +431,16 @@ def test_secular_oracle_makes_one_kernel_call(monkeypatch):
 def test_witness_fields_follow_decomposition():
     rng = np.random.default_rng(20)
     n = 8
-    X = random_symmetric(n, rng)
-    dec = full_eig(X)
-    params = SmoothingParams(eps=0.4, n=n)
-    sec = sample_fk(dec, params, np.random.default_rng(4))
-    assert sec.witness_bound > 0.0 and sec.gap_witness >= sec.witness_bound
-    plain = sample_fk(X, params, np.random.default_rng(4))
-    assert np.isnan(plain.gap_witness) and np.isnan(plain.witness_bound)
-    exact = sample_fk(X, SmoothingParams(eps=0.0, n=n), np.random.default_rng(4))
-    assert np.isnan(exact.gap_witness) and np.isnan(exact.witness_bound)
-    top = sample_fk(dec, SmoothingParams(eps=0.0, n=n), np.random.default_rng(4))
-    assert top.gap_witness == 0.0 and top.witness_bound == 0.0
+    dec = full_eig(random_symmetric(n, rng))
+    for eps in (0.4, 0.0):
+        params = SmoothingParams(eps=eps, n=n)
+        Z = np.random.default_rng(4).standard_normal((params.k, n))
+        gap_witness = fk_value(dec, Z, params)[0] - dec.values[0]
+        witness_bound = params.scale * np.max((dec.vectors[:, 0] @ Z.T) ** 2)
+        if eps:
+            assert witness_bound > 0.0 and gap_witness >= witness_bound
+        else:
+            assert gap_witness == 0.0 and witness_bound == 0.0
 
 
 class _Forward:

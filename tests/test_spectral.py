@@ -16,7 +16,6 @@ from eigsmooth.spectral import (
     SpectralError,
     check_symmetric,
     NonsmoothPointError,
-    SecularProblem,
     extremal_direction,
     full_eig,
     lanczos_iteration_budget,
@@ -25,7 +24,6 @@ from eigsmooth.spectral import (
     local_lip_constant,
     rank_one_leading,
     save_matrix,
-    secular_root,
     secular_shifts_batch,
     symmetrize,
 )
@@ -215,21 +213,29 @@ def test_lanczos_explicit_failure():
 # ---------------------------------------------------------------- secular
 
 
+def _one_row(lam, w, scale):
+    """One weight row's (shift, degenerate flag, evaluations) at rel_tol 1e-12."""
+    shifts, degenerate, iterations = spectral._secular_shifts(
+        lam, np.asarray(w)[None], scale, 1e-12, 200
+    )
+    return shifts[0], degenerate[0], iterations[0]
+
+
 def test_secular_zero_matrix():
     rng = np.random.default_rng(6)
     v = rng.standard_normal(5)
     scale = 0.37
-    root = secular_root(SecularProblem(np.zeros(5), v**2, scale))
-    assert abs(root.shift - scale * np.sum(v**2)) <= 1e-12 * scale * np.sum(v**2)
-    assert not root.degenerate
+    shift, degenerate, _ = _one_row(np.zeros(5), v**2, scale)
+    assert abs(shift - scale * np.sum(v**2)) <= 1e-12 * scale * np.sum(v**2)
+    assert not degenerate
 
 
 def test_secular_matches_full_eig_fixed():
     lam = np.array([1.0, 0.0, -2.0, -2.0])
     v = np.ones(4)
-    root = secular_root(SecularProblem(lam, v**2, 0.25))
+    shift = secular_shifts_batch(lam, v**2, 0.25, rel_tol=1e-12)[0]
     top = full_eig(np.diag(lam) + 0.25 * np.outer(v, v)).values[0]
-    assert abs(root.shift - (top - 1.0)) <= 1e-10
+    assert abs(shift - (top - 1.0)) <= 1e-10
 
 
 def test_secular_interlacing():
@@ -240,10 +246,10 @@ def test_secular_interlacing():
         v = rng.standard_normal(n)
         eps = 0.5
         dec = full_eig(X)
-        root = secular_root(SecularProblem(dec.values, dec.coordinates(v) ** 2, eps / n))
+        shift = secular_shifts_batch(dec.values, dec.coordinates(v) ** 2, eps / n, rel_tol=1e-12)[0]
         pert = full_eig(X + (eps / n) * np.outer(v, v)).values
         assert pert[1] <= dec.values[0] + 1e-12
-        assert root.shift > 0.0
+        assert shift > 0.0
 
 
 @pytest.mark.parametrize("n", [4, 20, 100])
@@ -254,9 +260,9 @@ def test_secular_vs_full_eig_random(n):
         v = rng.standard_normal(n)
         eps = float(rng.uniform(0.2, 2.0))
         dec = full_eig(X)
-        root = secular_root(SecularProblem(dec.values, dec.coordinates(v) ** 2, eps / n))
+        shift = secular_shifts_batch(dec.values, dec.coordinates(v) ** 2, eps / n, rel_tol=1e-12)[0]
         ptop = full_eig(X + (eps / n) * np.outer(v, v)).values[0]
-        assert abs(root.shift - (ptop - dec.values[0])) <= 1e-10 * (1.0 + abs(ptop))
+        assert abs(shift - (ptop - dec.values[0])) <= 1e-10 * (1.0 + abs(ptop))
 
 
 def test_secular_rotation_invariance():
@@ -268,29 +274,30 @@ def test_secular_rotation_invariance():
     O = random_orthogonal(n, rng)
     dec = full_eig(X)
     dec_rot = full_eig(O @ X @ O.T)
-    r1 = secular_root(SecularProblem(dec.values, dec.coordinates(v) ** 2, eps / n))
-    r2 = secular_root(SecularProblem(dec_rot.values, dec_rot.coordinates(O @ v) ** 2, eps / n))
-    assert abs(r1.shift - r2.shift) <= 1e-12 * max(1.0, abs(r1.shift))
+    r1 = secular_shifts_batch(dec.values, dec.coordinates(v) ** 2, eps / n, rel_tol=1e-12)[0]
+    w_rot = dec_rot.coordinates(O @ v) ** 2
+    r2 = secular_shifts_batch(dec_rot.values, w_rot, eps / n, rel_tol=1e-12)[0]
+    assert abs(r1 - r2) <= 1e-12 * max(1.0, abs(r1))
 
 
 def test_secular_rejects_zero_weights():
     with pytest.raises(ValueError):
-        secular_root(SecularProblem(np.array([1.0, 0.0]), np.zeros(2), 0.1))
+        secular_shifts_batch(np.array([1.0, 0.0]), np.zeros(2), 0.1, rel_tol=1e-12)
 
 
 def test_secular_degenerate_flagged():
     # update vector orthogonal to the leading eigenspace
     lam = np.array([2.0, 1.0, 0.0])
     w = np.array([0.0, 1.0, 1.0])
-    root = secular_root(SecularProblem(lam, w, 0.05))
-    assert root.degenerate
+    shift, degenerate, _ = _one_row(lam, w, 0.05)
+    assert degenerate
     # small perturbation cannot push lambda_2 past lambda_1: root at the pole
-    assert root.shift == 0.0
+    assert shift == 0.0
     # large perturbation does overtake the untouched top eigenvalue
-    root2 = secular_root(SecularProblem(lam, w, 5.0))
-    assert root2.degenerate and root2.shift > 0.0
+    shift2, degenerate2, _ = _one_row(lam, w, 5.0)
+    assert degenerate2 and shift2 > 0.0
     top = full_eig(np.diag(lam) + 5.0 * np.outer([0, 1, 1], [0, 1, 1])).values[0]
-    assert abs((lam[0] + root2.shift) - top) <= 1e-10 * top
+    assert abs((lam[0] + shift2) - top) <= 1e-10 * top
 
 
 def test_secular_batch_matches_scalar():
@@ -301,7 +308,7 @@ def test_secular_batch_matches_scalar():
     scale = 0.02
     batch = secular_shifts_batch(lam, W, scale)
     for i in range(40):
-        ref = secular_root(SecularProblem(lam, W[i], scale)).shift
+        ref = secular_shifts_batch(lam, W[i], scale, rel_tol=1e-12)[0]
         assert abs(batch[i] - ref) <= 1e-11 * max(1.0, ref)
 
 
@@ -322,8 +329,8 @@ def test_secular_degenerate_rows_next_to_repeated_eigenvalue():
     for scale in (1e-3, 0.3, 5.0):
         batch = secular_shifts_batch(lam, Z**2, scale, rel_tol=1e-12)
         for z, shift in zip(Z, batch):
-            root = secular_root(SecularProblem(lam, z**2, scale))
-            assert root.degenerate and root.shift == shift
+            root, degenerate, _ = _one_row(lam, z**2, scale)
+            assert degenerate and root == shift
             top = np.linalg.eigvalsh(np.diag(lam) + scale * np.outer(z, z))[-1]
             assert abs((lam[0] + shift) - top) <= 1e-10 * max(1.0, abs(top))
 
@@ -510,7 +517,7 @@ def test_secular_root_brackets_by_determinant():
     lam = np.array([1.0, 0.0, -2.0, -2.0])
     v = np.ones(4)
     scale = 0.25
-    shift = secular_root(SecularProblem(lam, v**2, scale)).shift
+    shift = secular_shifts_batch(lam, v**2, scale, rel_tol=1e-12)[0]
     top = lam[0] + shift
     A = np.diag(lam) + scale * np.outer(v, v)
     below = np.linalg.det(A - (top - 1e-6) * np.eye(4))
@@ -663,7 +670,7 @@ def test_rank_one_kernel_matches_dense(case):
     batch = secular_shifts_batch(dec.values, W, scale, rel_tol=1e-12)
     best, i0, phi, values = fk_value(dec, Z, params)
     for z, w, shift, value in zip(Z, W, batch, values):
-        assert shift == secular_root(SecularProblem(dec.values, w, scale)).shift
+        assert shift == secular_shifts_batch(dec.values, w, scale, rel_tol=1e-12)[0]
         M = X + scale * np.outer(z, z)
         ref = full_eig(M).values[0]
         pair = rank_one_leading(dec, z, scale)
