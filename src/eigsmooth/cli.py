@@ -8,7 +8,8 @@ Subcommands:
 
   compare REPORT [REPORT ...] [--out PATH]
           merge completed runs into one CSV keyed on cumulative eigenvector
-          cost, one best-objective-so-far column per run.
+          cost, one best-objective-so-far column per run; an aborted run's
+          report is rejected, and a report's trace is read from its directory.
 
   phase   --config PATH [--seed S] [--out DIR]
           Monte Carlo scaling report for the rank-one perturbation phase
@@ -29,6 +30,7 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 
 from .optimize import (
     SolverConfig,
@@ -188,7 +190,7 @@ def _write_report(path, fields):
 
 def read_report(path):
     values = parse_config(path)
-    required = ("algorithm", "iterations", "total_eigvecs", "best_objective", "trace")
+    required = ("algorithm", "iterations", "total_eigvecs", "best_objective", "trace", "completed")
     for key in required:
         if key not in values:
             raise ConfigError(f"{path}: report is missing field {key!r}")
@@ -220,7 +222,7 @@ def cmd_solve(args):
         "iterations": result.iterations,
         "total_eigvecs": repr(float(result.total_eigvecs)),
         "best_objective": repr(float(result.best_objective)),
-        "trace": str(trace_path),
+        "trace": trace_path.name,  # the trace sits next to the report
         "completed": "true" if not result.aborted else "false",
     }
     if result.gap_bound is not None:
@@ -243,9 +245,12 @@ def cmd_compare(args):
     runs = []
     for path in args.reports:
         rep = read_report(path)
-        records = read_trace(rep["trace"])
+        if rep["completed"] != "true":
+            raise ConfigError(f"{path}: the run did not complete; compare merges completed runs only")
+        trace = Path(path).parent / rep["trace"]  # an absolute path stays as it is
+        records = read_trace(trace)
         if not records:
-            raise ConfigError(f"{rep['trace']}: empty trace rejected")
+            raise ConfigError(f"{trace}: empty trace rejected")
         runs.append((rep, records))
     names = []
     for i, (rep, _) in enumerate(runs):
@@ -254,17 +259,10 @@ def cmd_compare(args):
         names.append(name)
     checkpoints = sorted({r.eigvecs for _, records in runs for r in records})
     columns = []
-    for _, records in runs:
-        best = float("inf")
-        series = []
-        idx = 0
-        for cp in checkpoints:
-            while idx < len(records) and records[idx].eigvecs <= cp:
-                if not math.isnan(records[idx].obj_true):
-                    best = min(best, records[idx].obj_true)
-                idx += 1
-            series.append(best if best < float("inf") else float("nan"))
-        columns.append(series)
+    for _, records in runs:  # best objective so far at each checkpoint; NaN before the first
+        best = np.fmin.accumulate([r.obj_true for r in records])
+        last = np.searchsorted([r.eigvecs for r in records], checkpoints, side="right") - 1
+        columns.append(np.where(last >= 0, best[last], np.nan))
     out = Path(args.out)
     with open(out, "w") as fh:
         fh.write("eigvecs," + ",".join(f"best_{n}" for n in names) + "\n")

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .smoothing import sample_rng
-from .spectral import _secular_newton, secular_shifts_batch
+from .spectral import _read_rows, _secular_newton, _table, secular_shifts_batch
 
 __all__ = [
     "SpectrumModel",
@@ -73,6 +73,8 @@ class SpectrumModel:
     @classmethod
     def from_lambdas(cls, lambdas):
         lam = np.asarray(lambdas, dtype=float)
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("eigenvalues must be finite")
         if lam.ndim != 1 or lam.size < 2:
             raise ValueError("a spectrum needs at least two eigenvalues")
         if np.any(np.diff(lam) > 0.0):
@@ -80,9 +82,7 @@ class SpectrumModel:
         mult = int(np.sum(lam >= lam[0]))
         if mult >= lam.size:
             raise ValueError("the top eigenvalue must have a positive gap")
-        gamma = float(lam[0] - lam[mult])
-        if gamma <= 0.0:
-            raise ValueError("the top eigenvalue must have a positive gap")
+        gamma = float(lam[0] - lam[mult])  # > 0: lam is finite and decreasing
         deltas = lam[0] - lam[mult:] - gamma
         return cls(lambdas=lam, multiplicity=mult, gamma_gap=gamma, deltas=deltas)
 
@@ -109,23 +109,16 @@ def tile_model(base, n):
 
 
 def load_spectrum(path):
-    """Read a spectrum file: one eigenvalue per line, decreasing order."""
-    lam = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                lam.append(float(line))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric eigenvalue") from None
-    if len(lam) < 2:
+    """Read a spectrum file: one finite eigenvalue per line, at least two, in
+    decreasing order."""
+    rows = _read_rows(path, header=False)
+    if len(rows) < 2:
         raise ValueError(f"{path}: a spectrum needs at least two eigenvalues")
-    arr = np.asarray(lam)
-    if np.any(np.diff(arr) > 0.0):
-        bad = int(np.nonzero(np.diff(arr) > 0.0)[0][0]) + 2
-        raise ValueError(f"{path}:{bad}: eigenvalues must be in decreasing order")
-    return SpectrumModel.from_lambdas(arr)
+    lam = _table(path, rows, len(rows), 1)[:, 0]
+    rises = np.nonzero(np.diff(lam) > 0.0)[0]
+    if rises.size:
+        raise ValueError(f"{path}:{rows[rises[0] + 1][0]}: eigenvalues must be in decreasing order")
+    return SpectrumModel.from_lambdas(lam)
 
 
 def eps_critical(model):
@@ -290,13 +283,16 @@ def monte_carlo_gap(model_family, n_list, eps_rule, trials, seed=0):
     median(T) in the sub-critical and critical regimes, median(|T - t0|) in
     the super-critical one, where the signed deviation is centered and the
     absolute deviation carries the sqrt(n) scale. The slope of
-    log(statistic) against log(n) estimates the predicted order. Every
-    size's model and regime is settled before the first draw.
+    log(statistic) against log(n), over distinct sizes, estimates the
+    predicted order. Sizes and every size's model and regime are settled
+    before the first draw.
     """
     if int(trials) < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS} per size")
     if not len(n_list):
         raise ValueError("n_list must not be empty")
+    if len(set(map(int, n_list))) < len(n_list):
+        raise ValueError(f"n_list repeats a size: {[int(n) for n in n_list]}")
     preds = []
     for n in n_list:
         model = model_family(int(n))

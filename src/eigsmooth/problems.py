@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimize import ProxSetup, check_finite_positive
-from .spectral import check_symmetric, load_matrix, symmetrize
+from .spectral import _read_rows, _table, check_symmetric, symmetrize
 
 __all__ = [
     "BoxProblem",
@@ -153,37 +153,24 @@ def _normalize_spectral(A):
 def load_covariance(path, n_select):
     """Load data and return a covariance matrix with unit spectral norm.
 
-    Two file layouts are accepted: the square matrix format (first line `n`)
-    holding the covariance itself, or a sample layout (first line `m n`)
-    holding m observation rows of n values from which the covariance is
-    formed. The `n_select` coordinates of highest variance are kept, in
-    their original order; `n_select` must be at least 1.
+    The file, read once, holds either the covariance in the square matrix
+    format (first line `n`), or m >= 2 observation rows of n values (first
+    line `m n`) from which the covariance is formed with ddof = 1. The
+    `n_select` coordinates of highest variance are kept, in their original
+    order; `n_select` must be at least 1.
     """
     if n_select < 1:
         raise ValueError(f"n_select must be at least 1, got {n_select!r}")
-    with open(path) as fh:
-        first = ""
-        for line in fh:
-            if line.strip():
-                first = line
-                break
-    head = first.split()
+    (lineno, head), *rows = _read_rows(path, header=True)
+    if len(head) > 2 or len(head) == 2 and head[0] < 2:
+        raise ValueError(f"{path}:{lineno}: expected 'n', or 'm n' with m >= 2, on the first line")
+    data = _table(path, rows, head[0], head[-1])
+    if n_select > head[-1]:
+        raise ValueError(f"n_select={n_select} exceeds the {head[-1]} available coordinates")
     if len(head) == 1:
-        cov = load_matrix(path)
-        variances = np.diag(cov)
-        if n_select > cov.shape[0]:
-            raise ValueError(f"n_select={n_select} exceeds the {cov.shape[0]} available coordinates")
-        idx = np.sort(np.argsort(-variances, kind="stable")[:n_select])
+        cov = check_symmetric(data)
+        idx = np.sort(np.argsort(-np.diag(cov), kind="stable")[:n_select])
         return _normalize_spectral(cov[np.ix_(idx, idx)])
-    if len(head) != 2:
-        raise ValueError(f"{path}:1: expected 'n' or 'm n' on the first line")
-    m, n = int(head[0]), int(head[1])
-    data = np.loadtxt(path, skiprows=1)
-    data = np.atleast_2d(data)
-    if data.shape != (m, n):
-        raise ValueError(f"{path}: expected {m} x {n} samples, found {data.shape}")
-    if n_select > n:
-        raise ValueError(f"n_select={n_select} exceeds the {n} available coordinates")
     variances = data.var(axis=0, ddof=1)
     idx = np.sort(np.argsort(-variances, kind="stable")[:n_select])
     cov = np.cov(data[:, idx], rowvar=False)

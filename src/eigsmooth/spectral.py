@@ -14,7 +14,9 @@ SpectralError; it never returns a silently unconverged answer.
 
 Every matrix is validated by the one `check_symmetric`, where it enters,
 and handed back as is when exactly symmetric, so validation copies nothing;
-`lanczos_leading` trusts the matrix its caller validated.
+`lanczos_leading` trusts the matrix its caller validated. Every data file
+(a matrix, a sample table, a spectrum) is parsed by the one reader
+`_read_rows` and shaped by `_table`; each fault names `path:line`.
 All routines are pure functions of their inputs plus an explicit seeded
 random stream, so they are safe to call concurrently.
 
@@ -108,35 +110,52 @@ def check_symmetric(X, tol=1e-12):
     return half + half.T
 
 
+def _read_rows(path, header):
+    """The one data-file reader: each non-blank line of `path` as (line number,
+    values). With `header` the first line's values are positive integers; every
+    other value is a finite float. A fault is a ValueError naming `path:line`."""
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not (tokens := line.split()):
+                continue
+            first = header and not rows
+            try:
+                values = [int(t) if first else float(t) for t in tokens]
+            except ValueError:
+                values = []
+            if first and not (values and min(values) > 0):
+                raise ValueError(f"{path}:{lineno}: the header must hold positive integers")
+            if not values:
+                raise ValueError(f"{path}:{lineno}: non-numeric entry")
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}:{lineno}: entries must be finite")
+            rows.append((lineno, values))
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    return rows
+
+
+def _table(path, rows, m, n):
+    """Rows from `_read_rows` as an m x n array; a row too short, too long or
+    past the m-th is named by its line."""
+    for i, (lineno, values) in enumerate(rows):
+        if i == m or len(values) != n:
+            raise ValueError(f"{path}:{lineno}: expected {m} rows of {n} values, "
+                             f"row {i + 1} holds {len(values)}")
+    if len(rows) < m:
+        raise ValueError(f"{path}: expected {m} rows of {n} values, found {len(rows)}")
+    return np.array([values for _, values in rows])
+
+
 def load_matrix(path):
     """Read a matrix from the plain-text format: line 1 holds n, then n rows
     of n whitespace-separated decimals. Symmetry is validated (to
     `check_symmetric`'s 1e-12), then enforced exactly."""
-    with open(path) as fh:
-        raw = fh.read().split("\n")
-    rows = [(i + 1, line.split()) for i, line in enumerate(raw) if line.strip()]
-    if not rows:
-        raise ValueError(f"{path}: empty matrix file")
-    lineno, head = rows[0]
+    (lineno, head), *rows = _read_rows(path, header=True)
     if len(head) != 1:
         raise ValueError(f"{path}:{lineno}: first line must hold the dimension alone")
-    try:
-        n = int(head[0])
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: dimension {head[0]!r} is not an integer") from None
-    if n <= 0:
-        raise ValueError(f"{path}:{lineno}: dimension must be positive")
-    if len(rows) - 1 != n:
-        raise ValueError(f"{path}: expected {n} matrix rows, found {len(rows) - 1}")
-    data = np.empty((n, n))
-    for i, (lineno, tokens) in enumerate(rows[1:]):
-        if len(tokens) != n:
-            raise ValueError(f"{path}:{lineno}: expected {n} values, found {len(tokens)}")
-        try:
-            data[i] = [float(t) for t in tokens]
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric entry") from None
-    return check_symmetric(data)
+    return check_symmetric(_table(path, rows, head[0], head[0]))
 
 
 def save_matrix(path, X):

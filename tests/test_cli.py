@@ -103,6 +103,10 @@ def test_solve_rejects_bad_eps(tmp_path, capsys, algorithm, eps, fields):
     # eps0 = n / (n - 1) falls through 1.005 between n = 100 and n = 400
     ("phase", {"n_list": "100,400,1600", "eps_rule": 1.005},
      "eps_rule changes regime across sizes: sub vs super"),
+    # a repeated size leaves no slope to fit; a non-finite eigenvalue no spectrum
+    ("phase", {"n_list": "100,100"}, "n_list repeats a size: [100, 100]"),
+    ("phase", {"gamma": "nan"}, "eigenvalues must be finite"),
+    ("phase", {"top": "inf"}, "eigenvalues must be finite"),
 ])
 def test_config_mistakes_are_config_errors(tmp_path, capsys, command, fields, message):
     # solve runs with eps = 0, which leaves no smoothed problem to derive the steps from
@@ -156,6 +160,35 @@ def test_solve_malformed_data_file_is_not_a_setting(tmp_path, capsys):
                        seed=1, data_path=data)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "cov.txt:2: non-numeric entry" in capsys.readouterr().err
+
+
+# Malformed data files: each is no setting (exit 1) and is named with its line.
+_MALFORMED_DATA = {
+    "matrix_nan": ("solve", "2\n1.0 nan\nnan 1.0\n", 2),
+    "matrix_inf": ("solve", "2\n1.0 0.0\n0.0 inf\n", 3),
+    "samples_non_numeric": ("solve", "3 2\n1.0 2.0\n3.0 x\n4.0 5.0\n", 3),
+    "samples_short_row": ("solve", "3 2\n1.0 2.0\n3.0\n4.0 5.0\n", 3),
+    "samples_header_word": ("solve", "3 two\n1.0 2.0\n3.0 1.0\n4.0 5.0\n", 1),
+    "samples_one_row": ("solve", "1 2\n1.0 2.0\n", 1),  # no ddof = 1 covariance
+    "samples_nan_after_blank": ("solve", "3 2\n1.0 2.0\n\nnan 1.0\n4.0 5.0\n", 4),
+    "spectrum_nan_first": ("phase", "nan\n1.0\n0.5\n", 1),
+    "spectrum_inf_first": ("phase", "inf\n1.0\n", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_DATA))
+def test_malformed_data_file_exits_1_naming_file_and_line(tmp_path, capsys, case):
+    command, text, line = _MALFORMED_DATA[case]
+    data = tmp_path / "data.txt"
+    data.write_text(text)
+    if command == "solve":
+        cfg = write_config(tmp_path / "c.txt", problem="dspca", algorithm="det_smooth", n=2, N=3,
+                           seed=1, data_path=data)
+    else:
+        cfg = write_config(tmp_path / "p.txt", model="file", spectrum_path=data, eps_rule="eps0",
+                           trials=200, seed=1)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert f"{data}:{line}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algorithm", ["det_smooth", "subgrad"])
@@ -233,7 +266,7 @@ def test_solve_report_consistency(tmp_path):
     )
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
     rep = read_report(tmp_path / "det_smooth_report.txt")
-    records = read_trace(rep["trace"])
+    records = read_trace(tmp_path / rep["trace"])
     assert float(rep["total_eigvecs"]) == records[-1].eigvecs
     # one matrix exponential per iteration, n eigenvector units each
     assert float(rep["total_eigvecs"]) == 8 * 10
@@ -275,7 +308,7 @@ def test_solve_abort_writes_partial_trace(tmp_path, monkeypatch):
     rep = read_report(tmp_path / "acsa_report.txt")
     assert rep["completed"] == "false"
     assert "injected" in rep["abort_reason"]
-    records = read_trace(rep["trace"])
+    records = read_trace(tmp_path / rep["trace"])
     assert 0 < len(records) < 30  # partial trace
     assert int(rep["iterations"]) == records[-1].t
 
@@ -303,7 +336,7 @@ def test_solve_det_smooth_abort_writes_partial_trace(tmp_path, monkeypatch):
     assert rep["completed"] == "false"
     assert "LinAlgError" in rep["abort_reason"]
     assert int(rep["iterations"]) == 2
-    assert [r.t for r in read_trace(rep["trace"])] == [1, 2]
+    assert [r.t for r in read_trace(tmp_path / rep["trace"])] == [1, 2]
 
 
 def test_solve_stoch_preset_budget_and_cost(tmp_path):
@@ -382,6 +415,38 @@ def test_compare_rejects_empty_trace(tmp_path):
         "--out", str(tmp_path / "cmp.csv"),
     ])
     assert code == 2
+
+
+def test_compare_finds_each_trace_next_to_its_report(tmp_path, monkeypatch):
+    # solve runs with a relative --out; compare runs from another directory
+    cfg = write_config(
+        tmp_path / "c.txt",
+        problem="maxcut", algorithm="acsa", n=5, N=10, seed=9, eps=0.1, true_obj_every=1,
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--config", cfg, "--out", "res"]) == 0
+    assert read_report(tmp_path / "res" / "acsa_report.txt")["trace"] == "acsa_trace.csv"
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    report = str(tmp_path / "res" / "acsa_report.txt")
+    assert main(["compare", report, "../res/acsa_report.txt", "--out", "cmp.csv"]) == 0
+    assert (elsewhere / "cmp.csv").read_text().splitlines()[0] == "eigvecs,best_acsa,best_acsa_1"
+
+
+def test_compare_rejects_an_aborted_run(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "c.txt",
+        problem="maxcut", algorithm="acsa", n=5, N=10, seed=9, eps=0.1, true_obj_every=1,
+    )
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    done = tmp_path / "acsa_report.txt"
+    aborted = tmp_path / "aborted_report.txt"
+    aborted.write_text(done.read_text().replace("completed = true", "completed = false"))
+    code = main(["compare", str(done), str(aborted), "--out", str(tmp_path / "cmp.csv")])
+    assert code == 2
+    assert f"{aborted}: the run did not complete" in capsys.readouterr().err
+    assert not (tmp_path / "cmp.csv").exists()
 
 
 def test_compare_rejects_single_report(tmp_path, capsys):

@@ -41,6 +41,23 @@ def test_model_rejects_flat_spectrum():
         SpectrumModel.from_lambdas(np.array([1.0, 1.0, 1.0]))
 
 
+def test_model_rejects_nonfinite_eigenvalues():
+    # checked first: NaN or inf would otherwise reach the gap rule or the secular solver
+    for lam in ([np.nan, 1.0], [np.inf, 1.0], [2.0, 1.0, -np.inf], [np.inf, np.inf, 1.0]):
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            SpectrumModel.from_lambdas(np.array(lam))
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        equal_gap_model(10, gamma=np.nan)
+
+
+def test_monte_carlo_rejects_repeated_size():
+    def family(n):
+        raise AssertionError("no model is built before the sizes are checked")
+
+    with pytest.raises(ValueError, match=r"n_list repeats a size: \[100, 400, 100\]"):
+        monte_carlo_gap(family, [100, 400, 100], lambda eps0, n: eps0, 200)
+
+
 def test_equal_gap_model_shape():
     m = equal_gap_model(10, gamma=0.5, multiplicity=2)
     assert m.n == 10 and m.multiplicity == 2
@@ -379,4 +396,7 @@ def test_load_spectrum_errors_name_line(tmp_path):
     unordered = tmp_path / "unordered.txt"
     unordered.write_text("1.0\n2.0\n0.5\n")
     with pytest.raises(ValueError, match="unordered.txt:2"):
+        load_spectrum(unordered)
+    unordered.write_text("1.0\n\n2.0\n0.5\n")  # the blank line counts
+    with pytest.raises(ValueError, match="unordered.txt:3: eigenvalues must be in decreasing"):
         load_spectrum(unordered)

@@ -59,6 +59,21 @@ def test_load_samples_selects_top_variance(tmp_path):
     assert np.allclose(A, ref, atol=1e-12)
 
 
+def test_load_samples_bit_identical_to_loadtxt(tmp_path):
+    # every decimal rendering parses to the floats np.loadtxt gives
+    data = synthetic_samples(60, 12, np.random.default_rng(8))
+    for fmt in ("{!r}", "{:.17g}", "{:.6e}", "{:.25f}"):
+        path = tmp_path / "samples.txt"
+        path.write_text("60 12\n" + "".join(" ".join(fmt.format(v) for v in row) + "\n"
+                                             for row in data.tolist()))
+        ref_data = np.loadtxt(path, skiprows=1)
+        variances = ref_data.var(axis=0, ddof=1)
+        idx = np.sort(np.argsort(-variances, kind="stable")[:7])
+        ref = symmetrize(np.cov(ref_data[:, idx], rowvar=False))
+        ref /= float(np.max(np.abs(np.linalg.eigvalsh(ref))))
+        assert np.array_equal(load_covariance(path, 7), ref)
+
+
 def test_load_rejects_excess_selection(tmp_path):
     path = tmp_path / "cov.txt"
     save_matrix(path, np.eye(3))
