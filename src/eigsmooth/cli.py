@@ -43,7 +43,8 @@ from .optimize import (
     write_trace,
 )
 from .phase import equal_gap_model, load_spectrum, monte_carlo_gap, tile_model, write_phase_report
-from .problems import dspca_problem, load_covariance, maxcut_problem, synthetic_covariance
+from .problems import (_SelectionError, dspca_problem, load_covariance, maxcut_problem,
+                       synthetic_covariance)
 from .smoothing import sample_rng
 
 ALGORITHMS = ("stoch_ls", "acsa", "det_smooth", "subgrad")
@@ -149,10 +150,14 @@ def _run_solver(cfg, seed):
         if key in cfg.values and (kind == "maxcut" or data_path is None):
             raise ConfigError(f"{cfg.path}: field {key!r} needs {needs}")
     if data_path is not None:  # outside the handler: a bad file is no setting
-        n_select = cfg.int("n_select", default=n)
+        field = "n_select" if "n_select" in cfg.values else "n"
+        n_select = cfg.int(field)
         if n_select < 1:
-            raise ConfigError(f"{cfg.path}: field 'n_select' must be at least 1, got {n_select}")
-        cov = load_covariance(data_path, n_select)
+            raise ConfigError(f"{cfg.path}: field {field!r} must be at least 1, got {n_select}")
+        try:
+            cov = load_covariance(data_path, n_select)
+        except _SelectionError as exc:  # a count the file cannot meet is a setting
+            raise ConfigError(f"{cfg.path}: field {field!r}: {exc}") from None
     try:
         for key, used in (("rho", kind == "dspca"), ("radius", kind == "maxcut"),
                           ("det_lip_scale", algorithm == "det_smooth")):

@@ -150,6 +150,11 @@ def _normalize_spectral(A):
     return A / norm
 
 
+class _SelectionError(ValueError):
+    """More coordinates asked of a data file than it holds: a setting the
+    file cannot meet, not a fault of the file."""
+
+
 def load_covariance(path, n_select):
     """Load data and return a covariance matrix with unit spectral norm.
 
@@ -157,7 +162,8 @@ def load_covariance(path, n_select):
     format (first line `n`), or m >= 2 observation rows of n values (first
     line `m n`) from which the covariance is formed with ddof = 1. The
     `n_select` coordinates of highest variance are kept, in their original
-    order; `n_select` must be at least 1.
+    order; `n_select` must be at least 1 and at most n (a `_SelectionError`
+    past n). A sample covariance that overflows is a ValueError naming the file.
     """
     if n_select < 1:
         raise ValueError(f"n_select must be at least 1, got {n_select!r}")
@@ -166,15 +172,19 @@ def load_covariance(path, n_select):
         raise ValueError(f"{path}:{lineno}: expected 'n', or 'm n' with m >= 2, on the first line")
     data = _table(path, rows, head[0], head[-1])
     if n_select > head[-1]:
-        raise ValueError(f"n_select={n_select} exceeds the {head[-1]} available coordinates")
+        raise _SelectionError(f"{path} holds {head[-1]} coordinates, "
+                              f"fewer than the {n_select} asked for")
     if len(head) == 1:
         cov = check_symmetric(data)
         idx = np.sort(np.argsort(-np.diag(cov), kind="stable")[:n_select])
         return _normalize_spectral(cov[np.ix_(idx, idx)])
-    variances = data.var(axis=0, ddof=1)
-    idx = np.sort(np.argsort(-variances, kind="stable")[:n_select])
-    cov = np.cov(data[:, idx], rowvar=False)
-    return _normalize_spectral(check_symmetric(np.atleast_2d(cov), tol=1e-8))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        variances = data.var(axis=0, ddof=1)
+        idx = np.sort(np.argsort(-variances, kind="stable")[:n_select])
+        cov = np.atleast_2d(np.cov(data[:, idx], rowvar=False))
+    if not (np.isfinite(variances).all() and np.isfinite(cov).all()):
+        raise ValueError(f"{path}: the sample covariance overflows")
+    return _normalize_spectral(check_symmetric(cov, tol=1e-8))
 
 
 def synthetic_samples(m, n, rng):

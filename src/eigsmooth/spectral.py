@@ -12,6 +12,11 @@ eigenvalues are one pole: after deflation their weights are summed, one term
 per distinct eigenvalue. Like Lanczos, it either converges or raises
 SpectralError; it never returns a silently unconverged answer.
 
+The kernel's limits are constants: a Lanczos run makes at most
+`_LANCZOS_ATTEMPTS` = 3 attempts of `lanczos_iteration_budget` steps, and a
+rank-one secular solve runs to relative precision `_SECULAR_TOL` = 1e-13
+within `_SECULAR_MAX_ITER` = 120 evaluations.
+
 Every matrix is validated by the one `check_symmetric`, where it enters,
 and handed back as is when exactly symmetric, so validation copies nothing;
 `lanczos_leading` trusts the matrix its caller validated. Every data file
@@ -57,6 +62,13 @@ _DEFLATE_REL = 1e-14
 
 # Lanczos budgets guarantee their precision with this failure probability.
 _LANCZOS_FAIL_PROB = 0.01
+
+# Lanczos attempts per run, each from a fresh start vector.
+_LANCZOS_ATTEMPTS = 3
+
+# Relative step and evaluation limits of every rank-one secular solve.
+_SECULAR_TOL = 1e-13
+_SECULAR_MAX_ITER = 120
 
 # A top eigenvalue within this of the second is treated as multiple.
 _GAP_THRESHOLD = 1e-12
@@ -241,14 +253,15 @@ def lanczos_iteration_budget(n, rel_tol):
     return int(math.ceil(math.log(n / _LANCZOS_FAIL_PROB**2) / (4.0 * math.sqrt(rel_tol))))
 
 
-def lanczos_leading(X, rel_tol=1e-8, *, rng, restart_limit=3, max_iter=None, update=None):
+def lanczos_leading(X, rel_tol, *, rng, update=None):
     """Leading eigenpair by Lanczos with full reorthogonalization.
 
     The start vector is drawn uniformly on the sphere from the seeded
-    generator `rng`. An attempt takes at most `max_iter` steps, by default
-    `lanczos_iteration_budget`'s (failure probability 0.01). The run is
-    restarted with a fresh start vector on stagnation (budget exhausted or
-    premature breakdown without a converged top pair). On success the Ritz
+    generator `rng`. An attempt takes at most
+    ``min(lanczos_iteration_budget(n, rel_tol), n)`` steps (failure
+    probability 0.01). The run is restarted with a fresh start vector on
+    stagnation (budget exhausted or premature breakdown without a converged
+    top pair), `_LANCZOS_ATTEMPTS` attempts in all. On success the Ritz
     residual satisfies ``||A v - value v|| <= rel_tol * max(1, |value|)`` for
     the operator A and the pair is charged one eigenvector unit.
 
@@ -259,8 +272,8 @@ def lanczos_leading(X, rel_tol=1e-8, *, rng, restart_limit=3, max_iter=None, upd
     here. Breakdown is judged from the Lanczos tridiagonal alone, and the
     workspace grows with the steps taken.
 
-    Raises LanczosConvergenceError after `restart_limit` failed attempts;
-    never returns a silently unconverged answer.
+    Raises LanczosConvergenceError after `_LANCZOS_ATTEMPTS` failed
+    attempts; never returns a silently unconverged answer.
     """
     X = np.asarray(X, dtype=float)
     if update is None:
@@ -274,18 +287,17 @@ def lanczos_leading(X, rel_tol=1e-8, *, rng, restart_limit=3, max_iter=None, upd
     if n == 1:
         value = float(X[0, 0] if z is None else X[0, 0] + scale * z[0] ** 2)
         return EigPair(value=value, vector=np.ones(1), cost_eigvecs=1.0)
-    budget = lanczos_iteration_budget(n, rel_tol) if max_iter is None else int(max_iter)
     # The Krylov space is the whole space after n steps; more cannot help.
-    steps = max(2, min(budget, n))
+    steps = min(lanczos_iteration_budget(n, rel_tol), n)
     total_matvecs = 0
-    for _ in range(max(1, int(restart_limit))):
+    for _ in range(_LANCZOS_ATTEMPTS):
         pair, used = _lanczos_attempt(X, scale, z, steps, rel_tol, rng)
         total_matvecs += used
         if pair is not None:
             pair.matvecs = total_matvecs
             return pair
     raise LanczosConvergenceError(
-        f"no convergence to rel_tol={rel_tol:g} after {restart_limit} attempts "
+        f"no convergence to rel_tol={rel_tol:g} after {_LANCZOS_ATTEMPTS} attempts "
         f"of {steps} iterations (n={n})"
     )
 
@@ -451,9 +463,10 @@ def _secular_newton(D, W, scale, lo, hi, rel_tol, max_iter):
     )
 
 
-def _secular_shifts(lambdas, weights, scale, rel_tol, max_iter):
-    """Validated secular roots for weight rows over one decreasing spectrum.
-    Returns (shifts, degenerate flags, iterations).
+def _secular_shifts(lambdas, weights, scale):
+    """Validated secular roots for weight rows over one decreasing spectrum,
+    to `_SECULAR_TOL` within `_SECULAR_MAX_ITER` evaluations. Returns
+    (shifts, degenerate flags, iterations).
 
     Weights below 1e-14 of their row total are deflated; then the columns of
     exactly equal eigenvalues (no tolerance) are summed into one pole each.
@@ -469,7 +482,10 @@ def _secular_shifts(lambdas, weights, scale, rel_tol, max_iter):
         raise ValueError("lambdas must be a 1-d array and weight rows of the same length")
     if scale <= 0.0:
         raise ValueError("scale must be positive")
-    if W.size and np.fmin.reduce(W, axis=None) < 0.0:
+    # One pass takes the row minima for this check and the deflation flag. They
+    # skip NaN, which the finiteness check below catches.
+    mins = np.fmin.reduce(W, axis=1, initial=np.inf)
+    if np.count_nonzero(mins < 0.0):
         raise ValueError("weights must be nonnegative")
     if np.count_nonzero(lam[1:] > lam[:-1]):
         raise ValueError("lambdas must be in decreasing order")
@@ -480,7 +496,7 @@ def _secular_shifts(lambdas, weights, scale, rel_tol, max_iter):
     if np.count_nonzero(totals <= 0.0):
         raise ValueError("all weights vanish in some row")
     # Only rows with an entry at or below the deflation level are copied.
-    flag = np.flatnonzero(W.min(axis=1) <= _DEFLATE_REL * totals)
+    flag = np.flatnonzero(mins <= _DEFLATE_REL * totals)
     Wf = W[flag]
     Wf[Wf <= _DEFLATE_REL * totals[flag, None]] = 0.0
     totals[flag] = Wf.sum(axis=1)
@@ -501,11 +517,11 @@ def _secular_shifts(lambdas, weights, scale, rel_tol, max_iter):
     D = np.maximum(d - off[:, None], 0.0) if np.count_nonzero(degenerate) else d
     lo = scale * np.add.reduce(W, axis=1, where=D == 0.0)
     hi = scale * totals
-    t, iterations = _secular_newton(D, W, scale, lo, hi, rel_tol, max_iter)
+    t, iterations = _secular_newton(D, W, scale, lo, hi, _SECULAR_TOL, _SECULAR_MAX_ITER)
     return np.maximum(t - off, 0.0), degenerate, iterations
 
 
-def secular_shifts_batch(lambdas, weights, scale, rel_tol=1e-13, max_iter=120):
+def secular_shifts_batch(lambdas, weights, scale):
     """Vectorized secular roots for many weight rows over one spectrum.
 
     Row i of `weights` (m, n) holds the squared eigenbasis coordinates of an
@@ -517,15 +533,16 @@ def secular_shifts_batch(lambdas, weights, scale, rel_tol=1e-13, max_iter=120):
     into one pole. A row left with no weight on the leading eigenspace is
     solved relative to the first eigenvalue it keeps, at offset d below the
     top, and the top rises by max(0, t - d): exactly zero when the root sits
-    at the pole. One solve either converges on every row or raises
-    SpectralError. It copies only the rows that deflation zeroes (all of W if
-    some are and no eigenvalues tie) and allocates m x (distinct eigenvalues)
-    arrays; `weights` is never written.
+    at the pole. One solve either converges on every row to `_SECULAR_TOL`
+    or raises SpectralError after `_SECULAR_MAX_ITER` evaluations. It
+    copies only the rows that deflation zeroes (all of W if some are and no
+    eigenvalues tie) and allocates m x (distinct eigenvalues) arrays;
+    `weights` is never written.
     """
-    return _secular_shifts(lambdas, np.atleast_2d(weights), scale, rel_tol, max_iter)[0]
+    return _secular_shifts(lambdas, np.atleast_2d(weights), scale)[0]
 
 
-def _rank_one_top(decomp, Z, scale, rel_tol=1e-13):
+def _rank_one_top(decomp, Z, scale):
     """Top eigenpairs of ``X + scale * z z^T`` from a decomposition of X, for
     m groups of k update vectors z (`Z` has shape (m, k, n)).
 
@@ -538,9 +555,7 @@ def _rank_one_top(decomp, Z, scale, rel_tol=1e-13):
     """
     lam, V = decomp.values, decomp.vectors
     coords = Z @ V
-    shifts, degenerate, _ = _secular_shifts(
-        lam, coords.reshape(-1, lam.size) ** 2, scale, rel_tol, max_iter=120
-    )
+    shifts, degenerate, _ = _secular_shifts(lam, coords.reshape(-1, lam.size) ** 2, scale)
     shifts = shifts.reshape(coords.shape[:2])
     values = lam[0] + shifts
     i0 = np.argmax(values, axis=1)
@@ -558,12 +573,12 @@ def rank_one_leading(decomp, v, eps_over_n):
     """Leading eigenpair of ``X + eps_over_n * v v^T`` from a decomposition of X.
 
     The eigenvalue is lambda_1 + t* with t* from the secular equation (to
-    relative precision 1e-12); eigenvector coordinates in the eigenbasis are
+    `_SECULAR_TOL`); eigenvector coordinates in the eigenbasis are
     (coords of v)_j / (value - lambda_j), normalized and rotated back.
     Charged one eigenvector unit. Raises ValueError unless eps_over_n > 0 and v is nonzero.
     """
     v = np.asarray(v, dtype=float)
-    values, degenerate, _, vecs = _rank_one_top(decomp, v[None, None, :], eps_over_n, 1e-12)
+    values, degenerate, _, vecs = _rank_one_top(decomp, v[None, None, :], eps_over_n)
     return EigPair(
         value=float(values[0, 0]), vector=vecs[0], cost_eigvecs=1.0,
         degenerate=bool(degenerate[0, 0]),

@@ -142,11 +142,17 @@ def test_config_mistakes_are_config_errors(tmp_path, capsys, command, fields, me
     # a coordinate count below 1 is a setting, whatever the file holds
     *(({"problem": "dspca", "algorithm": "det_smooth", "data_path": "cov.txt", "n_select": k},
        f"field 'n_select' must be at least 1, got {k}") for k in (-1, 0, -6)),
+    # so is a count above the file's, from n_select or else from n
+    ({"problem": "dspca", "algorithm": "det_smooth", "data_path": "cov.txt", "n": 7},
+     "field 'n': {data} holds 6 coordinates, fewer than the 7 asked for"),
+    ({"problem": "dspca", "algorithm": "det_smooth", "data_path": "cov.txt", "n_select": 9},
+     "field 'n_select': {data} holds 6 coordinates, fewer than the 9 asked for"),
 ])
 def test_solve_setting_mistakes_exit_2_with_the_config_path(tmp_path, capsys, fields, message):
     base = {"problem": "maxcut", "algorithm": "stoch_ls", "n": 4, "N": 3, "eps": 0.1, "q": 2}
     if fields.get("data_path") == "cov.txt":  # a readable 6 x 6 covariance
         fields = {**fields, "data_path": tmp_path / "cov.txt"}
+        message = message.format(data=fields["data_path"])
         save_matrix(fields["data_path"], synthetic_covariance(6, np.random.default_rng(0)))
     cfg = write_config(tmp_path / "c.txt", seed=1, **{**base, **fields})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -162,7 +168,8 @@ def test_solve_malformed_data_file_is_not_a_setting(tmp_path, capsys):
     assert "cov.txt:2: non-numeric entry" in capsys.readouterr().err
 
 
-# Malformed data files: each is no setting (exit 1) and is named with its line.
+# Malformed data files: each is no setting (exit 1) and is named with its
+# line, or alone (line None) where the fault is the whole file's.
 _MALFORMED_DATA = {
     "matrix_nan": ("solve", "2\n1.0 nan\nnan 1.0\n", 2),
     "matrix_inf": ("solve", "2\n1.0 0.0\n0.0 inf\n", 3),
@@ -171,6 +178,7 @@ _MALFORMED_DATA = {
     "samples_header_word": ("solve", "3 two\n1.0 2.0\n3.0 1.0\n4.0 5.0\n", 1),
     "samples_one_row": ("solve", "1 2\n1.0 2.0\n", 1),  # no ddof = 1 covariance
     "samples_nan_after_blank": ("solve", "3 2\n1.0 2.0\n\nnan 1.0\n4.0 5.0\n", 4),
+    "samples_overflow": ("solve", "3 2\n1e200 -1e200\n-1e200 1e200\n1e200 1e200\n", None),
     "spectrum_nan_first": ("phase", "nan\n1.0\n0.5\n", 1),
     "spectrum_inf_first": ("phase", "inf\n1.0\n", 1),
 }
@@ -188,7 +196,7 @@ def test_malformed_data_file_exits_1_naming_file_and_line(tmp_path, capsys, case
         cfg = write_config(tmp_path / "p.txt", model="file", spectrum_path=data, eps_rule="eps0",
                            trials=200, seed=1)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert f"{data}:{line}: " in capsys.readouterr().err
+    assert (f"{data}: " if line is None else f"{data}:{line}: ") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algorithm", ["det_smooth", "subgrad"])

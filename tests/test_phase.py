@@ -166,6 +166,23 @@ def test_subcritical_second_order_constant():
         sup.w2(z)
 
 
+@pytest.mark.parametrize("factor, bounds", [(1.0, (0.03, 0.01)), (2.0, (0.15, 0.04))])
+def test_w1_is_the_leading_term_per_draw(factor, bounds):
+    # Critical: sqrt(n) T -> W1. Super-critical: sqrt(n) (T - t0) -> W1. The
+    # median gap falls with n (about 4x from n = 400 to 6400, with median |W1|
+    # about 0.8 and 1.9); the bounds are about twice the gaps measured here.
+    gaps = []
+    for n, bound in zip((400, 6400), bounds):
+        m = equal_gap_model(n)
+        pred = classify_regime(m, factor * eps_critical(m))
+        Z = np.random.default_rng(0).standard_normal((200, n))
+        T = secular_shifts_batch(m.lambdas, Z**2, pred.eps / n)
+        lead = math.sqrt(n) * (T - (pred.t0 or 0.0))
+        gaps.append(np.median(np.abs(lead - [pred.w1(z) for z in Z])))
+        assert gaps[-1] <= bound
+    assert gaps[1] <= 0.5 * gaps[0]
+
+
 # ---------------------------------------------------------------- sampling
 
 
@@ -209,12 +226,12 @@ def test_secular_path_matches_dense_path():
     X = np.diag(m.lambdas)
     for _ in range(10):
         z = rng.standard_normal(n)
-        t_sec = secular_shifts_batch(m.lambdas, z**2, eps / n, rel_tol=1e-12)[0]
+        t_sec = secular_shifts_batch(m.lambdas, z**2, eps / n)[0]
         t_dense = np.linalg.eigvalsh(X + (eps / n) * np.outer(z, z))[-1] - m.lambdas[0]
         assert abs(t_sec - t_dense) <= 1e-10 * max(1.0, abs(t_dense))
 
 
-def test_secular_row_at_rounding_floor_converges():
+def test_secular_row_at_rounding_floor_converges(monkeypatch):
     # Critical n=1600 row whose residual near the root cannot drop below
     # about 2 ulp(1/scale): Newton's steps hop at the rounding level without
     # meeting rel_tol, so a step-size test alone never stops it.
@@ -223,13 +240,14 @@ def test_secular_row_at_rounding_floor_converges():
     scale = eps / m.n
     shifts, _ = sample_shifts(m, eps, 200, sample_rng(40, 2))
     z = sample_rng(40, 2).standard_normal((200, m.n))[18]
-    root, _, iterations = spectral._secular_shifts(m.lambdas, z[None] ** 2, scale, 1e-13, 200)
+    root, _, iterations = spectral._secular_shifts(m.lambdas, z[None] ** 2, scale)
     assert iterations[0] < 200
     top = np.linalg.eigvalsh(np.diag(m.lambdas) + scale * np.outer(z, z))[-1]
     assert abs(root[0] - (top - m.lambdas[0])) <= 1e-10 * max(1.0, abs(top))
     assert abs(shifts[18] - root[0]) <= 1e-12 * root[0]
+    monkeypatch.setattr(spectral, "_SECULAR_MAX_ITER", 1)
     with pytest.raises(SpectralError):
-        secular_shifts_batch(m.lambdas, z[None, :] ** 2, scale, max_iter=1)
+        secular_shifts_batch(m.lambdas, z[None, :] ** 2, scale)
 
 
 REGIME_FACTORS = (0.5, 1.0, 2.0)  # eps / eps0: sub-critical, critical, super-critical
@@ -254,7 +272,7 @@ def test_secular_batch_equal_gap_closed_form(n):
 
 
 def _evaluations(m, W, scale):
-    return max(spectral._secular_shifts(m.lambdas, w[None], scale, 1e-13, 200)[2][0] for w in W)
+    return max(spectral._secular_shifts(m.lambdas, w[None], scale)[2][0] for w in W)
 
 
 def test_secular_evaluation_counts():
@@ -295,8 +313,7 @@ def test_merged_poles_match_unmerged_reference():
             for factor in REGIME_FACTORS:
                 scale = factor * eps_critical(m) / n
                 W = rng.standard_normal((200, n)) ** 2
-                shifts, degenerate, iterations = spectral._secular_shifts(
-                    m.lambdas, W, scale, 1e-13, 120)
+                shifts, degenerate, iterations = spectral._secular_shifts(m.lambdas, W, scale)
                 ref, ref_iterations = _unmerged_shifts(m.lambdas, W, scale)
                 assert not degenerate.any()
                 assert np.max(np.abs(shifts - ref) / ref) <= 1e-13

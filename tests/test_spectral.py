@@ -174,9 +174,10 @@ class _FirstDrawRng:
         return self.rng.standard_normal(n)
 
 
-def test_lanczos_restart_recovers_from_bad_start():
+def test_lanczos_restart_recovers_from_bad_start(monkeypatch):
     # Start vector nearly orthogonal to the top eigenvector with a budget too
     # small to recover; the restart draws a fresh vector and converges.
+    monkeypatch.setattr(spectral, "lanczos_iteration_budget", lambda n, rel_tol: 14)
     rng = np.random.default_rng(4)
     n = 40
     vals = np.concatenate(([2.0], np.linspace(0.5, 0.0, n - 1)))
@@ -184,7 +185,7 @@ def test_lanczos_restart_recovers_from_bad_start():
     bad = rng.standard_normal(n)
     bad[0] = 1e-8
     wrapped = _FirstDrawRng(bad, rng)
-    pair = lanczos_leading(X, rel_tol=1e-10, rng=wrapped, max_iter=14, restart_limit=3)
+    pair = lanczos_leading(X, rel_tol=1e-10, rng=wrapped)
     assert abs(pair.value - 2.0) <= 1e-9
     assert pair.matvecs > 14  # first attempt was spent
 
@@ -203,21 +204,21 @@ def test_lanczos_survives_eigenvector_start():
     assert abs(pair.value - 2.0) <= 1e-9
 
 
-def test_lanczos_explicit_failure():
+def test_lanczos_explicit_failure(monkeypatch):
+    monkeypatch.setattr(spectral, "lanczos_iteration_budget", lambda n, rel_tol: 2)
+    monkeypatch.setattr(spectral, "_LANCZOS_ATTEMPTS", 2)
     rng = np.random.default_rng(5)
     X = random_symmetric(30, rng)
     with pytest.raises(LanczosConvergenceError):
-        lanczos_leading(X, rel_tol=1e-12, rng=rng, max_iter=2, restart_limit=2)
+        lanczos_leading(X, rel_tol=1e-12, rng=rng)
 
 
 # ---------------------------------------------------------------- secular
 
 
 def _one_row(lam, w, scale):
-    """One weight row's (shift, degenerate flag, evaluations) at rel_tol 1e-12."""
-    shifts, degenerate, iterations = spectral._secular_shifts(
-        lam, np.asarray(w)[None], scale, 1e-12, 200
-    )
+    """One weight row's (shift, degenerate flag, evaluations)."""
+    shifts, degenerate, iterations = spectral._secular_shifts(lam, np.asarray(w)[None], scale)
     return shifts[0], degenerate[0], iterations[0]
 
 
@@ -233,7 +234,7 @@ def test_secular_zero_matrix():
 def test_secular_matches_full_eig_fixed():
     lam = np.array([1.0, 0.0, -2.0, -2.0])
     v = np.ones(4)
-    shift = secular_shifts_batch(lam, v**2, 0.25, rel_tol=1e-12)[0]
+    shift = secular_shifts_batch(lam, v**2, 0.25)[0]
     top = full_eig(np.diag(lam) + 0.25 * np.outer(v, v)).values[0]
     assert abs(shift - (top - 1.0)) <= 1e-10
 
@@ -246,7 +247,7 @@ def test_secular_interlacing():
         v = rng.standard_normal(n)
         eps = 0.5
         dec = full_eig(X)
-        shift = secular_shifts_batch(dec.values, dec.coordinates(v) ** 2, eps / n, rel_tol=1e-12)[0]
+        shift = secular_shifts_batch(dec.values, dec.coordinates(v) ** 2, eps / n)[0]
         pert = full_eig(X + (eps / n) * np.outer(v, v)).values
         assert pert[1] <= dec.values[0] + 1e-12
         assert shift > 0.0
@@ -260,7 +261,7 @@ def test_secular_vs_full_eig_random(n):
         v = rng.standard_normal(n)
         eps = float(rng.uniform(0.2, 2.0))
         dec = full_eig(X)
-        shift = secular_shifts_batch(dec.values, dec.coordinates(v) ** 2, eps / n, rel_tol=1e-12)[0]
+        shift = secular_shifts_batch(dec.values, dec.coordinates(v) ** 2, eps / n)[0]
         ptop = full_eig(X + (eps / n) * np.outer(v, v)).values[0]
         assert abs(shift - (ptop - dec.values[0])) <= 1e-10 * (1.0 + abs(ptop))
 
@@ -274,15 +275,15 @@ def test_secular_rotation_invariance():
     O = random_orthogonal(n, rng)
     dec = full_eig(X)
     dec_rot = full_eig(O @ X @ O.T)
-    r1 = secular_shifts_batch(dec.values, dec.coordinates(v) ** 2, eps / n, rel_tol=1e-12)[0]
+    r1 = secular_shifts_batch(dec.values, dec.coordinates(v) ** 2, eps / n)[0]
     w_rot = dec_rot.coordinates(O @ v) ** 2
-    r2 = secular_shifts_batch(dec_rot.values, w_rot, eps / n, rel_tol=1e-12)[0]
+    r2 = secular_shifts_batch(dec_rot.values, w_rot, eps / n)[0]
     assert abs(r1 - r2) <= 1e-12 * max(1.0, abs(r1))
 
 
 def test_secular_rejects_zero_weights():
     with pytest.raises(ValueError):
-        secular_shifts_batch(np.array([1.0, 0.0]), np.zeros(2), 0.1, rel_tol=1e-12)
+        secular_shifts_batch(np.array([1.0, 0.0]), np.zeros(2), 0.1)
 
 
 def test_secular_degenerate_flagged():
@@ -308,7 +309,7 @@ def test_secular_batch_matches_scalar():
     scale = 0.02
     batch = secular_shifts_batch(lam, W, scale)
     for i in range(40):
-        ref = secular_shifts_batch(lam, W[i], scale, rel_tol=1e-12)[0]
+        ref = secular_shifts_batch(lam, W[i], scale)[0]
         assert abs(batch[i] - ref) <= 1e-11 * max(1.0, ref)
 
 
@@ -327,7 +328,7 @@ def test_secular_degenerate_rows_next_to_repeated_eigenvalue():
     Z[::3, 1] = 0.0  # some rows keep only part of the repeated eigenvalue
     Z[1::3, 1:3] = 0.0
     for scale in (1e-3, 0.3, 5.0):
-        batch = secular_shifts_batch(lam, Z**2, scale, rel_tol=1e-12)
+        batch = secular_shifts_batch(lam, Z**2, scale)
         for z, shift in zip(Z, batch):
             root, degenerate, _ = _one_row(lam, z**2, scale)
             assert degenerate and root == shift
@@ -409,7 +410,7 @@ def test_secular_prepass_matches_copying_prepass(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         want = _outcome(_copying_secular_shifts, lam, W, scale, 1e-13, 120)
-        got = _outcome(spectral._secular_shifts, lam, W, scale, 1e-13, 120)
+        got = _outcome(spectral._secular_shifts, lam, W, scale)
         assert got == want
         if not isinstance(want[0], type):
             assert _outcome(lambda *a: [secular_shifts_batch(*a)], lam, W, scale)[0] == want[0]
@@ -424,7 +425,7 @@ def test_secular_shifts_reject_non_finite_weights():
         for bad in (np.nan, np.inf):
             W = np.array([[1.0, 1.0, bad], [1.0, 1.0, 1.0]])
             with pytest.raises(ValueError, match="weights must be finite"):
-                spectral._secular_shifts(lam, W, 1.0, 1e-13, 120)
+                spectral._secular_shifts(lam, W, 1.0)
 
 
 def test_secular_prepass_keeps_memory_off_the_weight_array():
@@ -517,7 +518,7 @@ def test_secular_root_brackets_by_determinant():
     lam = np.array([1.0, 0.0, -2.0, -2.0])
     v = np.ones(4)
     scale = 0.25
-    shift = secular_shifts_batch(lam, v**2, scale, rel_tol=1e-12)[0]
+    shift = secular_shifts_batch(lam, v**2, scale)[0]
     top = lam[0] + shift
     A = np.diag(lam) + scale * np.outer(v, v)
     below = np.linalg.det(A - (top - 1e-6) * np.eye(4))
@@ -667,10 +668,10 @@ def test_rank_one_kernel_matches_dense(case):
     scale = params.scale
     dec = full_eig(X)
     W = (Z @ dec.vectors) ** 2
-    batch = secular_shifts_batch(dec.values, W, scale, rel_tol=1e-12)
+    batch = secular_shifts_batch(dec.values, W, scale)
     best, i0, phi, values = fk_value(dec, Z, params)
     for z, w, shift, value in zip(Z, W, batch, values):
-        assert shift == secular_shifts_batch(dec.values, w, scale, rel_tol=1e-12)[0]
+        assert shift == secular_shifts_batch(dec.values, w, scale)[0]
         M = X + scale * np.outer(z, z)
         ref = full_eig(M).values[0]
         pair = rank_one_leading(dec, z, scale)
@@ -744,14 +745,14 @@ def test_lanczos_update_rejects_bad_rank_one_term():
                      (0.1, np.ones(2)), (0.1, np.ones(4)), (0.1, np.array([1.0, np.nan, 0.0])),
                      (0.1, np.array([1.0, np.inf, 0.0])), (0.1, np.ones((3, 1)))]:
         with pytest.raises(ValueError):
-            lanczos_leading(X, rng=rng, update=(scale, z))
+            lanczos_leading(X, 1e-8, rng=rng, update=(scale, z))
     for update in [(0.1,), (0.1, good, 14.0, 6.0)]:  # only the pair (scale, z)
         with pytest.raises(ValueError):
-            lanczos_leading(X, rng=rng, update=update)
+            lanczos_leading(X, 1e-8, rng=rng, update=update)
     pair = lanczos_leading(X, rel_tol=1e-12, rng=rng, update=(0.5, good))
     ref = full_eig(X + 0.5 * np.outer(good, good))
     assert abs(pair.value - ref.values[0]) <= 1e-10
-    one = lanczos_leading(np.array([[2.0]]), rng=rng, update=(0.5, np.array([3.0])))
+    one = lanczos_leading(np.array([[2.0]]), 1e-8, rng=rng, update=(0.5, np.array([3.0])))
     assert one.value == 2.0 + 0.5 * 9.0
 
 
@@ -763,18 +764,19 @@ def _bits(vector):
 
 
 def _golden_case(name):
-    """(X, keyword arguments, update scale, update vector seed, start seed)."""
+    """(X, steps per attempt or None for the budget's, update scale, update
+    vector seed, start seed); every case runs at rel_tol 1e-10."""
     if name == "long":  # crosses the 32- and 64-column workspace sizes
         vals = np.concatenate(([1.0, 0.999, 0.998], np.linspace(0.99, -1.0, 147)))
         O = random_orthogonal(150, np.random.default_rng(11))
-        return symmetrize((O * vals) @ O.T), dict(rel_tol=1e-10), 1e-4, 112, 12
+        return symmetrize((O * vals) @ O.T), None, 1e-4, 112, 12
     if name == "decouple":  # every start vector spans an invariant subspace below min_span
-        return np.eye(8), dict(rel_tol=1e-10), 0.5, 113, 13
+        return np.eye(8), None, 0.5, 113, 13
     # "restart": the first 46-step attempt fails, the second converges
     vals = np.concatenate(([1.0, 0.9], np.linspace(0.85, -1.0, 98)))
     O = random_orthogonal(100, np.random.default_rng(14))
     X = symmetrize((O * vals) @ O.T)
-    return X, dict(rel_tol=1e-10, max_iter=46, restart_limit=6), 1e-3, 115, 17
+    return X, 46, 1e-3, 115, 17
 
 
 # (matvecs, value.hex(), sha256 prefix of the vector bytes) from the
@@ -792,10 +794,16 @@ _LANCZOS_GOLDEN = {
 
 
 def _golden_run(case, path):
-    X, kwargs, scale, z_seed, seed = _golden_case(case)
+    X, steps, scale, z_seed, seed = _golden_case(case)
     z = np.random.default_rng(z_seed).standard_normal(X.shape[0])
     update = None if path == "plain" else (scale, z)
-    pair = lanczos_leading(X, rng=np.random.default_rng(seed), update=update, **kwargs)
+    budget = spectral.lanczos_iteration_budget
+    if steps is not None:  # this runs in a child process, without monkeypatch
+        spectral.lanczos_iteration_budget = lambda n, rel_tol: steps
+    try:
+        pair = lanczos_leading(X, 1e-10, rng=np.random.default_rng(seed), update=update)
+    finally:
+        spectral.lanczos_iteration_budget = budget
     return pair.matvecs, pair.value.hex(), _bits(pair.vector)
 
 
