@@ -114,13 +114,12 @@ class Config:
 # Solver keys and their Config parsers; a key left unset keeps SolverConfig's
 # default, except q, which stoch_ls and acsa derive from eps.
 SOLVER_KEYS = {
-    "q": "int", "k": "int", "gamma_max": "float", "gamma_min": "float", "gamma_init": "float",
-    "gamma_d": "float", "ladder_span": "float", "lip_scale": "float",
+    "q": "int", "k": "int", "gamma_max": "float", "gamma_min": "float",
     "oracle_path": "str", "oracle_tol": "float", "true_obj_every": "int",
 }
 SOLVE_KEYS = (
     "problem", "algorithm", "n", "seed", "name", "eps", "N",
-    "radius", "rho", "data_path", "n_select", "det_lip_scale", *SOLVER_KEYS,
+    "radius", "rho", "data_path", "n_select", *SOLVER_KEYS,
 )
 
 
@@ -159,8 +158,7 @@ def _run_solver(cfg, seed):
         except _SelectionError as exc:  # a count the file cannot meet is a setting
             raise ConfigError(f"{cfg.path}: field {field!r}: {exc}") from None
     try:
-        for key, used in (("rho", kind == "dspca"), ("radius", kind == "maxcut"),
-                          ("det_lip_scale", algorithm == "det_smooth")):
+        for key, used in (("rho", kind == "dspca"), ("radius", kind == "maxcut")):
             if key in cfg.values and not used:  # a key the run uses is checked where it is used
                 check_finite_positive(key, cfg.float(key))
         problem = _build_problem(cfg, kind, n, seed, cov)
@@ -169,9 +167,7 @@ def _run_solver(cfg, seed):
         config = SolverConfig(N=budget, eps=eps, seed=seed, **given)
         if algorithm == "det_smooth":
             result = nesterov_smooth_baseline(
-                problem, setup, eps, budget,
-                lip_scale=cfg.float("det_lip_scale", default=1.0),
-                true_obj_every=config.true_obj_every,
+                problem, setup, eps, budget, true_obj_every=config.true_obj_every,
             )
         elif algorithm == "subgrad":
             result = subgradient_baseline(
@@ -278,10 +274,10 @@ def cmd_compare(args):
     return 0
 
 
-PHASE_KEYS = (
-    "model", "seed", "n_list", "eps_rule", "trials",
-    "gamma", "top", "multiplicity", "spectrum_path",
-)
+# Phase keys read by one model only, and that model
+MODEL_KEYS = {"gamma": "equal_gap", "top": "equal_gap", "multiplicity": "equal_gap",
+              "spectrum_path": "file"}
+PHASE_KEYS = ("model", "seed", "n_list", "eps_rule", "trials", *MODEL_KEYS)
 
 
 def _parse_eps_rule(text):
@@ -302,6 +298,9 @@ def cmd_phase(args):
     if seed is None:
         raise ConfigError(f"{args.config}: missing required field 'seed' (or pass --seed)")
     model_kind = cfg.str("model", default="equal_gap", choices=("equal_gap", "file"))
+    for key, needs in MODEL_KEYS.items():
+        if key in cfg.values and model_kind != needs:  # before any file is opened
+            raise ConfigError(f"{cfg.path}: field {key!r} needs model = {needs}")
     if model_kind == "equal_gap":
         gamma = cfg.float("gamma", default=1.0)
         top = cfg.float("top", default=1.0)

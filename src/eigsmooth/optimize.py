@@ -10,7 +10,7 @@ aggregate iterate x_t^ag through the midpoint sequence
 takes prox steps of size gamma_t = (t+1) gamma / 2, and optionally adapts the
 scale gamma by a monotone (shrink-only) line search: the candidate aggregate
 must satisfy a sampled upper-model inequality, otherwise gamma is multiplied
-by gamma_d < 1 down to a floor gamma_min. Two distinct oracle realizations
+by GAMMA_D < 1 down to a floor gamma_min. Two distinct oracle realizations
 enter each test; the trailing one is reused at the next iteration whenever
 the evaluation point is unchanged, otherwise it is resampled and charged.
 
@@ -60,6 +60,10 @@ __all__ = [
 
 TRACE_HEADER = "t,obj_true,obj_sampled,gamma,eigvecs,wall_ms"
 
+GAMMA_D = 0.5  # the line search's shrink factor
+LADDER_SPAN = 16.0  # the derived ceiling gamma_max, in theory steps 1/(2L)
+LIP_SCALE = 100.0  # the smoothed Lipschitz bound is divided by this before any step
+
 
 @dataclass
 class ProxSetup:
@@ -79,11 +83,12 @@ class ProxSetup:
 class SolverConfig:
     """All solver parameters; anything left None is derived at run time.
 
-    gamma_max / gamma_min / gamma_init define the line-search ladder
-    (defaults: a theory floor 1/(2L) with L the smoothed-gradient
-    Lipschitz bound divided by `lip_scale`, and a ceiling `ladder_span`
-    times higher). `oracle_path` is "lanczos" or "secular". Every field is
-    checked here, before any solver starts.
+    gamma_max / gamma_min bound the line-search ladder (defaults: a theory
+    floor 1/(2L), with L the smoothed-gradient Lipschitz bound divided by
+    LIP_SCALE = 100, and a ceiling LADDER_SPAN = 16 times higher). The
+    search starts at the ceiling and shrinks by GAMMA_D = 0.5. `oracle_path`
+    is "lanczos" or "secular". Every field is checked here, before any
+    solver starts.
     """
 
     N: int
@@ -93,36 +98,29 @@ class SolverConfig:
     seed: int = 0
     gamma_max: float | None = None
     gamma_min: float | None = None
-    gamma_init: float | None = None
-    gamma_d: float = 0.5
-    ladder_span: float = 16.0
-    lip_scale: float = 100.0
     oracle_path: str = "lanczos"
     oracle_tol: float = 1e-6
     true_obj_every: int | None = None
 
     def __post_init__(self):
         _check_run_length(self.N, self.true_obj_every)
-        if not 0.0 < self.gamma_d < 1.0:
-            raise ValueError("gamma_d must lie in (0, 1)")
         if self.q < 1:
             raise ValueError("q must be at least 1")
         if self.k < (3 if self.eps > 0.0 else 1):
             raise ValueError(f"k must be at least 1, and at least 3 when eps > 0, got {self.k!r}")
-        for name in ("gamma_max", "gamma_min", "gamma_init", "ladder_span", "lip_scale"):
+        for name in ("gamma_max", "gamma_min"):
             if getattr(self, name) is not None:
                 check_finite_positive(name, getattr(self, name))
         if not 0.0 < self.oracle_tol < 1.0:
             raise ValueError(f"oracle_tol must lie in (0, 1), got {self.oracle_tol!r}")
         if self.oracle_path not in ("lanczos", "secular"):
             raise ValueError(f"oracle_path must be 'lanczos' or 'secular', got {self.oracle_path!r}")
-        ladder = [g for g in (self.gamma_min, self.gamma_init, self.gamma_max) if g is not None]
-        if ladder != sorted(ladder):
-            raise ValueError("gamma_min <= gamma_init <= gamma_max must hold among those set")
+        if None not in (self.gamma_min, self.gamma_max) and self.gamma_min > self.gamma_max:
+            raise ValueError("gamma_min <= gamma_max must hold when both are set")
 
 
 def check_finite_positive(name, value):
-    """The rule of every scale setting (step scales, eps, lip_scale, rho, radius)."""
+    """The rule of every scale setting (step scales, eps, rho, radius)."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
@@ -253,18 +251,18 @@ def default_schedule(n, eps, diameter):
     return N, q
 
 
-def line_search_exit(value_md, grad_md, value_next, displacement, gamma, gamma_d):
+def line_search_exit(value_md, grad_md, value_next, displacement, gamma):
     """Sampled upper-model exit test for the current step scale gamma.
 
     True iff  Psi(x_ag', xi') <= Psi(x_md, xi) + <G, x_ag' - x_md>
-              + (gamma_d / (4 gamma)) ||x_ag' - x_md||^2.
+              + (GAMMA_D / (4 gamma)) ||x_ag' - x_md||^2.
     """
     delta = np.asarray(displacement, dtype=float)
     dist = float(np.linalg.norm(delta.ravel()))
     rhs = (
         value_md
         + float(np.vdot(np.asarray(grad_md, dtype=float), delta))
-        + (gamma_d / (4.0 * gamma)) * dist**2
+        + (GAMMA_D / (4.0 * gamma)) * dist**2
     )
     return value_next <= rhs
 
@@ -304,17 +302,17 @@ def _default_oracle(problem, config):
 
 
 def _scaled_lipschitz(problem, config):
-    return lipschitz_bound(_default_smoothing(problem, config)) / config.lip_scale
+    return lipschitz_bound(_default_smoothing(problem, config)) / LIP_SCALE
 
 
 def _resolve_ladder(config, L):
-    """The line-search ladder (gamma_min, gamma_init, gamma_max).
+    """The line-search ladder (gamma_min, gamma_max).
 
-    An unset ceiling is `ladder_span` times the theory step 1/(2L), an
-    unset floor is the theory step capped at the ceiling, and an unset start
-    is the ceiling. `L` is the scaled Lipschitz bound of the smoothed
-    problem, or None when there is none; then both ends must be set. A
-    start outside the resolved ladder is a ValueError.
+    An unset ceiling is LADDER_SPAN times the theory step 1/(2L), and an
+    unset floor is the theory step capped at the ceiling. `L` is the scaled
+    Lipschitz bound of the smoothed problem, or None when there is none;
+    then both ends must be set. A set floor above the derived ceiling is a
+    ValueError.
     """
     gamma_min, gamma_max = config.gamma_min, config.gamma_max
     if gamma_min is None or gamma_max is None:
@@ -325,13 +323,12 @@ def _resolve_ladder(config, L):
             )
         theory = 1.0 / (2.0 * L)
         if gamma_max is None:
-            gamma_max = config.ladder_span * theory
+            gamma_max = LADDER_SPAN * theory
         if gamma_min is None:
             gamma_min = min(theory, gamma_max)
-    gamma_init = config.gamma_init if config.gamma_init is not None else gamma_max
-    if not gamma_min <= gamma_init <= gamma_max:
-        raise ValueError(f"gamma_init={gamma_init!r} is outside [{gamma_min!r}, {gamma_max!r}]")
-    return gamma_min, gamma_init, gamma_max
+    if gamma_min > gamma_max:
+        raise ValueError(f"gamma_min={gamma_min!r} is above the derived ceiling {gamma_max!r}")
+    return gamma_min, gamma_max
 
 
 def _plain_gamma(setup, config, L, sigma2):
@@ -402,7 +399,7 @@ class _Recorder:
 
 def _acsa_engine(problem, oracle, setup, config, gamma_min, gamma):
     """AC-SA iterations from step scale `gamma`; failed exit tests shrink it
-    by gamma_d down to the floor `gamma_min`, where the search stops. The
+    by GAMMA_D down to the floor `gamma_min`, where the search stops. The
     plain method is the one-rung ladder gamma == gamma_min."""
     n_iter = config.N
     x = np.array(setup.center, dtype=float, copy=True)
@@ -436,11 +433,9 @@ def _acsa_engine(problem, oracle, setup, config, gamma_min, gamma):
                 ev_next = _evaluate(oracle.evaluate, x_ag_next, (t + 1,))
                 rec.cost += ev_next.cost
                 cached = ((t + 1,), x_ag_next, ev_next)
-                if line_search_exit(
-                    ev.value, ev.grad, ev_next.value, x_ag_next - x_md, gamma, config.gamma_d,
-                ):
+                if line_search_exit(ev.value, ev.grad, ev_next.value, x_ag_next - x_md, gamma):
                     break
-                gamma = gamma * config.gamma_d
+                gamma = gamma * GAMMA_D
         except SpectralError as exc:
             error = exc
             break
@@ -476,15 +471,15 @@ def acsa_run(problem, oracle, setup, config):
 
 def acsa_linesearch_run(problem, oracle, setup, config):
     """Adaptive variant: the step scale starts at gamma_max and shrinks by
-    gamma_d on every failed exit test, floored at gamma_min, after which the
+    GAMMA_D on every failed exit test, floored at gamma_min, after which the
     search is disabled; records the first floor iteration T_gamma and logs
     the coarse expected-accuracy bound."""
     if oracle is None:
         oracle = _default_oracle(problem, config)
     smoothed = problem is not None and config.eps > 0
     L = _scaled_lipschitz(problem, config) if smoothed else None
-    gamma_min, gamma_init, gamma_max = _resolve_ladder(config, L)
-    result = _acsa_engine(problem, oracle, setup, config, gamma_min, gamma_init)
+    gamma_min, gamma_max = _resolve_ladder(config, L)
+    result = _acsa_engine(problem, oracle, setup, config, gamma_min, gamma_max)
     if smoothed:
         result.gap_bound = coarse_gap_bound(
             L, setup.diameter, config.N, getattr(oracle, "sigma2", 0.0), gamma_max, gamma_min,
@@ -544,20 +539,18 @@ def softmax_smoothed(M, mu):
     return value, dec.vectors.T, shifted / total, dec.cost_eigvecs
 
 
-def nesterov_smooth_baseline(problem, setup, eps, budget, lip_scale=1.0,
-                             true_obj_every=None):
+def nesterov_smooth_baseline(problem, setup, eps, budget, true_obj_every=None):
     """Accelerated gradient on the soft-max smoothing with mu = eps / log n.
 
     One matrix exponential per iteration, charged n eigenvector units. The
-    gradient step uses 1/L with L = 1/(mu lip_scale). Needs n >= 2, eps > 0.
+    gradient step is 1/L with L = 1/mu. Needs n >= 2, eps > 0.
     """
     n = problem.dim
     if n < 2:
         raise ValueError(f"n must be at least 2 for soft-max smoothing, got {n}")
     check_finite_positive("eps", eps)
-    check_finite_positive("lip_scale", lip_scale)
     mu = eps / math.log(n)
-    L = 1.0 / (mu * lip_scale)
+    L = 1.0 / mu
     step = 1.0 / L
     x = np.array(setup.center, dtype=float, copy=True)
     x_prev = x.copy()

@@ -143,10 +143,12 @@ class BallProblem:
         return float(np.linalg.eigvalsh(self.matrix(w))[-1]) - float(np.sum(w))
 
 
-def _normalize_spectral(A):
+def _normalize_spectral(A, path=None):
+    """A / ||A||_2; a zero matrix is a ValueError naming `path`, its data file."""
     norm = float(np.max(np.abs(np.linalg.eigvalsh(A))))
     if norm <= 0.0:
-        raise ValueError("matrix has zero spectral norm")
+        where = "" if path is None else f"{path}: "
+        raise ValueError(f"{where}the matrix has zero spectral norm")
     return A / norm
 
 
@@ -163,7 +165,8 @@ def load_covariance(path, n_select):
     line `m n`) from which the covariance is formed with ddof = 1. The
     `n_select` coordinates of highest variance are kept, in their original
     order; `n_select` must be at least 1 and at most n (a `_SelectionError`
-    past n). A sample covariance that overflows is a ValueError naming the file.
+    past n). A sample covariance that overflows, or a covariance that is
+    zero, is a ValueError naming the file.
     """
     if n_select < 1:
         raise ValueError(f"n_select must be at least 1, got {n_select!r}")
@@ -177,14 +180,14 @@ def load_covariance(path, n_select):
     if len(head) == 1:
         cov = check_symmetric(data)
         idx = np.sort(np.argsort(-np.diag(cov), kind="stable")[:n_select])
-        return _normalize_spectral(cov[np.ix_(idx, idx)])
+        return _normalize_spectral(cov[np.ix_(idx, idx)], path)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         variances = data.var(axis=0, ddof=1)
         idx = np.sort(np.argsort(-variances, kind="stable")[:n_select])
         cov = np.atleast_2d(np.cov(data[:, idx], rowvar=False))
     if not (np.isfinite(variances).all() and np.isfinite(cov).all()):
         raise ValueError(f"{path}: the sample covariance overflows")
-    return _normalize_spectral(check_symmetric(cov, tol=1e-8))
+    return _normalize_spectral(check_symmetric(cov, tol=1e-8), path)
 
 
 def synthetic_samples(m, n, rng):

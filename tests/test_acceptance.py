@@ -239,7 +239,7 @@ def test_criterion_6_line_search_behavior():
     )
     threshold = gamma_d / (2.0 * L_true)
     quad_cfg = SolverConfig(N=60, eps=0.0, q=1, seed=0, gamma_max=100.0 * threshold,
-                            gamma_min=1e-9, gamma_d=gamma_d)
+                            gamma_min=1e-9)
     quad = acsa_linesearch_run(None, FunctionOracle(fn), quad_setup, quad_cfg)
     floor_ok = gamma_d * threshold - 1e-15 <= quad.gamma_final <= threshold + 1e-15
 

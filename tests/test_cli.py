@@ -1,11 +1,13 @@
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eigsmooth.cli import main, parse_config, read_report
+from eigsmooth.cli import SOLVER_KEYS, main, parse_config, read_report
 from eigsmooth.optimize import read_trace
 from eigsmooth.problems import synthetic_covariance
 from eigsmooth.spectral import save_matrix
@@ -28,6 +30,12 @@ def test_parse_config_comments_and_errors(tmp_path):
 
     with pytest.raises(ConfigError, match="bad.txt:1"):
         parse_config(bad)
+
+
+def test_readme_lists_every_solver_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"The solver keys of `stoch_ls` and `acsa` \((.*?)\)", readme, re.S)
+    assert set(re.findall(r"`(\w+)`", listed.group(1))) == set(SOLVER_KEYS) - {"q"}
 
 
 def test_solve_requires_seed(tmp_path, capsys):
@@ -68,19 +76,19 @@ def test_solve_rejects_bad_eps(tmp_path, capsys, algorithm, eps, fields):
     ("phase", {"n_list": "100,abc"}, "field 'n_list' has invalid value"),
     ("phase", {"eps_rule": "abc"}, "field 'eps_rule' has invalid value"),
     ("phase", {"n_list": 100, "multiplicity": 100}, "multiplicity must leave room"),
-    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "ladder_span": -1}, "ladder_span must be finite"),
-    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "gamma_init": 1000}, "gamma_init=1000.0 is outside"),
+    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "ladder_span": -1}, "unknown field 'ladder_span'"),
+    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "gamma_min": 1000}, "gamma_min=1000.0 is above"),
     ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "true_obj_every": -3}, "true_obj_every must be"),
     ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "gamma_min": -1}, "gamma_min must be finite"),
-    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "lip_scale": 0}, "lip_scale must be finite"),
+    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "lip_scale": 0}, "unknown field 'lip_scale'"),
     ("solve", {"algorithm": "det_smooth", "eps": 0.1, "det_lip_scale": 0},
-     "det_smooth: lip_scale must be finite"),
+     "unknown field 'det_lip_scale'"),
     ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "oracle_tol": 2}, "oracle_tol must lie in (0, 1)"),
     ("solve", {"algorithm": "acsa", "eps": 0.1, "oracle_tol": 2, "oracle_path": "secular"},
      "oracle_tol must lie in (0, 1)"),
     ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "oracle_path": "auto"},
      "oracle_path must be 'lanczos' or 'secular'"),
-    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "gamma_d": 2}, "gamma_d must lie in (0, 1)"),
+    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "gamma_d": 2}, "unknown field 'gamma_d'"),
     ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "q": 0}, "q must be at least 1"),
     ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "N": 0}, "N must be at least 1"),
     ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "k": 0}, "k must be at least 1"),
@@ -107,6 +115,13 @@ def test_solve_rejects_bad_eps(tmp_path, capsys, algorithm, eps, fields):
     ("phase", {"n_list": "100,100"}, "n_list repeats a size: [100, 100]"),
     ("phase", {"gamma": "nan"}, "eigenvalues must be finite"),
     ("phase", {"top": "inf"}, "eigenvalues must be finite"),
+    # a key the chosen model does not read is rejected before any file is opened
+    ("phase", {"model": "file", "spectrum_path": "no-such-file.txt", "gamma": -5, "multiplicity": 0},
+     "field 'gamma' needs model = equal_gap"),
+    ("phase", {"model": "file", "spectrum_path": "no-such-file.txt", "multiplicity": 0},
+     "field 'multiplicity' needs model = equal_gap"),
+    ("phase", {"spectrum_path": "no-such-file.txt"}, "field 'spectrum_path' needs model = file"),
+    ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "gamma_init": 1e-9}, "unknown field 'gamma_init'"),
 ])
 def test_config_mistakes_are_config_errors(tmp_path, capsys, command, fields, message):
     # solve runs with eps = 0, which leaves no smoothed problem to derive the steps from
@@ -123,19 +138,19 @@ def test_config_mistakes_are_config_errors(tmp_path, capsys, command, fields, me
     ({"radius": -1}, "stoch_ls: radius must be finite and positive, got -1.0"),
     ({"n": 1}, "stoch_ls: n must be at least 2"),
     # every solver key a file sets meets SolverConfig's rules, used or not
-    ({"algorithm": "det_smooth", "gamma_d": 2}, "det_smooth: gamma_d must lie in (0, 1)"),
+    ({"algorithm": "det_smooth", "gamma_d": 2}, "unknown field 'gamma_d'"),
     ({"algorithm": "det_smooth", "q": 0}, "det_smooth: q must be at least 1"),
     ({"algorithm": "subgrad", "k": 0}, "subgrad: k must be at least 1"),
     ({"algorithm": "subgrad", "oracle_path": "auto"}, "subgrad: oracle_path must be"),
-    ({"algorithm": "det_smooth", "problem": "dspca", "n": 20, "gamma_d": 2, "q": 0, "k": 0},
-     "det_smooth: gamma_d must lie in (0, 1)"),
+    ({"algorithm": "det_smooth", "problem": "dspca", "n": 20, "q": 0, "k": 0},
+     "det_smooth: q must be at least 1"),
     ({"problem": "dspca", "n_select": 3}, "field 'n_select' needs 'data_path'"),
     ({"problem": "dspca", "n": 0}, "stoch_ls: n must be at least 1"),  # before any division
     # a problem or baseline key the run does not use meets the library's rules too
     ({"rho": -1}, "stoch_ls: rho must be finite and positive, got -1.0"),
     ({"problem": "dspca", "radius": 0}, "stoch_ls: radius must be finite and positive, got 0.0"),
-    ({"det_lip_scale": -1}, "stoch_ls: det_lip_scale must be finite and positive, got -1.0"),
-    ({"algorithm": "subgrad", "det_lip_scale": "inf"}, "subgrad: det_lip_scale must be finite"),
+    ({"det_lip_scale": -1}, "unknown field 'det_lip_scale'"),
+    ({"algorithm": "subgrad", "det_lip_scale": "inf"}, "unknown field 'det_lip_scale'"),
     # a maxcut instance reads no data file
     ({"data_path": "no-such-file.txt"}, "field 'data_path' needs problem = dspca"),
     ({"n_select": 3}, "field 'n_select' needs 'data_path' and problem = dspca"),
@@ -179,6 +194,8 @@ _MALFORMED_DATA = {
     "samples_one_row": ("solve", "1 2\n1.0 2.0\n", 1),  # no ddof = 1 covariance
     "samples_nan_after_blank": ("solve", "3 2\n1.0 2.0\n\nnan 1.0\n4.0 5.0\n", 4),
     "samples_overflow": ("solve", "3 2\n1e200 -1e200\n-1e200 1e200\n1e200 1e200\n", None),
+    "matrix_zero": ("solve", "2\n0.0 0.0\n0.0 0.0\n", None),
+    "samples_identical_rows": ("solve", "3 2\n1.0 2.0\n1.0 2.0\n1.0 2.0\n", None),
     "spectrum_nan_first": ("phase", "nan\n1.0\n0.5\n", 1),
     "spectrum_inf_first": ("phase", "inf\n1.0\n", 1),
 }
@@ -202,7 +219,7 @@ def test_malformed_data_file_exits_1_naming_file_and_line(tmp_path, capsys, case
 @pytest.mark.parametrize("algorithm", ["det_smooth", "subgrad"])
 def test_baselines_run_with_valid_unused_solver_keys(tmp_path, algorithm):
     base = dict(problem="dspca", algorithm=algorithm, n=8, N=5, seed=3, eps=0.1)
-    unused = dict(q=2, k=5, gamma_d=0.25, oracle_path="secular", oracle_tol=1e-3)
+    unused = dict(q=2, k=5, oracle_path="secular", oracle_tol=1e-3)
     traces = []
     for name, fields in (("plain", base), ("unused", {**base, **unused})):
         cfg = write_config(tmp_path / f"{name}.txt", name=name, **fields)
@@ -214,8 +231,7 @@ def test_baselines_run_with_valid_unused_solver_keys(tmp_path, algorithm):
 def test_unset_solver_keys_take_solver_config_defaults(tmp_path):
     # the defaults the command line once restated, spelled out, change no byte
     base = dict(problem="maxcut", algorithm="stoch_ls", n=6, N=15, seed=42, eps=0.1, q=2)
-    spelled = dict(k=3, gamma_d=0.5, ladder_span=16.0, lip_scale=100.0, oracle_path="lanczos",
-                   oracle_tol=1e-6)
+    spelled = dict(k=3, oracle_path="lanczos", oracle_tol=1e-6)
     traces = []
     for name, fields in (("unset", base), ("spelled", {**base, **spelled})):
         cfg = write_config(tmp_path / f"{name}.txt", name=name, **fields)

@@ -102,7 +102,7 @@ def test_line_search_exit_affine_always_true():
     z = rng.standard_normal(4)
     f = lambda p: float(g @ p + 1.3)
     for gamma in (1e-3, 1.0, 1e3):
-        assert line_search_exit(f(x), g, f(z), z - x, gamma, 0.5)
+        assert line_search_exit(f(x), g, f(z), z - x, gamma)
 
 
 def test_line_search_exit_quadratic_threshold():
@@ -114,10 +114,10 @@ def test_line_search_exit_quadratic_threshold():
     threshold = gamma_d / (2.0 * L_true)
     for gamma in (threshold, 0.5 * threshold):
         z = x - gamma * grad
-        assert line_search_exit(f(x), grad, f(z), z - x, gamma, gamma_d)
+        assert line_search_exit(f(x), grad, f(z), z - x, gamma)
     for gamma in (10.0 * threshold, 100.0 * threshold):
         z = x - gamma * grad
-        assert not line_search_exit(f(x), grad, f(z), z - x, gamma, gamma_d)
+        assert not line_search_exit(f(x), grad, f(z), z - x, gamma)
 
 
 # ------------------------------------------------------------- singleton
@@ -328,7 +328,7 @@ def test_linesearch_floor_on_noiseless_quadratic():
     threshold = gamma_d / (2.0 * L_true)
     config = SolverConfig(
         N=60, eps=0.0, q=1, seed=0, gamma_max=100.0 * threshold,
-        gamma_min=1e-9, gamma_d=gamma_d, true_obj_every=1,
+        gamma_min=1e-9, true_obj_every=1,
     )
     res = acsa_linesearch_run(None, FunctionOracle(fn), setup, config)
     assert res.gamma_final <= threshold + 1e-15
@@ -478,15 +478,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(N=0, eps=0.1)
     with pytest.raises(ValueError):
-        SolverConfig(N=5, eps=0.1, gamma_d=1.0)
-    with pytest.raises(ValueError):
         SolverConfig(N=5, eps=0.1, gamma_max=0.1, gamma_min=0.2)
-    with pytest.raises(ValueError):
-        SolverConfig(N=5, eps=0.1, gamma_max=0.2, gamma_min=0.1, gamma_init=0.5)
-    cfg = SolverConfig(N=5, eps=0.1, gamma_max=0.2, gamma_min=0.1, gamma_init=0.15)
-    assert cfg.gamma_init == 0.15
     # the other field checks run in test_cli.py's config-mistake cases
-    for field, value in [("gamma_max", -1.0), ("gamma_init", math.inf), ("lip_scale", math.nan),
+    for field, value in [("gamma_max", -1.0),
                          ("oracle_tol", 0.0), ("oracle_path", "auto"), ("true_obj_every", 0)]:
         with pytest.raises(ValueError, match=field):
             SolverConfig(N=5, eps=0.1, **{field: value})
