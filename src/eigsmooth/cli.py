@@ -123,6 +123,19 @@ SOLVE_KEYS = (
 )
 
 
+def _seed(cfg, args):
+    """The run seed, a nonnegative integer: `--seed` if given, else the file's 'seed'."""
+    if args.seed is not None:
+        seed, name = args.seed, "--seed"
+    else:
+        seed, name = cfg.int("seed"), f"{cfg.path}: field 'seed'"
+    if seed is None:
+        raise ConfigError(f"{cfg.path}: missing required field 'seed' (or pass --seed)")
+    if seed < 0:
+        raise ConfigError(f"{name} must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def _build_problem(cfg, kind, n, seed, cov):
     """The config's problem; a dspca one on `cov` when a data file gave it."""
     data_rng = sample_rng(seed, 9001)  # problem data stream, disjoint from the solver's
@@ -135,13 +148,14 @@ def _build_problem(cfg, kind, n, seed, cov):
 def _run_solver(cfg, seed):
     algorithm = cfg.str("algorithm", required=True, choices=ALGORITHMS)
     eps = cfg.float("eps", default=0.05)
-    if not 0.0 <= eps < math.inf:
-        raise ConfigError(f"{cfg.path}: field 'eps' must be finite and nonnegative, got {eps!r}")
+    # stoch_ls and acsa smooth with eps; det_smooth checks its own, and subgrad ignores it
+    smoothed = algorithm in ("stoch_ls", "acsa")
+    if not (0.0 < eps < math.inf or eps == 0.0 and not smoothed):
+        rule = "positive" if smoothed else "nonnegative"
+        raise ConfigError(f"{cfg.path}: field 'eps' must be finite and {rule}, got {eps!r}")
     # every solver key a file sets meets SolverConfig's rules, whichever algorithm runs
     given = {key: getattr(cfg, cast)(key) for key, cast in SOLVER_KEYS.items() if key in cfg.values}
-    if "q" not in given and algorithm in ("stoch_ls", "acsa"):
-        if eps == 0.0:  # the default q = ceil(0.1 / eps) divides by eps
-            raise ConfigError(f"{cfg.path}: field 'eps' must be positive without 'q'")
+    if "q" not in given and smoothed:
         given["q"] = max(1, math.ceil(0.1 / eps))
     kind = cfg.str("problem", required=True, choices=("dspca", "maxcut"))
     n, data_path, cov = cfg.int("n", required=True), cfg.str("data_path"), None
@@ -201,9 +215,7 @@ def read_report(path):
 def cmd_solve(args):
     cfg = Config(parse_config(args.config), args.config)
     cfg.check_unused(SOLVE_KEYS)
-    seed = args.seed if args.seed is not None else cfg.int("seed")
-    if seed is None:
-        raise ConfigError(f"{args.config}: missing required field 'seed' (or pass --seed)")
+    seed = _seed(cfg, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     algorithm, problem, result = _run_solver(cfg, seed)
@@ -294,9 +306,7 @@ def _parse_eps_rule(text):
 def cmd_phase(args):
     cfg = Config(parse_config(args.config), args.config)
     cfg.check_unused(PHASE_KEYS)
-    seed = args.seed if args.seed is not None else cfg.int("seed")
-    if seed is None:
-        raise ConfigError(f"{args.config}: missing required field 'seed' (or pass --seed)")
+    seed = _seed(cfg, args)
     model_kind = cfg.str("model", default="equal_gap", choices=("equal_gap", "file"))
     for key, needs in MODEL_KEYS.items():
         if key in cfg.values and model_kind != needs:  # before any file is opened

@@ -44,7 +44,6 @@ __all__ = [
     "ExactEigOracle",
     "FunctionOracle",
     "prox_map_euclidean",
-    "default_schedule",
     "line_search_exit",
     "acsa_run",
     "acsa_linesearch_run",
@@ -87,8 +86,9 @@ class SolverConfig:
     floor 1/(2L), with L the smoothed-gradient Lipschitz bound divided by
     LIP_SCALE = 100, and a ceiling LADDER_SPAN = 16 times higher). The
     search starts at the ceiling and shrinks by GAMMA_D = 0.5. `oracle_path`
-    is "lanczos" or "secular". Every field is checked here, before any
-    solver starts.
+    is "lanczos" or "secular". `eps` may be 0 only in a generic run, whose
+    oracle the caller passes; a problem's smoothing rejects it. Every field
+    is checked here, before any solver starts.
     """
 
     N: int
@@ -104,6 +104,8 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_run_length(self.N, self.true_obj_every)
+        if not 0.0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be finite and nonnegative, got {self.eps!r}")
         if self.q < 1:
             raise ValueError("q must be at least 1")
         if self.k < (3 if self.eps > 0.0 else 1):
@@ -223,7 +225,8 @@ class ExactEigOracle:
 
 
 class FunctionOracle:
-    """Deterministic oracle from a plain (value, grad) function; zero cost."""
+    """Deterministic oracle from a plain (value, grad) function; zero cost.
+    Drives the noiseless quadratic of acceptance criterion 6 (line search)."""
 
     sigma2 = 0.0
 
@@ -239,16 +242,6 @@ def prox_map_euclidean(setup, x, y):
     """Prox mapping for omega = ||.||^2/2: argmin_z y.(z - x) + ||z - x||^2/2,
     i.e. the Euclidean projection of x - y onto the feasible set."""
     return setup.project(x - y)
-
-
-def default_schedule(n, eps, diameter):
-    """Iteration and sample-count schedule N = ceil(2 D sqrt(n)/eps),
-    q = ceil(max(1, D/(eps sqrt(n))))."""
-    if n < 1 or eps <= 0 or diameter <= 0:
-        raise ValueError("n, eps, diameter must be positive")
-    N = int(math.ceil(2.0 * diameter * math.sqrt(n) / eps))
-    q = int(math.ceil(max(1.0, diameter / (eps * math.sqrt(n)))))
-    return N, q
 
 
 def line_search_exit(value_md, grad_md, value_next, displacement, gamma):
@@ -451,18 +444,20 @@ def acsa_run(problem, oracle, setup, config):
     """Plain accelerated stochastic method with the deterministic step scale
     derived from the (down-scaled) Lipschitz bound; logs the expected-gap
     bound alongside the result. An explicitly set config.gamma_min overrides
-    the derived scale (the only option for generic or noise-free problems)."""
+    the derived scale (the only option for a generic problem, None, whose
+    oracle the caller passes). A problem is smoothed, so its eps must be
+    positive."""
+    L = None if problem is None else _scaled_lipschitz(problem, config)
     if oracle is None:
         oracle = _default_oracle(problem, config)
     if config.gamma_min is not None:
         gamma = config.gamma_min
-    elif problem is not None and config.eps > 0.0:
-        sigma2 = getattr(oracle, "sigma2", 0.0)
-        gamma = _plain_gamma(setup, config, _scaled_lipschitz(problem, config), sigma2)
+    elif L is not None:
+        gamma = _plain_gamma(setup, config, L, getattr(oracle, "sigma2", 0.0))
     else:
         raise ValueError("set 'gamma_min' explicitly when no smoothed problem defines the scale")
     result = _acsa_engine(problem, oracle, setup, config, gamma, gamma)
-    if problem is not None and config.eps > 0:
+    if L is not None:
         result.gap_bound = expected_gap_bound(
             problem.dim, config.eps, config.k, setup.diameter, config.N, config.q,
         )
@@ -473,14 +468,14 @@ def acsa_linesearch_run(problem, oracle, setup, config):
     """Adaptive variant: the step scale starts at gamma_max and shrinks by
     GAMMA_D on every failed exit test, floored at gamma_min, after which the
     search is disabled; records the first floor iteration T_gamma and logs
-    the coarse expected-accuracy bound."""
+    the coarse expected-accuracy bound. As in `acsa_run`, a problem is
+    smoothed and None is a generic one."""
+    L = None if problem is None else _scaled_lipschitz(problem, config)
     if oracle is None:
         oracle = _default_oracle(problem, config)
-    smoothed = problem is not None and config.eps > 0
-    L = _scaled_lipschitz(problem, config) if smoothed else None
     gamma_min, gamma_max = _resolve_ladder(config, L)
     result = _acsa_engine(problem, oracle, setup, config, gamma_min, gamma_max)
-    if smoothed:
+    if L is not None:
         result.gap_bound = coarse_gap_bound(
             L, setup.diameter, config.N, getattr(oracle, "sigma2", 0.0), gamma_max, gamma_min,
             result.t_gamma, config.k * config.eps,

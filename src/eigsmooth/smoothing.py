@@ -47,10 +47,9 @@ __all__ = [
 
 @dataclass
 class SmoothingParams:
-    """Smoothing level eps >= 0, number of perturbations k >= 1, dimension n.
+    """Smoothing level 0 < eps < inf, number of perturbations k >= 1, dimension n.
 
-    eps == 0 degenerates to the exact top-eigenvalue oracle. The gradient
-    Lipschitz bound is only finite for k >= 3.
+    The gradient Lipschitz bound is only finite for k >= 3.
     """
 
     eps: float
@@ -58,8 +57,8 @@ class SmoothingParams:
     k: int = 3
 
     def __post_init__(self):
-        if not 0.0 <= self.eps < np.inf:
-            raise ValueError("eps must be finite and nonnegative")
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError("eps must be finite and positive")
         if int(self.k) < 1:
             raise ValueError("k must be a positive integer")
         if int(self.n) < 1:
@@ -107,9 +106,6 @@ def fk_value(X, Z, params):
     """
     dec = _decomposed(X, params)
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if params.eps == 0.0:
-        values = np.full(Z.shape[0], dec.values[0])
-        return float(dec.values[0]), 0, dec.vectors[:, 0].copy(), values
     values, _, i0, vecs = _rank_one_top(dec, Z[None], params.scale)
     i0 = int(i0[0])
     return float(values[0, i0]), i0, vecs[0], values[0]
@@ -135,11 +131,11 @@ def _draw(X, params, gens, lanczos_tol):
 
     On the secular path (X a decomposition) all noise is drawn first (one
     call for a shared generator) and all samples are solved in one kernel
-    call; at eps = 0 a sample is then the top pair of X. On the Lanczos path
-    each generator draws its sample's k noise vectors, then the start vectors
-    of its k runs, each run given update (eps/n, z). A sample is the largest
-    perturbed top eigenvalue (ties to the lowest index) and its unit vector.
-    Returns values (q,), vectors (q, n) and units.
+    call. On the Lanczos path each generator draws its sample's k noise
+    vectors, then the start vectors of its k runs, each run given update
+    (eps/n, z). A sample is the largest perturbed top eigenvalue (ties to
+    the lowest index) and its unit vector. Returns values (q,), vectors
+    (q, n) and units.
     """
     q, k, n = len(gens), params.k, params.n
     if isinstance(X, SpectralDecomp):
@@ -147,18 +143,13 @@ def _draw(X, params, gens, lanczos_tol):
         shared = len({id(gen) for gen in gens}) == 1
         for gen, noise in [(gens[0], Z)] if shared else zip(gens, Z):
             gen.standard_normal(noise.shape, out=noise)
-        if params.eps == 0.0:
-            return np.full(q, X.values[0]), np.tile(X.vectors[:, 0], (q, 1)), 0.0
         values, _, i0, vectors = _rank_one_top(X, Z, params.scale)
         return values[np.arange(q), i0], vectors, float(q * k)
     values, vectors, units = np.empty(q), np.empty((q, n)), 0.0
     for l, gen in enumerate(gens):
         Z = gen.standard_normal((k, n))
-        if params.eps == 0.0:
-            pairs = [lanczos_leading(X, rel_tol=lanczos_tol, rng=gen)]
-        else:
-            pairs = [lanczos_leading(X, rel_tol=lanczos_tol, rng=gen, update=(params.scale, z))
-                     for z in Z]
+        pairs = [lanczos_leading(X, rel_tol=lanczos_tol, rng=gen, update=(params.scale, z))
+                 for z in Z]
         best = pairs[int(np.argmax([p.value for p in pairs]))]
         values[l], vectors[l] = best.value, best.vector
         units += sum(p.cost_eigvecs for p in pairs)
@@ -175,8 +166,7 @@ def gradient_oracle(X, params, q, rng, seed_key=(), lanczos_tol=1e-9):
     index order. X's type picks the path: a `SpectralDecomp` takes the
     secular path, all q samples solved in one batched kernel call; a matrix
     the Lanczos path, whose runs take X unchecked after one `check_symmetric`
-    here. Cost: k eigenpair units per sample; at eps = 0, one Lanczos run,
-    or none given a decomposition.
+    here. Cost: k eigenpair units per sample.
     """
     q = int(q)
     if q < 1:
@@ -215,8 +205,6 @@ def smoothing_constant(k):
 
 def lipschitz_bound(params):
     """Uniform Lipschitz constant of the smoothed gradient: (k/(k-2)) * n / eps."""
-    if params.eps <= 0.0:
-        raise ValueError("the Lipschitz bound requires eps > 0")
     return smoothing_constant(params.k) * params.n / params.eps
 
 

@@ -45,8 +45,6 @@ __all__ = [
     "SpectralDecomp",
     "symmetrize",
     "check_symmetric",
-    "load_matrix",
-    "save_matrix",
     "full_eig",
     "lanczos_iteration_budget",
     "lanczos_leading",
@@ -160,25 +158,6 @@ def _table(path, rows, m, n):
     return np.array([values for _, values in rows])
 
 
-def load_matrix(path):
-    """Read a matrix from the plain-text format: line 1 holds n, then n rows
-    of n whitespace-separated decimals. Symmetry is validated (to
-    `check_symmetric`'s 1e-12), then enforced exactly."""
-    (lineno, head), *rows = _read_rows(path, header=True)
-    if len(head) != 1:
-        raise ValueError(f"{path}:{lineno}: first line must hold the dimension alone")
-    return check_symmetric(_table(path, rows, head[0], head[0]))
-
-
-def save_matrix(path, X):
-    """Write a matrix in the plain-text format with round-trip decimals."""
-    X = check_symmetric(X)
-    with open(path, "w") as fh:
-        fh.write(f"{X.shape[0]}\n")
-        for row in X:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
 @dataclass
 class EigPair:
     """A leading eigenpair with its cost in eigenvector units.
@@ -215,9 +194,6 @@ class SpectralDecomp:
     def coordinates(self, v):
         """Coordinates of a vector in the eigenbasis."""
         return self.vectors.T @ np.asarray(v, dtype=float)
-
-    def reconstruct(self):
-        return (self.vectors * self.values) @ self.vectors.T
 
 
 def _canonical_sign(vecs):
@@ -576,6 +552,7 @@ def rank_one_leading(decomp, v, eps_over_n):
     `_SECULAR_TOL`); eigenvector coordinates in the eigenbasis are
     (coords of v)_j / (value - lambda_j), normalized and rotated back.
     Charged one eigenvector unit. Raises ValueError unless eps_over_n > 0 and v is nonzero.
+    The one-vector reference of acceptance criterion 1 (secular oracle equivalence).
     """
     v = np.asarray(v, dtype=float)
     values, degenerate, _, vecs = _rank_one_top(decomp, v[None, None, :], eps_over_n)
@@ -598,14 +575,15 @@ def _leading_gap(decomp):
 def local_lip_constant(decomp):
     """1 / (lambda_1 - lambda_2), the local Lipschitz constant of the gradient
     of the top-eigenvalue map when the top eigenvalue is simple (gap above
-    1e-12)."""
+    1e-12). Checked by acceptance criterion 4 (Lipschitz constants)."""
     return 1.0 / _leading_gap(decomp)
 
 
 def extremal_direction(decomp):
     """Unit-Frobenius symmetric direction attaining the supremum of the second
     directional derivative of the top-eigenvalue map: the normalized swap of
-    the two leading eigenvectors. The gap must exceed 1e-12."""
+    the two leading eigenvectors. The gap must exceed 1e-12. Attains the
+    bound of acceptance criterion 4 (Lipschitz constants)."""
     _leading_gap(decomp)
     p1 = decomp.vectors[:, 0]
     p2 = decomp.vectors[:, 1]

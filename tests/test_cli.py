@@ -10,7 +10,6 @@ import pytest
 from eigsmooth.cli import SOLVER_KEYS, main, parse_config, read_report
 from eigsmooth.optimize import read_trace
 from eigsmooth.problems import synthetic_covariance
-from eigsmooth.spectral import save_matrix
 
 
 def write_config(path, **fields):
@@ -58,8 +57,8 @@ def test_solve_rejects_unknown_field(tmp_path, capsys):
     ("det_smooth", "-0.0", {}), ("stoch_ls", "0", {}), ("acsa", "-0.0", {}),
 ])
 def test_solve_rejects_bad_eps(tmp_path, capsys, algorithm, eps, fields):
-    # a non-finite or negative eps, or eps = 0 where it would divide (the
-    # smoothing of det_smooth, the default q = ceil(0.1 / eps)), is a config error
+    # a non-finite or negative eps, or eps = 0 where a smoothing needs it
+    # (stoch_ls, acsa, det_smooth), is a config error
     cfg = write_config(tmp_path / "c.txt", problem="maxcut", algorithm=algorithm, n=4, N=3,
                        seed=1, eps=eps, **fields)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -70,8 +69,12 @@ def test_solve_rejects_bad_eps(tmp_path, capsys, algorithm, eps, fields):
 
 
 @pytest.mark.parametrize("command, fields, message", [
-    ("solve", {"algorithm": "stoch_ls", "q": 2}, "'gamma_max' and 'gamma_min' are required"),
-    ("solve", {"algorithm": "acsa", "q": 2}, "set 'gamma_min' explicitly"),
+    # stoch_ls and acsa smooth: eps = 0 is rejected whatever else is set, in the
+    # field's words (quoted 'eps'; the library's message names eps unquoted)
+    ("solve", {"algorithm": "stoch_ls", "q": 2, "gamma_max": 1.0, "gamma_min": 0.5},
+     "'eps' must be finite and positive, got 0.0"),
+    ("solve", {"algorithm": "acsa", "q": 2, "gamma_max": 1.0, "gamma_min": 0.5},
+     "'eps' must be finite and positive, got 0.0"),
     ("phase", {"trials": 50}, "trials must be at least 200"),
     ("phase", {"n_list": "100,abc"}, "field 'n_list' has invalid value"),
     ("phase", {"eps_rule": "abc"}, "field 'eps_rule' has invalid value"),
@@ -124,12 +127,37 @@ def test_solve_rejects_bad_eps(tmp_path, capsys, algorithm, eps, fields):
     ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "gamma_init": 1e-9}, "unknown field 'gamma_init'"),
 ])
 def test_config_mistakes_are_config_errors(tmp_path, capsys, command, fields, message):
-    # solve runs with eps = 0, which leaves no smoothed problem to derive the steps from
+    # solve starts from eps = 0, which only subgrad accepts; rows for the others set eps
     base = ({"problem": "maxcut", "n": 4, "N": 3, "eps": 0} if command == "solve"
             else {"n_list": 100, "trials": 200})
     cfg = write_config(tmp_path / "c.txt", seed=1, **{**base, **fields})
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, seed, flag, message", [
+    ("solve", -1, None, "{cfg}: field 'seed' must be a nonnegative integer, got -1"),
+    ("solve", 1, "-3", "--seed must be a nonnegative integer, got -3"),
+    ("phase", -2, None, "{cfg}: field 'seed' must be a nonnegative integer, got -2"),
+    ("phase", 1, "-4", "--seed must be a nonnegative integer, got -4"),
+])
+def test_negative_seed_is_named_where_it_enters(tmp_path, capsys, command, seed, flag, message):
+    fields = ({"problem": "maxcut", "algorithm": "subgrad", "n": 4, "N": 3} if command == "solve"
+              else {"n_list": 100, "trials": 200})
+    cfg = write_config(tmp_path / "c.txt", seed=seed, **fields)
+    argv = [command, "--config", cfg, "--out", str(tmp_path)]
+    assert main(argv + (["--seed", flag] if flag else [])) == 2
+    assert f"error: {message.format(cfg=cfg)}\n" == capsys.readouterr().err
+
+
+def test_subgrad_ignores_eps(tmp_path):
+    traces = []
+    for eps in (0.0, 0.1):
+        cfg = write_config(tmp_path / "c.txt", problem="maxcut", algorithm="subgrad", n=6, N=15,
+                           seed=42, eps=eps)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        traces.append((tmp_path / "subgrad_trace.csv").read_bytes())
+    assert traces[0] == traces[1]
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -168,7 +196,9 @@ def test_solve_setting_mistakes_exit_2_with_the_config_path(tmp_path, capsys, fi
     if fields.get("data_path") == "cov.txt":  # a readable 6 x 6 covariance
         fields = {**fields, "data_path": tmp_path / "cov.txt"}
         message = message.format(data=fields["data_path"])
-        save_matrix(fields["data_path"], synthetic_covariance(6, np.random.default_rng(0)))
+        A = synthetic_covariance(6, np.random.default_rng(0))
+        fields["data_path"].write_text("6\n" + "".join(" ".join(map(repr, row)) + "\n"
+                                                       for row in A.tolist()))
     cfg = write_config(tmp_path / "c.txt", seed=1, **{**base, **fields})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert f"{cfg}: {message}" in capsys.readouterr().err

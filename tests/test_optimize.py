@@ -11,7 +11,6 @@ from eigsmooth.optimize import (
     acsa_linesearch_run,
     acsa_run,
     coarse_gap_bound,
-    default_schedule,
     expected_gap_bound,
     line_search_exit,
     nesterov_smooth_baseline,
@@ -71,16 +70,6 @@ def test_prox_argmin_property():
 
 
 # ------------------------------------------------------------- schedules
-
-
-def test_default_schedule_values():
-    N, q = default_schedule(100, 0.05, 10.0)
-    assert N == 4000 and q == 20
-
-
-def test_default_schedule_clamps_q():
-    _, q = default_schedule(100, 1.0, 5.0)  # D <= eps sqrt(n)
-    assert q == 1
 
 
 def test_expected_gap_bound_formula():
@@ -480,11 +469,30 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(N=5, eps=0.1, gamma_max=0.1, gamma_min=0.2)
     # the other field checks run in test_cli.py's config-mistake cases
-    for field, value in [("gamma_max", -1.0),
+    for field, value in [("gamma_max", -1.0), ("eps", math.nan), ("eps", -1.0), ("eps", math.inf),
                          ("oracle_tol", 0.0), ("oracle_path", "auto"), ("true_obj_every", 0)]:
         with pytest.raises(ValueError, match=field):
-            SolverConfig(N=5, eps=0.1, **{field: value})
+            SolverConfig(**{"N": 5, "eps": 0.1, field: value})
     assert SolverConfig(N=5, eps=0.0, k=1).k == 1  # k >= 3 only where the smoothing needs it
+
+
+def test_generic_runs_need_explicit_gammas():
+    # problem None: no smoothing derives the step scale, so the caller sets it
+    oracle, setup = FunctionOracle(lambda x: (float(x @ x), 2.0 * x)), box_setup(3, 1.0)
+    config = SolverConfig(N=3, eps=0.0)
+    with pytest.raises(ValueError, match="'gamma_max' and 'gamma_min' are required"):
+        acsa_linesearch_run(None, oracle, setup, config)
+    with pytest.raises(ValueError, match="set 'gamma_min' explicitly"):
+        acsa_run(None, oracle, setup, config)
+
+
+@pytest.mark.parametrize("run", [acsa_run, acsa_linesearch_run])
+def test_problem_runs_reject_eps_zero(run):
+    # a problem is always smoothed: eps = 0 is rejected even with both gammas set
+    prob = _small_maxcut()
+    config = SolverConfig(N=3, eps=0.0, gamma_max=1.0, gamma_min=0.5)
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        run(prob, None, prob.prox_setup(), config)
 
 
 @pytest.mark.parametrize("run, kwargs, field", [

@@ -17,15 +17,20 @@ from eigsmooth.problems import (
     synthetic_samples,
 )
 from eigsmooth.smoothing import SmoothingParams, gradient_oracle, sample_rng
-from eigsmooth.spectral import full_eig, lanczos_leading, save_matrix, symmetrize
+from eigsmooth.spectral import full_eig, lanczos_leading, symmetrize
 
 
 # ----------------------------------------------------------------- loading
 
 
+def write_matrix(path, X):
+    """The square matrix format: the dimension n, then n rows of round-trip decimals."""
+    path.write_text(f"{len(X)}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in X.tolist()))
+
+
 def test_load_identity_covariance(tmp_path):
     path = tmp_path / "cov.txt"
-    save_matrix(path, np.eye(5))
+    write_matrix(path, np.eye(5))
     A = load_covariance(path, 5)
     assert np.allclose(A, np.eye(5))
     assert abs(np.linalg.eigvalsh(A)[-1] - 1.0) <= 1e-10
@@ -35,7 +40,7 @@ def test_load_normalizes_spectral_norm(tmp_path):
     rng = np.random.default_rng(0)
     B = rng.standard_normal((6, 6))
     path = tmp_path / "cov.txt"
-    save_matrix(path, B @ B.T)
+    write_matrix(path, B @ B.T)
     A = load_covariance(path, 6)
     assert abs(np.max(np.abs(np.linalg.eigvalsh(A))) - 1.0) <= 1e-10
 
@@ -76,14 +81,14 @@ def test_load_samples_bit_identical_to_loadtxt(tmp_path):
 
 def test_load_rejects_excess_selection(tmp_path):
     path = tmp_path / "cov.txt"
-    save_matrix(path, np.eye(3))
+    write_matrix(path, np.eye(3))
     with pytest.raises(ValueError):
         load_covariance(path, 4)
 
 
 def test_load_rejects_nonpositive_selection(tmp_path):
     matrix, samples = tmp_path / "cov.txt", tmp_path / "samples.txt"
-    save_matrix(matrix, np.eye(6))
+    write_matrix(matrix, np.eye(6))
     data = synthetic_samples(10, 6, np.random.default_rng(5))
     samples.write_text("10 6\n" + "".join(" ".join(map(repr, row)) + "\n" for row in data.tolist()))
     for path in (matrix, samples):

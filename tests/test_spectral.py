@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigsmooth import spectral
+from eigsmooth.problems import load_covariance
 from eigsmooth.smoothing import SmoothingParams, fk_value
 from eigsmooth.spectral import (
     LanczosConvergenceError,
@@ -20,10 +21,8 @@ from eigsmooth.spectral import (
     full_eig,
     lanczos_iteration_budget,
     lanczos_leading,
-    load_matrix,
     local_lip_constant,
     rank_one_leading,
-    save_matrix,
     secular_shifts_batch,
     symmetrize,
 )
@@ -60,7 +59,7 @@ def test_full_eig_reconstruction():
     rng = np.random.default_rng(0)
     X = random_symmetric(50, rng)
     dec = full_eig(X)
-    err = np.linalg.norm(X - dec.reconstruct(), "fro")
+    err = np.linalg.norm(X - (dec.vectors * dec.values) @ dec.vectors.T, "fro")
     assert err <= 1e-10 * np.linalg.norm(X, "fro")
     assert np.all(np.diff(dec.values) <= 0)
 
@@ -558,15 +557,7 @@ def test_random_directions_never_exceed_bound():
         assert _second_derivative(X, Y) <= bound * (1.0 + 1e-3)
 
 
-# ---------------------------------------------------------------- file I/O
-
-
-def test_matrix_roundtrip(tmp_path):
-    rng = np.random.default_rng(16)
-    X = random_symmetric(7, rng)
-    path = tmp_path / "m.txt"
-    save_matrix(path, X)
-    assert np.array_equal(load_matrix(path), X)
+# ---------------------------------------------------------- matrix input
 
 
 def _int_bits(a):
@@ -620,14 +611,14 @@ def test_public_names_resolve(module):
 def test_load_rejects_asymmetry(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2\n0.0 1.0\n0.0 0.0\n")
-    with pytest.raises(ValueError):
-        load_matrix(path)
+    with pytest.raises(ValueError, match="not symmetric"):
+        load_covariance(path, 2)
 
 
 def test_load_symmetrizes_tiny_asymmetry(tmp_path):
     path = tmp_path / "near.txt"
     path.write_text("2\n1.0 1e-13\n0.0 1.0\n")
-    X = load_matrix(path)
+    X = load_covariance(path, 2)
     assert np.array_equal(X, X.T)
 
 
@@ -635,7 +626,7 @@ def test_load_errors_name_the_line(tmp_path):
     path = tmp_path / "short.txt"
     path.write_text("2\n1.0\n0.0 1.0\n")
     with pytest.raises(ValueError, match="short.txt:2"):
-        load_matrix(path)
+        load_covariance(path, 2)
 
 
 # ---------------------------------------------------------------- properties
