@@ -115,7 +115,7 @@ class Config:
 # default, except q, which stoch_ls and acsa derive from eps.
 SOLVER_KEYS = {
     "q": "int", "k": "int", "gamma_max": "float", "gamma_min": "float",
-    "oracle_path": "str", "oracle_tol": "float", "true_obj_every": "int",
+    "oracle_tol": "float", "true_obj_every": "int",
 }
 SOLVE_KEYS = (
     "problem", "algorithm", "n", "seed", "name", "eps", "N",
@@ -216,10 +216,13 @@ def cmd_solve(args):
     cfg = Config(parse_config(args.config), args.config)
     cfg.check_unused(SOLVE_KEYS)
     seed = _seed(cfg, args)
+    name = cfg.str("name")  # the outputs' file-name stem: one path component, not a directory
+    if name is not None and (name in ("", ".", "..") or {"/", os.sep, "\0"} & set(name)):
+        raise ConfigError(f"{cfg.path}: field 'name' must be a plain file-name stem, got {name!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     algorithm, problem, result = _run_solver(cfg, seed)
-    name = cfg.str("name", default=algorithm)
+    name = name or algorithm
     trace_path = out / f"{name}_trace.csv"
     report_path = out / f"{name}_report.txt"
     write_trace(trace_path, result.trace, timing=args.timing)

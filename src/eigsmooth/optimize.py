@@ -85,10 +85,9 @@ class SolverConfig:
     gamma_max / gamma_min bound the line-search ladder (defaults: a theory
     floor 1/(2L), with L the smoothed-gradient Lipschitz bound divided by
     LIP_SCALE = 100, and a ceiling LADDER_SPAN = 16 times higher). The
-    search starts at the ceiling and shrinks by GAMMA_D = 0.5. `oracle_path`
-    is "lanczos" or "secular". `eps` may be 0 only in a generic run, whose
-    oracle the caller passes; a problem's smoothing rejects it. Every field
-    is checked here, before any solver starts.
+    search starts at the ceiling and shrinks by GAMMA_D = 0.5. `eps` may be
+    0 only in a generic run, whose oracle the caller passes; a problem's
+    smoothing rejects it. Every field is checked here, before any run.
     """
 
     N: int
@@ -98,7 +97,6 @@ class SolverConfig:
     seed: int = 0
     gamma_max: float | None = None
     gamma_min: float | None = None
-    oracle_path: str = "lanczos"
     oracle_tol: float = 1e-6
     true_obj_every: int | None = None
 
@@ -115,8 +113,6 @@ class SolverConfig:
                 check_finite_positive(name, getattr(self, name))
         if not 0.0 < self.oracle_tol < 1.0:
             raise ValueError(f"oracle_tol must lie in (0, 1), got {self.oracle_tol!r}")
-        if self.oracle_path not in ("lanczos", "secular"):
-            raise ValueError(f"oracle_path must be 'lanczos' or 'secular', got {self.oracle_path!r}")
         if None not in (self.gamma_min, self.gamma_max) and self.gamma_min > self.gamma_max:
             raise ValueError("gamma_min <= gamma_max must hold when both are set")
 
@@ -181,30 +177,23 @@ class StochasticOracle:
 
     Each evaluation draws q independent smoothed samples at the mapped matrix
     and hands their q eigenvectors to the problem's `pull_back` as factors.
-    Noise is keyed by (seed, *key, sample index). With path "secular" each
-    evaluation decomposes the matrix first and charges its n units; any
-    other path hands the matrix to the Lanczos path.
+    Noise is keyed by (seed, *key, sample index). The matrix goes to the
+    Lanczos path, each pair to relative precision `lanczos_tol`.
     """
 
-    def __init__(self, problem, params, q, seed, path="lanczos", lanczos_tol=1e-6):
+    def __init__(self, problem, params, q, seed, lanczos_tol):
         self.problem = problem
         self.params = params
         self.q = int(q)
         self.sigma2 = 1.0 / self.q  # variance bound of the q-average
         self.seed = int(seed)
-        self.path = path
         self.lanczos_tol = lanczos_tol
 
     def evaluate(self, point, key):
-        M, cost = self.problem.matrix(point), 0.0
-        if self.path == "secular":
-            M = full_eig(M)
-            cost = M.cost_eigvecs
-        est = gradient_oracle(
-            M, self.params, self.q, rng=self.seed, seed_key=tuple(key), lanczos_tol=self.lanczos_tol,
-        )
+        est = gradient_oracle(self.problem.matrix(point), self.params, self.q, rng=self.seed,
+                              seed_key=tuple(key), lanczos_tol=self.lanczos_tol)
         value, grad = _composite(self.problem, point, est.value, est.vectors, None, est.q)
-        return OracleEval(value=value, grad=grad, cost=cost + est.cost_eigvecs)
+        return OracleEval(value=value, grad=grad, cost=est.cost_eigvecs)
 
 
 class ExactEigOracle:
@@ -288,10 +277,8 @@ def _default_smoothing(problem, config):
 
 
 def _default_oracle(problem, config):
-    return StochasticOracle(
-        problem, _default_smoothing(problem, config), config.q, config.seed,
-        path=config.oracle_path, lanczos_tol=config.oracle_tol,
-    )
+    return StochasticOracle(problem, _default_smoothing(problem, config), config.q, config.seed,
+                            config.oracle_tol)
 
 
 def _scaled_lipschitz(problem, config):
@@ -585,19 +572,27 @@ def write_trace(path, records, timing=False):
 
 
 def read_trace(path):
+    """Rows of a `write_trace` file: `t` rises, `eigvecs` is finite and never
+    falls, and `obj_true` and `gamma` may be NaN. Faults name `path:line`."""
     with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = [(i, ln) for i, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty trace")
-    if lines[0] != TRACE_HEADER:
-        raise ValueError(f"{path}: unexpected trace header {lines[0]!r}")
-    records = []
-    for ln in lines[1:]:
+    if lines[0][1] != TRACE_HEADER:
+        raise ValueError(f"{path}: unexpected trace header {lines[0][1]!r}")
+    records, last = [], TraceRecord(0, math.nan, math.nan, math.nan, 0.0, 0.0)
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 6:
-            raise ValueError(f"{path}: malformed trace row {ln!r}")
-        records.append(TraceRecord(
-            t=int(parts[0]), obj_true=float(parts[1]), obj_sampled=float(parts[2]),
-            gamma=float(parts[3]), eigvecs=float(parts[4]), wall_ms=float(parts[5]),
-        ))
+            raise ValueError(f"{path}:{lineno}: expected 6 values, got {len(parts)}")
+        try:
+            r = TraceRecord(int(parts[0], 10), *map(float, parts[1:]))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric entry") from None
+        if r.t <= last.t:
+            raise ValueError(f"{path}:{lineno}: t must rise, got {r.t} after {last.t}")
+        if not last.eigvecs <= r.eigvecs < math.inf:
+            raise ValueError(f"{path}:{lineno}: eigvecs must be finite and nondecreasing, "
+                             f"got {r.eigvecs!r} after {last.eigvecs!r}")
+        records.append(last := r)
     return records

@@ -110,15 +110,16 @@ def tile_model(base, n):
 
 def load_spectrum(path):
     """Read a spectrum file: one finite eigenvalue per line, at least two, in
-    decreasing order."""
+    decreasing order, with a gap below the top. Every fault names the file."""
     rows = _read_rows(path, header=False)
-    if len(rows) < 2:
-        raise ValueError(f"{path}: a spectrum needs at least two eigenvalues")
     lam = _table(path, rows, len(rows), 1)[:, 0]
     rises = np.nonzero(np.diff(lam) > 0.0)[0]
     if rises.size:
         raise ValueError(f"{path}:{rows[rises[0] + 1][0]}: eigenvalues must be in decreasing order")
-    return SpectrumModel.from_lambdas(lam)
+    try:
+        return SpectrumModel.from_lambdas(lam)
+    except ValueError as exc:  # too few eigenvalues, or no gap below the top
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def eps_critical(model):

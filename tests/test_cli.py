@@ -87,10 +87,9 @@ def test_solve_rejects_bad_eps(tmp_path, capsys, algorithm, eps, fields):
     ("solve", {"algorithm": "det_smooth", "eps": 0.1, "det_lip_scale": 0},
      "unknown field 'det_lip_scale'"),
     ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "oracle_tol": 2}, "oracle_tol must lie in (0, 1)"),
-    ("solve", {"algorithm": "acsa", "eps": 0.1, "oracle_tol": 2, "oracle_path": "secular"},
-     "oracle_tol must lie in (0, 1)"),
+    ("solve", {"algorithm": "acsa", "eps": 0.1, "oracle_tol": 2}, "oracle_tol must lie in (0, 1)"),
     ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "oracle_path": "auto"},
-     "oracle_path must be 'lanczos' or 'secular'"),
+     "unknown field 'oracle_path'"),
     ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "gamma_d": 2}, "unknown field 'gamma_d'"),
     ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "q": 0}, "q must be at least 1"),
     ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "N": 0}, "N must be at least 1"),
@@ -125,6 +124,11 @@ def test_solve_rejects_bad_eps(tmp_path, capsys, algorithm, eps, fields):
      "field 'multiplicity' needs model = equal_gap"),
     ("phase", {"spectrum_path": "no-such-file.txt"}, "field 'spectrum_path' needs model = file"),
     ("solve", {"algorithm": "stoch_ls", "eps": 0.1, "gamma_init": 1e-9}, "unknown field 'gamma_init'"),
+    # the outputs' file-name stem, one component naming no directory, is checked
+    # before the run (whose N = 0 would be rejected next)
+    *(("solve", {"algorithm": "subgrad", "N": 0, "name": name},
+       f"field 'name' must be a plain file-name stem, got {name!r}")
+      for name in ("sub/x", "../esc", "..", ".", "", "a\0b")),
 ])
 def test_config_mistakes_are_config_errors(tmp_path, capsys, command, fields, message):
     # solve starts from eps = 0, which only subgrad accepts; rows for the others set eps
@@ -169,7 +173,7 @@ def test_subgrad_ignores_eps(tmp_path):
     ({"algorithm": "det_smooth", "gamma_d": 2}, "unknown field 'gamma_d'"),
     ({"algorithm": "det_smooth", "q": 0}, "det_smooth: q must be at least 1"),
     ({"algorithm": "subgrad", "k": 0}, "subgrad: k must be at least 1"),
-    ({"algorithm": "subgrad", "oracle_path": "auto"}, "subgrad: oracle_path must be"),
+    ({"algorithm": "subgrad", "oracle_path": "auto"}, "unknown field 'oracle_path'"),
     ({"algorithm": "det_smooth", "problem": "dspca", "n": 20, "q": 0, "k": 0},
      "det_smooth: q must be at least 1"),
     ({"problem": "dspca", "n_select": 3}, "field 'n_select' needs 'data_path'"),
@@ -228,6 +232,7 @@ _MALFORMED_DATA = {
     "samples_identical_rows": ("solve", "3 2\n1.0 2.0\n1.0 2.0\n1.0 2.0\n", None),
     "spectrum_nan_first": ("phase", "nan\n1.0\n0.5\n", 1),
     "spectrum_inf_first": ("phase", "inf\n1.0\n", 1),
+    "spectrum_no_gap": ("phase", "1.0\n1.0\n1.0\n", None),
 }
 
 
@@ -249,7 +254,7 @@ def test_malformed_data_file_exits_1_naming_file_and_line(tmp_path, capsys, case
 @pytest.mark.parametrize("algorithm", ["det_smooth", "subgrad"])
 def test_baselines_run_with_valid_unused_solver_keys(tmp_path, algorithm):
     base = dict(problem="dspca", algorithm=algorithm, n=8, N=5, seed=3, eps=0.1)
-    unused = dict(q=2, k=5, oracle_path="secular", oracle_tol=1e-3)
+    unused = dict(q=2, k=5, oracle_tol=1e-3)
     traces = []
     for name, fields in (("plain", base), ("unused", {**base, **unused})):
         cfg = write_config(tmp_path / f"{name}.txt", name=name, **fields)
@@ -261,7 +266,7 @@ def test_baselines_run_with_valid_unused_solver_keys(tmp_path, algorithm):
 def test_unset_solver_keys_take_solver_config_defaults(tmp_path):
     # the defaults the command line once restated, spelled out, change no byte
     base = dict(problem="maxcut", algorithm="stoch_ls", n=6, N=15, seed=42, eps=0.1, q=2)
-    spelled = dict(k=3, oracle_path="lanczos", oracle_tol=1e-6)
+    spelled = dict(k=3, oracle_tol=1e-6)
     traces = []
     for name, fields in (("unset", base), ("spelled", {**base, **spelled})):
         cfg = write_config(tmp_path / f"{name}.txt", name=name, **fields)
@@ -286,7 +291,7 @@ def test_solve_deterministic_trace_bytes(tmp_path, algorithm):
 
 
 # (config fields, sha256 prefix of the trace bytes), the same at one and at
-# two BLAS threads; the last two runs take the secular oracle path.
+# two BLAS threads; one run per algorithm at least.
 _TRACE_GOLDEN = {
     "stoch_ls_maxcut": (
         dict(problem="maxcut", algorithm="stoch_ls", n=30, N=200, seed=11), "b270843e04e3440b"),
@@ -296,10 +301,8 @@ _TRACE_GOLDEN = {
         dict(problem="dspca", algorithm="det_smooth", n=40, N=300, seed=5), "4e14581d8b4e6c12"),
     "subgrad_maxcut": (
         dict(problem="maxcut", algorithm="subgrad", n=30, N=400, seed=3), "58000792ac7443aa"),
-    "acsa_maxcut_secular": (dict(problem="maxcut", algorithm="acsa", n=30, N=150, seed=7,
-                                 oracle_path="secular"), "2f807bdb34fe5bde"),
-    "stoch_ls_dspca_secular": (dict(problem="dspca", algorithm="stoch_ls", n=40, N=120, seed=11,
-                                    true_obj_every=3, oracle_path="secular"), "53e85a0e87079bdf"),
+    "acsa_maxcut": (
+        dict(problem="maxcut", algorithm="acsa", n=30, N=150, seed=7), "b5b552663b4b0215"),
 }
 
 
@@ -469,6 +472,26 @@ def test_compare_rejects_empty_trace(tmp_path):
         "--out", str(tmp_path / "cmp.csv"),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (0, "x", ":3: non-numeric entry"),
+    (4, "1.0", ":3: eigvecs must be finite and nondecreasing, got 1.0 after 3.0"),
+])
+def test_compare_names_the_trace_line_at_fault(tmp_path, capsys, column, value, message):
+    # a hand-edited trace is a data file: exit 1, naming the file and the line
+    cfg = write_config(
+        tmp_path / "c.txt",
+        problem="maxcut", algorithm="acsa", n=5, N=10, seed=9, eps=0.1, true_obj_every=1,
+    )
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    trace = tmp_path / "acsa_trace.csv"
+    rows = [line.split(",") for line in trace.read_text().splitlines()]
+    rows[2][column] = value  # the second data row
+    trace.write_text("".join(",".join(row) + "\n" for row in rows))
+    report = str(tmp_path / "acsa_report.txt")
+    assert main(["compare", report, report, "--out", str(tmp_path / "cmp.csv")]) == 1
+    assert f"{trace}{message}" in capsys.readouterr().err
 
 
 def test_compare_finds_each_trace_next_to_its_report(tmp_path, monkeypatch):

@@ -1,13 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from eigsmooth.optimize import (
+    TRACE_HEADER,
     FunctionOracle,
     ProxSetup,
     SolverConfig,
-    StochasticOracle,
     acsa_linesearch_run,
     acsa_run,
     coarse_gap_bound,
@@ -21,8 +22,7 @@ from eigsmooth.optimize import (
     write_trace,
 )
 from eigsmooth.problems import BallProblem, dspca_problem, maxcut_problem, synthetic_covariance
-from eigsmooth.smoothing import SmoothingParams, gradient_oracle
-from eigsmooth.spectral import full_eig, symmetrize
+from eigsmooth.spectral import symmetrize
 
 
 def box_setup(n, half):
@@ -241,14 +241,17 @@ def _rows(result):
     return [(r.t, r.obj_true, r.obj_sampled, r.gamma, r.eigvecs) for r in result.trace]
 
 
-@pytest.mark.parametrize("path", ["lanczos", "secular"])
-@pytest.mark.parametrize("kind", sorted(_PROBLEMS))
-def test_linesearch_run_is_truncation_invariant(kind, path):
+# the ids name the oracle path, which every solver evaluation takes
+_KINDS = dict(argnames="kind", argvalues=sorted(_PROBLEMS), ids=lambda kind: f"{kind}-lanczos")
+
+
+@pytest.mark.parametrize(**_KINDS)
+def test_linesearch_run_is_truncation_invariant(kind):
     # N is only the loop length (and enters the reported bound), so a run cut
     # at t* repeats the first t* rows of a longer run: the time-to-target
     # measurements rest on this.
     prob = _PROBLEMS[kind]()
-    config = dict(eps=0.1, q=2, seed=11, oracle_path=path, true_obj_every=1)
+    config = dict(eps=0.1, q=2, seed=11, true_obj_every=1)
     full = _rows(acsa_linesearch_run(prob, None, prob.prox_setup(), SolverConfig(N=60, **config)))
     assert len(full) == 60
     for t_star in (1, 7, 23, 59):
@@ -256,9 +259,8 @@ def test_linesearch_run_is_truncation_invariant(kind, path):
         assert _rows(cut) == full[:t_star]
 
 
-@pytest.mark.parametrize("path", ["lanczos", "secular"])
-@pytest.mark.parametrize("kind", sorted(_PROBLEMS))
-def test_oracle_input_is_exactly_symmetric(monkeypatch, kind, path):
+@pytest.mark.parametrize(**_KINDS)
+def test_oracle_input_is_exactly_symmetric(monkeypatch, kind):
     # the problems build A + X and C + diag(w) exactly symmetric, so the
     # oracle's one check passes each matrix through unchanged and uncopied
     from eigsmooth import optimize
@@ -272,13 +274,11 @@ def test_oracle_input_is_exactly_symmetric(monkeypatch, kind, path):
         return wrapper
 
     monkeypatch.setattr(optimize, "gradient_oracle", spy(optimize.gradient_oracle))
-    monkeypatch.setattr(optimize, "full_eig", spy(optimize.full_eig))
     prob = _PROBLEMS[kind]()
-    config = SolverConfig(N=15, eps=0.1, q=2, seed=12, oracle_path=path)
+    config = SolverConfig(N=15, eps=0.1, q=2, seed=12)
     acsa_linesearch_run(prob, None, prob.prox_setup(), config)
-    matrices = [M for M in seen if isinstance(M, np.ndarray)]
-    assert len(matrices) >= 15
-    assert all(np.array_equal(M, M.T) for M in matrices)
+    assert len(seen) >= 15
+    assert all(np.array_equal(M, M.T) for M in seen)
 
 
 def test_noiseless_quadratic_accelerated_rate():
@@ -345,8 +345,7 @@ def test_plain_acsa_reaches_reference_on_ball_dual():
     prob = maxcut_problem(10, rng)
     ref = _det_continuation_reference(prob)
     eps = 0.05
-    config = SolverConfig(N=2000, eps=eps, q=8, seed=3, oracle_path="secular",
-                          true_obj_every=20)
+    config = SolverConfig(N=2000, eps=eps, q=8, seed=3, true_obj_every=20)
     res = acsa_run(prob, None, prob.prox_setup(), config)
     assert not res.aborted
     assert res.best_objective - ref <= 5 * eps
@@ -470,7 +469,7 @@ def test_config_validation():
         SolverConfig(N=5, eps=0.1, gamma_max=0.1, gamma_min=0.2)
     # the other field checks run in test_cli.py's config-mistake cases
     for field, value in [("gamma_max", -1.0), ("eps", math.nan), ("eps", -1.0), ("eps", math.inf),
-                         ("oracle_tol", 0.0), ("oracle_path", "auto"), ("true_obj_every", 0)]:
+                         ("oracle_tol", 0.0), ("true_obj_every", 0)]:
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{"N": 5, "eps": 0.1, field: value})
     assert SolverConfig(N=5, eps=0.0, k=1).k == 1  # k >= 3 only where the smoothing needs it
@@ -520,17 +519,6 @@ def test_baselines_reject_settings_before_any_oracle_call(monkeypatch, run, kwar
     with pytest.raises(ValueError, match=f"^{field} must"):
         run(prob, prob.prox_setup(), **kwargs)
     assert calls == []
-
-
-def test_secular_oracle_decomposes_and_charges_n():
-    prob = _small_maxcut(n=7)
-    params = SmoothingParams(eps=0.2, n=7)
-    w = prob.project(np.random.default_rng(3).standard_normal(7))
-    ev = StochasticOracle(prob, params, q=4, seed=5, path="secular").evaluate(w, (2,))
-    est = gradient_oracle(full_eig(prob.matrix(w)), params, 4, rng=5, seed_key=(2,))
-    assert ev.value == est.value + prob.linear_value(w)
-    assert np.array_equal(ev.grad, prob.pull_back(est.vectors) / 4 + prob.linear_grad(w))
-    assert ev.cost == 7 + 4 * params.k
 
 
 def test_gap_bound_logged():
@@ -719,3 +707,27 @@ def test_trace_rejects_bad_header(tmp_path):
     path.write_text("nope\n1,2,3,4,5,6\n")
     with pytest.raises(ValueError):
         read_trace(path)
+
+
+_GOOD_ROW = "1,nan,0.5,nan,6.0,0.0\n"  # obj_true and gamma may be NaN
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2,0.4,0.5,0.1,8.0", "expected 6 values, got 5"),
+    ("2,0.4,0.5,0.1,8.0,0.0,1", "expected 6 values, got 7"),
+    ("x,0.4,0.5,0.1,8.0,0.0", "non-numeric entry"),
+    ("2.0,0.4,0.5,0.1,8.0,0.0", "non-numeric entry"),
+    ("2,0.4,abc,0.1,8.0,0.0", "non-numeric entry"),
+    ("1,0.4,0.5,0.1,8.0,0.0", "t must rise, got 1 after 1"),
+    ("0,0.4,0.5,0.1,8.0,0.0", "t must rise, got 0 after 1"),
+    ("2,0.4,0.5,0.1,3.0,0.0", "eigvecs must be finite and nondecreasing, got 3.0 after 6.0"),
+    ("2,0.4,0.5,0.1,nan,0.0", "eigvecs must be finite and nondecreasing, got nan"),
+    ("2,0.4,0.5,0.1,inf,0.0", "eigvecs must be finite and nondecreasing, got inf"),
+])
+def test_read_trace_names_path_and_line(tmp_path, row, message):
+    path = tmp_path / "t.csv"
+    path.write_text(f"{TRACE_HEADER}\n{_GOOD_ROW}\n{row}\n")  # the blank line counts
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: {message}")):
+        read_trace(path)
+    path.write_text(f"{TRACE_HEADER}\n{_GOOD_ROW}")
+    assert [r.eigvecs for r in read_trace(path)] == [6.0]

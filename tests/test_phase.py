@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -417,3 +418,11 @@ def test_load_spectrum_errors_name_line(tmp_path):
     unordered.write_text("1.0\n\n2.0\n0.5\n")  # the blank line counts
     with pytest.raises(ValueError, match="unordered.txt:3: eigenvalues must be in decreasing"):
         load_spectrum(unordered)
+    # faults of the whole spectrum name the file
+    flat = tmp_path / "flat.txt"
+    flat.write_text("1.0\n1.0\n1.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(flat))}: the top eigenvalue must have"):
+        load_spectrum(flat)
+    flat.write_text("1.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(flat))}: a spectrum needs at least two"):
+        load_spectrum(flat)

@@ -241,7 +241,7 @@ def test_maxcut_solver_matches_grid_reference():
     prob = maxcut_problem(4, rng, radius=5.0)
     _, ref = ball_reference(prob, levels=50, points=13)
     eps = 0.05
-    cfg = SolverConfig(N=800, eps=eps, q=5, seed=6, oracle_path="secular", true_obj_every=10)
+    cfg = SolverConfig(N=800, eps=eps, q=5, seed=6, true_obj_every=10)
     res = acsa_linesearch_run(prob, None, prob.prox_setup(), cfg)
     assert res.best_objective - ref <= 5 * eps
     assert res.best_objective >= ref - 1e-9
@@ -271,10 +271,14 @@ def test_composite_sampled_gradient_sums():
     prob = maxcut_problem(5, rng)
     params = SmoothingParams(eps=0.1, n=5)
     w = prob.project(rng.standard_normal(5))
-    ev = StochasticOracle(prob, params, q=4, seed=13, path="secular").evaluate(w, (0,))
+    ev = StochasticOracle(prob, params, q=4, seed=13, lanczos_tol=1e-6).evaluate(w, (0,))
     # 1^T (grad_w + 1) = trace of the averaged estimate = 1
     assert np.sum(ev.grad + 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert ev.cost == 4 * params.k + 5  # q*k samples plus the internal decomposition
+    assert ev.cost == 4 * params.k  # q*k samples
+    # the kernel's estimate on the mapped matrix, plus the linear term
+    est = gradient_oracle(prob.matrix(w), params, 4, rng=13, seed_key=(0,), lanczos_tol=1e-6)
+    assert ev.value == est.value + prob.linear_value(w)
+    assert np.array_equal(ev.grad, prob.pull_back(est.vectors) / 4 + prob.linear_grad(w))
 
 
 def test_composite_sampled_envelope():
@@ -286,7 +290,7 @@ def test_composite_sampled_envelope():
     X = prob.project(0.1 * rng.standard_normal((n, n)))
     X = 0.5 * (X + X.T)
     exact = prob.true_objective(X)
-    oracle = StochasticOracle(prob, params, q=1, seed=1000, path="secular")
+    oracle = StochasticOracle(prob, params, q=1, seed=1000, lanczos_tol=1e-6)
     vals = [oracle.evaluate(X, (rep,)).value for rep in range(300)]
     mean = np.mean(vals)
     serr = np.std(vals, ddof=1) / math.sqrt(len(vals))
