@@ -106,6 +106,8 @@ class SolverConfig:
             raise ValueError(f"eps must be finite and nonnegative, got {self.eps!r}")
         if self.q < 1:
             raise ValueError("q must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.k < (3 if self.eps > 0.0 else 1):
             raise ValueError(f"k must be at least 1, and at least 3 when eps > 0, got {self.k!r}")
         for name in ("gamma_max", "gamma_min"):
@@ -190,8 +192,8 @@ class StochasticOracle:
         self.lanczos_tol = lanczos_tol
 
     def evaluate(self, point, key):
-        est = gradient_oracle(self.problem.matrix(point), self.params, self.q, rng=self.seed,
-                              seed_key=tuple(key), lanczos_tol=self.lanczos_tol)
+        est = gradient_oracle(self.problem.matrix(point), self.params, self.q, seed=self.seed,
+                              key=key, lanczos_tol=self.lanczos_tol)
         value, grad = _composite(self.problem, point, est.value, est.vectors, None, est.q)
         return OracleEval(value=value, grad=grad, cost=est.cost_eigvecs)
 
@@ -478,6 +480,8 @@ def subgradient_baseline(problem, setup, budget, seed=0, true_obj_every=None):
     objective is the lowest oracle value, and the trace monitors the point
     that attained it, so its objective column never increases.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     oracle = ExactEigOracle(problem, seed)
     x = np.array(setup.center, dtype=float, copy=True)
     best = float("inf")

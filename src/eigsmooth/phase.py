@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .optimize import check_finite_positive
 from .smoothing import sample_rng
 from .spectral import _read_rows, _secular_newton, _table, secular_shifts_batch
 
@@ -88,7 +89,14 @@ class SpectrumModel:
 
 
 def equal_gap_model(n, gamma=1.0, top=1.0, multiplicity=1):
-    """All non-leading eigenvalues exactly gamma below the top one."""
+    """All non-leading eigenvalues exactly gamma below the top one: `top`
+    finite, `gamma` finite and positive, 1 <= `multiplicity` < n."""
+    for name, value in (("top", top), ("gamma", gamma)):
+        if not math.isfinite(value):
+            raise ValueError(f"eigenvalues must be finite, got {name}={value!r}")
+    check_finite_positive("gamma", gamma)
+    if multiplicity < 1:
+        raise ValueError(f"multiplicity must be at least 1, got {multiplicity!r}")
     if multiplicity >= n:
         raise ValueError("multiplicity must leave room below the top eigenvalue")
     lam = np.full(n, top - gamma)

@@ -6,10 +6,9 @@ which is differentiable with a gradient that is an expected rank-one
 projector. One realization costs k leading eigenpairs; averaging q
 independent realizations gives a gradient estimate with variance 1/q.
 
-Two evaluation paths compute the perturbed top eigenvalues, and the type of
-X picks one: X given as a `SpectralDecomp` takes the secular path (analytic
-rank-one update), X given as a symmetric matrix the Lanczos path (iterative,
-on the operator q -> X q + (eps/n) z (z^T q), never formed).
+The solver's sampler, `gradient_oracle`, runs Lanczos on the operator
+q -> X q + (eps/n) z (z^T q), never formed. `fk_value` and the Monte Carlo
+probes solve on a decomposition of X by the secular (rank-one update) kernel.
 
 Reproducibility: per-sample generators are derived from counter-based keys
 (run seed, iteration, sample index), so parallel sample evaluation is
@@ -111,70 +110,53 @@ def fk_value(X, Z, params):
     return float(values[0, i0]), i0, vecs[0], values[0]
 
 
-def _prepare(X, params):
-    """X checked once per call, uncopied: a matrix by `check_symmetric`, either form against params.n."""
-    if not isinstance(X, SpectralDecomp):
-        X = check_symmetric(X)
-    n = X.n if isinstance(X, SpectralDecomp) else X.shape[0]
-    if n != params.n:
-        raise ValueError(f"params.n={params.n} does not match matrix dimension {n}")
-    return X
-
-
 def _decomposed(X, params):
     """X's decomposition, made here (by the validating `full_eig`) for a matrix."""
-    return _prepare(X if isinstance(X, SpectralDecomp) else full_eig(X), params)
+    dec = X if isinstance(X, SpectralDecomp) else full_eig(X)
+    if dec.n != params.n:
+        raise ValueError(f"params.n={params.n} does not match matrix dimension {dec.n}")
+    return dec
 
 
-def _draw(X, params, gens, lanczos_tol):
-    """One realization per generator in `gens`, on X checked by `_prepare`.
+def _secular_samples(X, params, draws, rng):
+    """`draws` realizations on the secular path, at a matrix or a decomposition.
 
-    On the secular path (X a decomposition) all noise is drawn first (one
-    call for a shared generator) and all samples are solved in one kernel
-    call. On the Lanczos path each generator draws its sample's k noise
-    vectors, then the start vectors of its k runs, each run given update
-    (eps/n, z). A sample is the largest perturbed top eigenvalue (ties to
-    the lowest index) and its unit vector. Returns values (q,), vectors
-    (q, n) and units.
+    All noise comes from `rng` in one (draws, k, n) call, and all draws are
+    solved in one kernel call. A realization is the largest perturbed top
+    eigenvalue (ties to the lowest index) and its unit vector. Returns
+    values (draws,) and vectors (draws, n).
     """
-    q, k, n = len(gens), params.k, params.n
-    if isinstance(X, SpectralDecomp):
-        Z = np.empty((q, k, n))
-        shared = len({id(gen) for gen in gens}) == 1
-        for gen, noise in [(gens[0], Z)] if shared else zip(gens, Z):
-            gen.standard_normal(noise.shape, out=noise)
-        values, _, i0, vectors = _rank_one_top(X, Z, params.scale)
-        return values[np.arange(q), i0], vectors, float(q * k)
-    values, vectors, units = np.empty(q), np.empty((q, n)), 0.0
-    for l, gen in enumerate(gens):
-        Z = gen.standard_normal((k, n))
+    dec = _decomposed(X, params)
+    Z = rng.standard_normal((draws, params.k, params.n))
+    values, _, i0, vectors = _rank_one_top(dec, Z, params.scale)
+    return values[np.arange(draws), i0], vectors
+
+
+def gradient_oracle(X, params, q, seed, key, lanczos_tol):
+    """Average of q independent rank-one gradient samples at the matrix X.
+
+    Sample l draws from ``sample_rng(seed, *key, l)`` its k noise vectors,
+    then the start vectors of its k Lanczos runs, the run for z on
+    X + (eps/n) z z^T to relative precision `lanczos_tol`; it keeps the
+    largest top eigenvalue (ties to the lowest index) and its unit vector.
+    The reduction runs in sample index order. X is checked once here and
+    the runs take it unchecked. Cost: k eigenpair units per sample.
+    """
+    q = int(q)
+    if q < 1:
+        raise ValueError("q must be a positive integer")
+    X = check_symmetric(X)
+    if X.shape[0] != params.n:
+        raise ValueError(f"params.n={params.n} does not match matrix dimension {X.shape[0]}")
+    values, vectors, units = np.empty(q), np.empty((q, params.n)), 0.0
+    for l in range(q):
+        gen = sample_rng(seed, *key, l)
+        Z = gen.standard_normal((params.k, params.n))
         pairs = [lanczos_leading(X, rel_tol=lanczos_tol, rng=gen, update=(params.scale, z))
                  for z in Z]
         best = pairs[int(np.argmax([p.value for p in pairs]))]
         values[l], vectors[l] = best.value, best.vector
         units += sum(p.cost_eigvecs for p in pairs)
-    return values, vectors, units
-
-
-def gradient_oracle(X, params, q, rng, seed_key=(), lanczos_tol=1e-9):
-    """Average of q independent rank-one gradient samples.
-
-    `rng` may be a Generator (samples drawn sequentially from one stream) or
-    an integer seed, in which case each sample l uses the counter-derived
-    generator for key ``seed_key + (l,)`` so q-parallel evaluation would be
-    reproducible and order-independent. The reduction always runs in sample
-    index order. X's type picks the path: a `SpectralDecomp` takes the
-    secular path, all q samples solved in one batched kernel call; a matrix
-    the Lanczos path, whose runs take X unchecked after one `check_symmetric`
-    here. Cost: k eigenpair units per sample.
-    """
-    q = int(q)
-    if q < 1:
-        raise ValueError("q must be a positive integer")
-    X = _prepare(X, params)
-    shared = isinstance(rng, np.random.Generator)
-    gens = [rng if shared else sample_rng(rng, *seed_key, l) for l in range(q)]
-    values, vectors, units = _draw(X, params, gens, lanczos_tol)
     return GradientEstimate(vectors=vectors, value=float(values.mean()), cost_eigvecs=units)
 
 
@@ -188,7 +170,7 @@ def fk_values_batch(decomp, params, draws, rng):
     """
     if int(draws) < 0:
         raise ValueError("draws must be a nonnegative integer")
-    return _draw(_decomposed(decomp, params), params, [rng] * int(draws), None)[0]
+    return _secular_samples(decomp, params, int(draws), rng)[0]
 
 
 def approximation_bounds(params):
@@ -229,7 +211,7 @@ def gradient_variance_probe(X, params, trials, rng):
     trials = int(trials)
     if trials < 100:
         raise ValueError("trials must be at least 100")
-    phis = _draw(_decomposed(X, params), params, [rng] * trials, None)[1]
+    phis = _secular_samples(X, params, trials, rng)[1]
     mean = (phis.T @ phis) / trials
     # ||phi phi^T - M||_F^2 = 1 - 2 phi^T M phi + ||M||_F^2 for unit phi
     mnorm2 = float(np.sum(mean**2))

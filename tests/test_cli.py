@@ -129,6 +129,12 @@ def test_solve_rejects_bad_eps(tmp_path, capsys, algorithm, eps, fields):
     *(("solve", {"algorithm": "subgrad", "N": 0, "name": name},
        f"field 'name' must be a plain file-name stem, got {name!r}")
       for name in ("sub/x", "../esc", "..", ".", "", "a\0b")),
+    # the equal-gap model names the setting it rejects
+    ("phase", {"n_list": "100,400", "multiplicity": -1}, "multiplicity must be at least 1, got -1"),
+    ("phase", {"multiplicity": 0}, "multiplicity must be at least 1, got 0"),
+    ("phase", {"gamma": -1}, "gamma must be finite and positive, got -1.0"),
+    ("phase", {"gamma": "nan"}, "eigenvalues must be finite, got gamma=nan"),
+    ("phase", {"top": "inf"}, "eigenvalues must be finite, got top=inf"),
 ])
 def test_config_mistakes_are_config_errors(tmp_path, capsys, command, fields, message):
     # solve starts from eps = 0, which only subgrad accepts; rows for the others set eps

@@ -469,7 +469,7 @@ def test_config_validation():
         SolverConfig(N=5, eps=0.1, gamma_max=0.1, gamma_min=0.2)
     # the other field checks run in test_cli.py's config-mistake cases
     for field, value in [("gamma_max", -1.0), ("eps", math.nan), ("eps", -1.0), ("eps", math.inf),
-                         ("oracle_tol", 0.0), ("true_obj_every", 0)]:
+                         ("oracle_tol", 0.0), ("true_obj_every", 0), ("seed", -1)]:
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{"N": 5, "eps": 0.1, field: value})
     assert SolverConfig(N=5, eps=0.0, k=1).k == 1  # k >= 3 only where the smoothing needs it
@@ -500,6 +500,8 @@ def test_problem_runs_reject_eps_zero(run):
     (nesterov_smooth_baseline, {"eps": 0.1, "budget": 5, "true_obj_every": 0}, "true_obj_every"),
     (subgradient_baseline, {"budget": 0}, "N"),
     (subgradient_baseline, {"budget": 5, "true_obj_every": 0}, "true_obj_every"),
+    # a run seed keys every noise draw: a negative one is a setting, not an abort
+    (subgradient_baseline, {"budget": 5, "seed": -1}, "seed"),
 ])
 def test_baselines_reject_settings_before_any_oracle_call(monkeypatch, run, kwargs, field):
     from eigsmooth import optimize

@@ -51,6 +51,22 @@ def test_model_rejects_nonfinite_eigenvalues():
         equal_gap_model(10, gamma=np.nan)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"multiplicity": 0}, "multiplicity must be at least 1, got 0"),
+    ({"multiplicity": -1}, "multiplicity must be at least 1, got -1"),
+    ({"multiplicity": -9}, "multiplicity must be at least 1, got -9"),
+    ({"gamma": 0.0}, "gamma must be finite and positive, got 0.0"),
+    ({"gamma": -1.0}, "gamma must be finite and positive, got -1.0"),
+    ({"gamma": np.inf}, "eigenvalues must be finite, got gamma=inf"),
+    ({"top": np.nan}, "eigenvalues must be finite, got top=nan"),
+    ({"top": -np.inf}, "eigenvalues must be finite, got top=-inf"),
+])
+def test_equal_gap_model_names_its_settings(kwargs, message):
+    # a negative multiplicity must not index the spectrum from its end
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        equal_gap_model(10, **kwargs)
+
+
 def test_monte_carlo_rejects_repeated_size():
     def family(n):
         raise AssertionError("no model is built before the sizes are checked")

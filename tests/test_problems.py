@@ -276,7 +276,7 @@ def test_composite_sampled_gradient_sums():
     assert np.sum(ev.grad + 1.0) == pytest.approx(1.0, abs=1e-12)
     assert ev.cost == 4 * params.k  # q*k samples
     # the kernel's estimate on the mapped matrix, plus the linear term
-    est = gradient_oracle(prob.matrix(w), params, 4, rng=13, seed_key=(0,), lanczos_tol=1e-6)
+    est = gradient_oracle(prob.matrix(w), params, 4, seed=13, key=(0,), lanczos_tol=1e-6)
     assert ev.value == est.value + prob.linear_value(w)
     assert np.array_equal(ev.grad, prob.pull_back(est.vectors) / 4 + prob.linear_grad(w))
 
@@ -353,7 +353,7 @@ def test_box_oracle_gradient_is_the_dense_average_bit_for_bit(q):
     X = box.project(0.05 * symmetrize(np.random.default_rng(5).standard_normal((n, n))))
     params = SmoothingParams(eps=0.05, n=n)
     ev = StochasticOracle(box, params, q, seed=6, lanczos_tol=1e-6).evaluate(X, (3,))
-    est = gradient_oracle(box.matrix(X), params, q, rng=6, seed_key=(3,), lanczos_tol=1e-6)
+    est = gradient_oracle(box.matrix(X), params, q, seed=6, key=(3,), lanczos_tol=1e-6)
     assert np.array_equal(ev.grad, _dense_sample_average(est.vectors))
 
 
@@ -397,7 +397,7 @@ def test_ball_evaluation_allocates_no_n_by_n_gradient(kind):
     params = SmoothingParams(eps=0.05, n=n)
     if kind == "stochastic":
         oracle = StochasticOracle(ball, params, q, seed=1, lanczos_tol=1e-6)
-        kernel = lambda M: gradient_oracle(M, params, q, rng=1, seed_key=key, lanczos_tol=1e-6)
+        kernel = lambda M: gradient_oracle(M, params, q, seed=1, key=key, lanczos_tol=1e-6)
     else:
         oracle = ExactEigOracle(ball, seed=1)
         kernel = lambda M: lanczos_leading(M, rel_tol=1e-9, rng=sample_rng(1, *key))

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eigsmooth import smoothing
 from eigsmooth.problems import dspca_problem, synthetic_covariance
 from eigsmooth.smoothing import (
     SmoothingParams,
@@ -17,7 +18,7 @@ from eigsmooth.smoothing import (
     sample_rng,
     smoothing_constant,
 )
-from eigsmooth.spectral import full_eig, rank_one_leading, symmetrize
+from eigsmooth.spectral import full_eig, lanczos_leading, rank_one_leading, symmetrize
 
 
 def random_symmetric(n, rng, scale=1.0):
@@ -66,13 +67,13 @@ def test_sample_zero_matrix():
     rng = np.random.default_rng(0)
     probe_rng = np.random.default_rng(0)
     Z = probe_rng.standard_normal((params.k, n))
-    s = gradient_oracle(full_eig(np.zeros((n, n))), params, 1, rng=rng)
+    values, vectors = smoothing._secular_samples(full_eig(np.zeros((n, n))), params, 1, rng)
     norms = (Z**2).sum(axis=1)
-    assert s.value == pytest.approx(params.scale * norms.max(), rel=1e-12)
+    assert values[0] == pytest.approx(params.scale * norms.max(), rel=1e-12)
     # the winner is the longest draw: its direction is the gradient factor
     i0 = int(np.argmax(norms))
     zwin = Z[i0] / np.linalg.norm(Z[i0])
-    vector = s.vectors[0]
+    vector = vectors[0]
     assert min(np.linalg.norm(vector - zwin), np.linalg.norm(vector + zwin)) <= 1e-10
 
 
@@ -81,15 +82,14 @@ def test_sample_value_exceeds_top_eigenvalue():
     X = random_symmetric(12, rng)
     dec = full_eig(X)
     params = SmoothingParams(eps=0.3, n=12)
-    twin = copy.deepcopy(rng)  # draws the noise each oracle call draws
+    twin = copy.deepcopy(rng)  # draws the noise each sampler call draws
     for _ in range(50):
-        s = gradient_oracle(dec, params, 1, rng=rng)
+        values, vectors = smoothing._secular_samples(dec, params, 1, rng)
         Z = twin.standard_normal((params.k, 12))
-        assert s.value > dec.values[0]
+        assert values[0] > dec.values[0]
         witness_bound = params.scale * np.max((dec.vectors[:, 0] @ Z.T) ** 2)
-        assert s.value - dec.values[0] >= witness_bound - 1e-15
-        assert abs(np.linalg.norm(s.vectors[0]) - 1.0) <= 1e-12
-        assert s.cost_eigvecs == params.k
+        assert values[0] - dec.values[0] >= witness_bound - 1e-15
+        assert abs(np.linalg.norm(vectors[0]) - 1.0) <= 1e-12
 
 
 def test_sample_paths_agree():
@@ -97,10 +97,12 @@ def test_sample_paths_agree():
     X = random_symmetric(15, rng)
     dec = full_eig(X)
     params = SmoothingParams(eps=0.5, n=15)
-    s1 = gradient_oracle(dec, params, 1, rng=np.random.default_rng(77))
-    s2 = gradient_oracle(X, params, 1, rng=np.random.default_rng(77), lanczos_tol=1e-11)
-    assert abs(s1.value - s2.value) <= 1e-8 * max(1.0, abs(s1.value))
-    v1, v2 = s1.vectors[0], s2.vectors[0]
+    # the oracle's sample 0 draws its noise first from sample_rng(seed, *key, 0)
+    Z = sample_rng(77, 0).standard_normal((params.k, 15))
+    value, _, v1, _ = fk_value(dec, Z, params)
+    s = gradient_oracle(X, params, 1, seed=77, key=(), lanczos_tol=1e-11)
+    assert abs(value - s.value) <= 1e-8 * max(1.0, abs(value))
+    v2 = s.vectors[0]
     assert min(np.max(np.abs(v1 - v2)), np.max(np.abs(v1 + v2))) <= 1e-6
 
 
@@ -123,20 +125,20 @@ def test_mean_inside_envelope():
 def test_gradient_trace_one():
     rng = np.random.default_rng(5)
     X = random_symmetric(9, rng)
-    est = gradient_oracle(full_eig(X), SmoothingParams(eps=0.2, n=9), q=7, rng=rng)
-    V = est.vectors
-    assert abs(np.sum(V * V) / est.q - 1.0) <= 1e-12  # trace of (1/q) sum_l v_l v_l^T
+    q = 7
+    V = smoothing._secular_samples(full_eig(X), SmoothingParams(eps=0.2, n=9), q, rng)[1]
+    assert abs(np.sum(V * V) / q - 1.0) <= 1e-12  # trace of (1/q) sum_l v_l v_l^T
     # PSD: average of rank-one projectors
-    assert np.min(np.linalg.eigvalsh((V.T @ V) / est.q)) >= -1e-14
+    assert np.min(np.linalg.eigvalsh((V.T @ V) / q)) >= -1e-14
 
 
 def test_gradient_concentrates_on_gap():
     rng = np.random.default_rng(6)
     n = 12
     X = np.diag(np.concatenate(([1.0], np.zeros(n - 1))))
-    est = gradient_oracle(full_eig(X), SmoothingParams(eps=1e-3, n=n), q=200, rng=rng)
-    V = est.vectors
-    mean = (V.T @ V) / est.q
+    q = 200
+    V = smoothing._secular_samples(full_eig(X), SmoothingParams(eps=1e-3, n=n), q, rng)[1]
+    mean = (V.T @ V) / q
     off = mean - np.diag(np.diag(mean))
     assert np.mean(V[:, 0] ** 2) > 0.95
     assert np.max(np.abs(off)) < 0.05
@@ -145,21 +147,21 @@ def test_gradient_concentrates_on_gap():
 def test_gradient_isotropic_at_zero():
     rng = np.random.default_rng(7)
     n = 20
-    est = gradient_oracle(full_eig(np.zeros((n, n))), SmoothingParams(eps=0.5, n=n), q=10**4, rng=rng)
-    diag = np.mean(est.vectors**2, axis=0)
-    serr = 3.0 / np.sqrt(est.q)  # crude bound on 3 standard errors of each entry
+    q = 10**4
+    V = smoothing._secular_samples(full_eig(np.zeros((n, n))), SmoothingParams(eps=0.5, n=n), q, rng)[1]
+    diag = np.mean(V**2, axis=0)
+    serr = 3.0 / np.sqrt(q)  # crude bound on 3 standard errors of each entry
     assert np.max(np.abs(diag - 1.0 / n)) <= serr
 
 
 def test_gradient_counter_seeding_reproducible():
     rng = np.random.default_rng(8)
     X = random_symmetric(6, rng)
-    dec = full_eig(X)
     params = SmoothingParams(eps=0.3, n=6)
-    a = gradient_oracle(dec, params, q=4, rng=12345, seed_key=(9,))
-    b = gradient_oracle(dec, params, q=4, rng=12345, seed_key=(9,))
+    a = gradient_oracle(X, params, q=4, seed=12345, key=(9,), lanczos_tol=1e-9)
+    b = gradient_oracle(X, params, q=4, seed=12345, key=(9,), lanczos_tol=1e-9)
     assert np.array_equal(a.vectors, b.vectors) and a.value == b.value
-    c = gradient_oracle(dec, params, q=4, rng=12345, seed_key=(10,))
+    c = gradient_oracle(X, params, q=4, seed=12345, key=(10,), lanczos_tol=1e-9)
     assert not np.array_equal(a.vectors, c.vectors)
 
 
@@ -167,7 +169,7 @@ def test_gradient_cost_accounting():
     rng = np.random.default_rng(9)
     X = random_symmetric(5, rng)
     params = SmoothingParams(eps=0.2, n=5)
-    est = gradient_oracle(full_eig(X), params, q=6, rng=rng)
+    est = gradient_oracle(X, params, q=6, seed=9, key=(), lanczos_tol=1e-9)
     assert est.cost_eigvecs == 6 * params.k
 
 
@@ -265,9 +267,10 @@ def test_diagonal_concentration():
     rng = np.random.default_rng(13)
     n = 6
     X = np.diag(np.linspace(1.0, 0.0, n))
-    est = gradient_oracle(full_eig(X), SmoothingParams(eps=0.5, n=n), q=10**4, rng=rng)
-    off = ((est.vectors.T @ est.vectors) / est.q)[~np.eye(n, dtype=bool)]
-    assert np.max(np.abs(off)) <= 3.0 / np.sqrt(est.q)
+    q = 10**4
+    V = smoothing._secular_samples(full_eig(X), SmoothingParams(eps=0.5, n=n), q, rng)[1]
+    off = ((V.T @ V) / q)[~np.eye(n, dtype=bool)]
+    assert np.max(np.abs(off)) <= 3.0 / np.sqrt(q)
 
 
 # ------------------------------------------------------------- variance
@@ -329,13 +332,30 @@ def test_lanczos_path_still_validates(bad, path):
         X[1, 3] = X[3, 1] = np.nan
     params = SmoothingParams(eps=0.1, n=5, k=3)
     with pytest.raises(ValueError):
-        gradient_oracle(X, params, 2, rng=0)
-    with pytest.raises(ValueError):
-        gradient_oracle(X, params, 1, rng=np.random.default_rng(1))
+        gradient_oracle(X, params, 2, seed=0, key=(), lanczos_tol=1e-9)
+
+
+@pytest.mark.parametrize("entry, form", [
+    ("gradient_oracle", "matrix"),
+    *((entry, form) for entry in ("fk_value", "fk_values_batch", "gradient_variance_probe")
+      for form in ("matrix", "decomposition")),
+])
+def test_dimension_mismatch_is_named(entry, form):
+    X = random_symmetric(6, np.random.default_rng(25))
+    Xin = full_eig(X) if form == "decomposition" else X
+    params = SmoothingParams(eps=0.1, n=5, k=3)
+    calls = {
+        "gradient_oracle": lambda: gradient_oracle(Xin, params, 1, seed=0, key=(), lanczos_tol=1e-9),
+        "fk_value": lambda: fk_value(Xin, np.ones((3, 5)), params),
+        "fk_values_batch": lambda: fk_values_batch(Xin, params, 2, np.random.default_rng(0)),
+        "gradient_variance_probe": lambda: gradient_variance_probe(Xin, params, 100, np.random.default_rng(0)),
+    }
+    with pytest.raises(ValueError, match=r"^params\.n=5 does not match matrix dimension 6$"):
+        calls[entry]()
 
 
 def test_gradient_oracle_validates_once(monkeypatch):
-    from eigsmooth import smoothing, spectral
+    from eigsmooth import spectral
 
     counts = {"check_symmetric": 0, "lanczos_leading": 0}
 
@@ -350,7 +370,7 @@ def test_gradient_oracle_validates_once(monkeypatch):
     monkeypatch.setattr(smoothing, "lanczos_leading", counted("lanczos_leading", spectral.lanczos_leading))
     X = random_symmetric(12, np.random.default_rng(3))
     # each of the q * k = 6 runs trusts the checked X
-    est = gradient_oracle(X, SmoothingParams(eps=0.1, n=12, k=3), 2, rng=7)
+    est = gradient_oracle(X, SmoothingParams(eps=0.1, n=12, k=3), 2, seed=7, key=(), lanczos_tol=1e-9)
     assert counts == {"check_symmetric": 1, "lanczos_leading": 6}
     assert est.cost_eigvecs == 6
 
@@ -362,10 +382,10 @@ def test_lanczos_oracle_allocates_less_than_its_matrix():
     problem = dspca_problem(synthetic_covariance(n, np.random.default_rng(1)))
     M = problem.matrix(problem.center())
     params = SmoothingParams(eps=0.05, n=n, k=3)
-    gradient_oracle(M, params, 2, rng=0, lanczos_tol=1e-6)  # warm numpy's caches
+    gradient_oracle(M, params, 2, seed=0, key=(), lanczos_tol=1e-6)  # warm numpy's caches
     tracemalloc.start()
     try:
-        gradient_oracle(M, params, 2, rng=1, lanczos_tol=1e-6)
+        gradient_oracle(M, params, 2, seed=1, key=(), lanczos_tol=1e-6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -375,32 +395,30 @@ def test_lanczos_oracle_allocates_less_than_its_matrix():
 # ------------------------------------------------------ one batched sampler
 
 
-@pytest.mark.parametrize("path", ["secular", "lanczos"])
+@pytest.mark.parametrize("path", ["lanczos"])
 def test_gradient_oracle_matches_sequential_samples(path):
+    # sample l draws its k noise vectors, then its k runs' start vectors,
+    # from sample_rng(seed, *key, l); the reduction follows sample order
     rng = np.random.default_rng(18)
-    n, q, key = 9, 4, (5, 2)
+    n, q, key, tol = 9, 4, (5, 2), 1e-9
     X = random_symmetric(n, rng)
-    Xin = full_eig(X) if path == "secular" else X
     params = SmoothingParams(eps=0.3, n=n, k=3)
-    est = gradient_oracle(Xin, params, q, rng=21, seed_key=key)
-    samples = [gradient_oracle(Xin, params, 1, rng=sample_rng(21, *key, l)) for l in range(q)]
-    assert est.value == np.array([s.value for s in samples]).mean()
-    assert est.cost_eigvecs == sum(s.cost_eigvecs for s in samples) == q * params.k
-    vectors = np.array([s.vectors[0] for s in samples])
-    if path == "lanczos":
-        assert np.array_equal(est.vectors, vectors)
-    else:
-        assert np.max(np.abs(est.vectors - vectors)) <= 1e-14
-        # one shared generator: the samples come from it in sample order
-        shared = gradient_oracle(Xin, params, q, rng=np.random.default_rng(22))
-        gen = np.random.default_rng(22)
-        values = np.array([gradient_oracle(Xin, params, 1, rng=gen).value for _ in range(q)])
-        assert shared.value == values.mean()
+    est = gradient_oracle(X, params, q, seed=21, key=key, lanczos_tol=tol)
+    values, vectors = [], []
+    for l in range(q):
+        gen = sample_rng(21, *key, l)
+        Z = gen.standard_normal((params.k, n))
+        pairs = [lanczos_leading(X, rel_tol=tol, rng=gen, update=(params.scale, z)) for z in Z]
+        best = pairs[int(np.argmax([p.value for p in pairs]))]
+        values.append(best.value)
+        vectors.append(best.vector)
+    assert est.value == np.array(values).mean()
+    assert est.cost_eigvecs == q * params.k
+    assert np.array_equal(est.vectors, np.array(vectors))
 
 
 def test_secular_oracle_makes_one_kernel_call(monkeypatch):
-    from eigsmooth import smoothing
-
+    # fk_values_batch solves all its draws in one kernel call
     calls = []
     real = smoothing._rank_one_top
 
@@ -411,9 +429,9 @@ def test_secular_oracle_makes_one_kernel_call(monkeypatch):
     monkeypatch.setattr(smoothing, "_rank_one_top", spy)
     X = random_symmetric(7, np.random.default_rng(19))
     params = SmoothingParams(eps=0.2, n=7, k=3)
-    est = gradient_oracle(full_eig(X), params, 4, rng=3)
+    values = fk_values_batch(full_eig(X), params, 4, np.random.default_rng(3))
     assert calls == [(4, 3, 7)]
-    assert est.cost_eigvecs == 4 * 3
+    assert values.shape == (4,)
 
 
 def test_witness_fields_follow_decomposition():
@@ -425,32 +443,6 @@ def test_witness_fields_follow_decomposition():
     gap_witness = fk_value(dec, Z, params)[0] - dec.values[0]
     witness_bound = params.scale * np.max((dec.vectors[:, 0] @ Z.T) ** 2)
     assert witness_bound > 0.0 and gap_witness >= witness_bound
-
-
-class _Forward:
-    """A distinct object drawing from a shared generator."""
-
-    def __init__(self, gen):
-        self.gen = gen
-
-    def standard_normal(self, *args, **kwargs):
-        return self.gen.standard_normal(*args, **kwargs)
-
-
-def test_shared_generator_draw_matches_per_sample_draws(monkeypatch):
-    # One (q, k, n) draw from a shared generator against q draws of (k, n),
-    # forced by handing each sample its own forwarding object.
-    from eigsmooth import smoothing
-
-    dec = full_eig(random_symmetric(12, np.random.default_rng(23)))
-    params = SmoothingParams(eps=0.4, n=12, k=3)
-    batch = fk_values_batch(dec, params, 300, np.random.default_rng(5))
-    probe = gradient_variance_probe(dec, params, 150, np.random.default_rng(6))
-    real = smoothing._draw
-    monkeypatch.setattr(smoothing, "_draw", lambda X, params, gens, tol: real(
-        X, params, [_Forward(gen) for gen in gens], tol))
-    assert np.array_equal(batch, fk_values_batch(dec, params, 300, np.random.default_rng(5)))
-    assert probe == gradient_variance_probe(dec, params, 150, np.random.default_rng(6))
 
 
 def test_fk_values_batch_draw_count():
@@ -465,7 +457,6 @@ def test_fk_values_batch_draw_count():
 # per-run norms and full-size Lanczos workspace (numpy's bundled OpenBLAS 0.3.31, x86-64).
 _ORACLE_GOLDEN = {
     "seeded": ("0x1.0045a991c02b3p+0", "468b36b504c3918a", 6.0),
-    "shared": ("0x1.00733f0ac8866p+0", "28daf6881f152a7f", 6.0),
 }
 
 
@@ -473,7 +464,6 @@ _ORACLE_GOLDEN = {
 def test_lanczos_gradient_oracle_golden_values(case):
     A = synthetic_covariance(60, np.random.default_rng(2))
     params = SmoothingParams(eps=0.05, n=60, k=3)
-    rng = np.random.default_rng(8) if case == "shared" else 7
-    est = gradient_oracle(A, params, 2, rng=rng, seed_key=(5,), lanczos_tol=1e-6)
+    est = gradient_oracle(A, params, 2, seed=7, key=(5,), lanczos_tol=1e-6)
     digest = hashlib.sha256(est.vectors.tobytes()).hexdigest()[:16]
     assert (est.value.hex(), digest, est.cost_eigvecs) == _ORACLE_GOLDEN[case]
