@@ -111,8 +111,7 @@ class Config:
             raise ConfigError(f"{self.path}: unknown field {sorted(unknown)[0]!r}")
 
 
-# Solver keys and their Config parsers; a key left unset keeps SolverConfig's
-# default, except q, which stoch_ls and acsa derive from eps.
+# Solver keys and their Config parsers; a key left unset keeps SolverConfig's default.
 SOLVER_KEYS = {
     "q": "int", "k": "int", "gamma_max": "float", "gamma_min": "float",
     "oracle_tol": "float", "true_obj_every": "int",
@@ -155,8 +154,6 @@ def _run_solver(cfg, seed):
         raise ConfigError(f"{cfg.path}: field 'eps' must be finite and {rule}, got {eps!r}")
     # every solver key a file sets meets SolverConfig's rules, whichever algorithm runs
     given = {key: getattr(cfg, cast)(key) for key, cast in SOLVER_KEYS.items() if key in cfg.values}
-    if "q" not in given and smoothed:
-        given["q"] = max(1, math.ceil(0.1 / eps))
     kind = cfg.str("problem", required=True, choices=("dspca", "maxcut"))
     n, data_path, cov = cfg.int("n", required=True), cfg.str("data_path"), None
     for key, needs in (("data_path", "problem = dspca"), ("n_select", "'data_path' and problem = dspca")):
@@ -290,8 +287,7 @@ def cmd_compare(args):
 
 
 # Phase keys read by one model only, and that model
-MODEL_KEYS = {"gamma": "equal_gap", "top": "equal_gap", "multiplicity": "equal_gap",
-              "spectrum_path": "file"}
+MODEL_KEYS = {"gamma": "equal_gap", "multiplicity": "equal_gap", "spectrum_path": "file"}
 PHASE_KEYS = ("model", "seed", "n_list", "eps_rule", "trials", *MODEL_KEYS)
 
 
@@ -315,10 +311,9 @@ def cmd_phase(args):
         if key in cfg.values and model_kind != needs:  # before any file is opened
             raise ConfigError(f"{cfg.path}: field {key!r} needs model = {needs}")
     if model_kind == "equal_gap":
-        gamma = cfg.float("gamma", default=1.0)
-        top = cfg.float("top", default=1.0)
-        mult = cfg.int("multiplicity", default=1)
-        family = lambda n: equal_gap_model(n, gamma=gamma, top=top, multiplicity=mult)
+        given = {key: cast(key) for key, cast in (("gamma", cfg.float), ("multiplicity", cfg.int))
+                 if key in cfg.values}  # a key left unset keeps equal_gap_model's default
+        family = lambda n: equal_gap_model(n, **given)
         sizes = [100, 400, 1600]
     else:
         base = load_spectrum(cfg.str("spectrum_path", required=True))

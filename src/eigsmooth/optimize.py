@@ -80,11 +80,12 @@ class ProxSetup:
 
 @dataclass
 class SolverConfig:
-    """All solver parameters; anything left None is derived at run time.
+    """All solver parameters; a gamma left None is derived at run time.
 
-    gamma_max / gamma_min bound the line-search ladder (defaults: a theory
-    floor 1/(2L), with L the smoothed-gradient Lipschitz bound divided by
-    LIP_SCALE = 100, and a ceiling LADDER_SPAN = 16 times higher). The
+    q, the samples per oracle call, defaults to max(1, ceil(0.1/eps)), 1 at
+    eps = 0. gamma_max / gamma_min bound the line-search ladder (defaults: a
+    theory floor 1/(2L), with L the smoothed-gradient Lipschitz bound divided
+    by LIP_SCALE = 100, and a ceiling LADDER_SPAN = 16 times higher). The
     search starts at the ceiling and shrinks by GAMMA_D = 0.5. `eps` may be
     0 only in a generic run, whose oracle the caller passes; a problem's
     smoothing rejects it. Every field is checked here, before any run.
@@ -93,7 +94,7 @@ class SolverConfig:
     N: int
     eps: float
     k: int = 3
-    q: int = 1
+    q: int | None = None
     seed: int = 0
     gamma_max: float | None = None
     gamma_min: float | None = None
@@ -104,10 +105,11 @@ class SolverConfig:
         _check_run_length(self.N, self.true_obj_every)
         if not 0.0 <= self.eps < math.inf:
             raise ValueError(f"eps must be finite and nonnegative, got {self.eps!r}")
+        if self.q is None:
+            self.q = max(1, math.ceil(0.1 / self.eps)) if self.eps > 0.0 else 1
         if self.q < 1:
             raise ValueError("q must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _check_seed(self.seed)
         if self.k < (3 if self.eps > 0.0 else 1):
             raise ValueError(f"k must be at least 1, and at least 3 when eps > 0, got {self.k!r}")
         for name in ("gamma_max", "gamma_min"):
@@ -123,6 +125,13 @@ def check_finite_positive(name, value):
     """The rule of every scale setting (step scales, eps, rho, radius)."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_seed(seed):
+    """The rule of every run seed, checked before the first draw."""
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    return seed
 
 
 def _check_run_length(N, true_obj_every):
@@ -188,7 +197,7 @@ class StochasticOracle:
         self.params = params
         self.q = int(q)
         self.sigma2 = 1.0 / self.q  # variance bound of the q-average
-        self.seed = int(seed)
+        self.seed = _check_seed(int(seed))
         self.lanczos_tol = lanczos_tol
 
     def evaluate(self, point, key):
@@ -206,7 +215,7 @@ class ExactEigOracle:
 
     def __init__(self, problem, seed):
         self.problem = problem
-        self.seed = int(seed)
+        self.seed = _check_seed(int(seed))
 
     def evaluate(self, point, key):
         M = check_symmetric(self.problem.matrix(point))  # Lanczos trusts its input
@@ -323,6 +332,10 @@ def _plain_gamma(setup, config, L, sigma2):
     return min(smooth, ceiling)
 
 
+# What ends a run early with its trace kept: a numerical failure or an interrupt.
+_ABORTS = (SpectralError, KeyboardInterrupt)
+
+
 def _evaluate(fn, *args):
     """fn(*args), raising any numerical failure as SpectralError (an abort)."""
     try:
@@ -368,13 +381,14 @@ class _Recorder:
 
     def result(self, solution, t, error=None, **extra):
         """RunResult after iteration t; an `error` aborted iteration t, so
-        only t - 1 iterations completed. `extra` sets further fields and may
-        override the best objective."""
+        only t - 1 iterations completed, and an error without a message, such
+        as an interrupt, is named by its class. `extra` sets further fields
+        and may override the best objective."""
         fields = {"best_objective": self.best, **extra}
         return RunResult(
             solution=solution, trace=self.rows, total_eigvecs=self.cost,
-            iterations=t - 1 if error is not None else t,
-            aborted=error is not None, abort_reason=None if error is None else str(error),
+            iterations=t - 1 if error is not None else t, aborted=error is not None,
+            abort_reason=None if error is None else str(error) or type(error).__name__,
             **fields,
         )
 
@@ -417,11 +431,10 @@ def _acsa_engine(problem, oracle, setup, config, gamma_min, gamma):
                 cached = ((t + 1,), x_ag_next, ev_next)
                 if line_search_exit(ev.value, ev.grad, ev_next.value, x_ag_next - x_md, gamma):
                     break
-                gamma = gamma * GAMMA_D
-        except SpectralError as exc:
+                gamma = max(gamma_min, gamma * GAMMA_D)
+        except _ABORTS as exc:
             error = exc
             break
-        gamma = max(gamma_min, gamma)
         x, x_ag = x_next, x_ag_next
         rec.row(t, x_ag, ev.value, gamma)
     if t_gamma is None:
@@ -480,9 +493,7 @@ def subgradient_baseline(problem, setup, budget, seed=0, true_obj_every=None):
     objective is the lowest oracle value, and the trace monitors the point
     that attained it, so its objective column never increases.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    oracle = ExactEigOracle(problem, seed)
+    oracle = ExactEigOracle(problem, seed)  # checks the seed first
     x = np.array(setup.center, dtype=float, copy=True)
     best = float("inf")
     best_x = x.copy()
@@ -492,7 +503,7 @@ def subgradient_baseline(problem, setup, budget, seed=0, true_obj_every=None):
     for t in range(1, budget + 1):
         try:
             ev = _evaluate(oracle.evaluate, x, (t,))
-        except SpectralError as exc:
+        except _ABORTS as exc:
             error = exc
             break
         rec.cost += ev.cost
@@ -547,7 +558,7 @@ def nesterov_smooth_baseline(problem, setup, eps, budget, true_obj_every=None):
         y = x + ((t - 2.0) / (t + 1.0)) * (x - x_prev) if t > 1 else x
         try:
             value, factors, weights, cost = _evaluate(softmax_smoothed, M := problem.matrix(y), mu)
-        except SpectralError as exc:
+        except _ABORTS as exc:
             error = exc
             break
         rec.cost += cost

@@ -88,19 +88,18 @@ class SpectrumModel:
         return cls(lambdas=lam, multiplicity=mult, gamma_gap=gamma, deltas=deltas)
 
 
-def equal_gap_model(n, gamma=1.0, top=1.0, multiplicity=1):
-    """All non-leading eigenvalues exactly gamma below the top one: `top`
-    finite, `gamma` finite and positive, 1 <= `multiplicity` < n."""
-    for name, value in (("top", top), ("gamma", gamma)):
-        if not math.isfinite(value):
-            raise ValueError(f"eigenvalues must be finite, got {name}={value!r}")
+def equal_gap_model(n, gamma=1.0, multiplicity=1):
+    """Top eigenvalue 1 and all non-leading eigenvalues exactly gamma below
+    it: `gamma` finite and positive, 1 <= `multiplicity` < n."""
+    if not math.isfinite(gamma):
+        raise ValueError(f"eigenvalues must be finite, got gamma={gamma!r}")
     check_finite_positive("gamma", gamma)
     if multiplicity < 1:
         raise ValueError(f"multiplicity must be at least 1, got {multiplicity!r}")
     if multiplicity >= n:
         raise ValueError("multiplicity must leave room below the top eigenvalue")
-    lam = np.full(n, top - gamma)
-    lam[:multiplicity] = top
+    lam = np.full(n, 1.0 - gamma)
+    lam[:multiplicity] = 1.0
     return SpectrumModel.from_lambdas(lam)
 
 

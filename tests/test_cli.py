@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigsmooth.cli import SOLVER_KEYS, main, parse_config, read_report
+from eigsmooth.cli import SOLVER_KEYS, Config, ConfigError, main, parse_config, read_report
 from eigsmooth.optimize import read_trace
 from eigsmooth.problems import synthetic_covariance
 
@@ -31,10 +31,32 @@ def test_parse_config_comments_and_errors(tmp_path):
         parse_config(bad)
 
 
+@pytest.mark.parametrize("case", ["unreadable", "empty_key", "missing", "choice", "report"])
+def test_config_readers_name_the_fault(tmp_path, case):
+    path = tmp_path / "c.txt"
+    path.write_text("a = 1\nalgorithm = none\n")
+    if case == "unreadable":  # a directory cannot be read as a config
+        call, message = lambda: parse_config(tmp_path), f"cannot read config {tmp_path}: "
+    elif case == "empty_key":
+        path.write_text("a = 1\n = 2\n")
+        call, message = lambda: parse_config(path), f"{path}:2: empty key"
+    elif case == "missing":
+        cfg = Config(parse_config(path), path)
+        call, message = lambda: cfg.int("n", required=True), f"{path}: missing required field 'n'"
+    elif case == "choice":
+        cfg = Config(parse_config(path), path)
+        call = lambda: cfg.str("algorithm", choices=("acsa", "subgrad"))
+        message = f"{path}: field 'algorithm' must be one of ('acsa', 'subgrad'), got 'none'"
+    else:
+        call, message = lambda: read_report(path), f"{path}: report is missing field 'iterations'"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        call()
+
+
 def test_readme_lists_every_solver_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = re.search(r"The solver keys of `stoch_ls` and `acsa` \((.*?)\)", readme, re.S)
-    assert set(re.findall(r"`(\w+)`", listed.group(1))) == set(SOLVER_KEYS) - {"q"}
+    assert set(re.findall(r"`(\w+)`", listed.group(1))) == set(SOLVER_KEYS)
 
 
 def test_solve_requires_seed(tmp_path, capsys):
@@ -116,7 +138,7 @@ def test_solve_rejects_bad_eps(tmp_path, capsys, algorithm, eps, fields):
     # a repeated size leaves no slope to fit; a non-finite eigenvalue no spectrum
     ("phase", {"n_list": "100,100"}, "n_list repeats a size: [100, 100]"),
     ("phase", {"gamma": "nan"}, "eigenvalues must be finite"),
-    ("phase", {"top": "inf"}, "eigenvalues must be finite"),
+    ("phase", {"top": "inf"}, "unknown field 'top'"),  # the top eigenvalue is no setting
     # a key the chosen model does not read is rejected before any file is opened
     ("phase", {"model": "file", "spectrum_path": "no-such-file.txt", "gamma": -5, "multiplicity": 0},
      "field 'gamma' needs model = equal_gap"),
@@ -134,7 +156,7 @@ def test_solve_rejects_bad_eps(tmp_path, capsys, algorithm, eps, fields):
     ("phase", {"multiplicity": 0}, "multiplicity must be at least 1, got 0"),
     ("phase", {"gamma": -1}, "gamma must be finite and positive, got -1.0"),
     ("phase", {"gamma": "nan"}, "eigenvalues must be finite, got gamma=nan"),
-    ("phase", {"top": "inf"}, "eigenvalues must be finite, got top=inf"),
+    ("phase", {"top": "inf"}, "unknown field 'top'"),
 ])
 def test_config_mistakes_are_config_errors(tmp_path, capsys, command, fields, message):
     # solve starts from eps = 0, which only subgrad accepts; rows for the others set eps
@@ -376,6 +398,33 @@ def test_solve_abort_writes_partial_trace(tmp_path, monkeypatch):
     assert int(rep["iterations"]) == records[-1].t
 
 
+def test_solve_interrupt_writes_partial_trace(tmp_path, monkeypatch):
+    import eigsmooth.optimize as opt
+
+    real = opt.gradient_oracle
+
+    def interrupting(*args, key, **kwargs):
+        if key == (3,):
+            raise KeyboardInterrupt
+        return real(*args, key=key, **kwargs)
+
+    monkeypatch.setattr(opt, "gradient_oracle", interrupting)
+    cfg = write_config(
+        tmp_path / "c.txt",
+        problem="maxcut", algorithm="acsa", n=5, N=30, seed=2, eps=0.1, q=1,
+        true_obj_every=1,
+    )
+    try:
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path)])
+    except KeyboardInterrupt:  # escaped, it would end the whole test session
+        pytest.fail("the interrupt escaped the command")
+    assert code == 3
+    rep = read_report(tmp_path / "acsa_report.txt")
+    assert rep["completed"] == "false" and rep["abort_reason"] == "KeyboardInterrupt"
+    assert int(rep["iterations"]) == 2
+    assert [r.t for r in read_trace(tmp_path / rep["trace"])] == [1, 2]
+
+
 def test_solve_det_smooth_abort_writes_partial_trace(tmp_path, monkeypatch):
     import eigsmooth.optimize as opt
 
@@ -560,6 +609,19 @@ def test_phase_json_is_strict(tmp_path):
 
     payload = json.loads((tmp_path / "phase.json").read_text(), parse_constant=reject)
     assert payload["rows"][0]["regime"] == "sub" and payload["rows"][0]["t0"] is None
+
+
+def test_phase_file_model_runs(tmp_path):
+    # the README's spectrum layout; size 4 is the file's spectrum, size 40 its tiling
+    spectrum = tmp_path / "spectrum.txt"
+    spectrum.write_text("1.0\n0.0\n\n-2.0\n-2.0\n")
+    cfg = write_config(tmp_path / "p.txt", model="file", spectrum_path=spectrum, n_list="4,40",
+                       eps_rule="eps0", trials=200, seed=3)
+    assert main(["phase", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "phase.csv").read_text().splitlines()
+    assert lines[0] == "n,eps,regime,median_T,predicted_order,slope"
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["4", "2.4000000000000004", "critical"], ["40", "1.8461538461538467", "critical"]]
 
 
 def test_phase_malformed_spectrum_names_line(tmp_path, capsys):

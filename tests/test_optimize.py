@@ -6,9 +6,11 @@ import pytest
 
 from eigsmooth.optimize import (
     TRACE_HEADER,
+    ExactEigOracle,
     FunctionOracle,
     ProxSetup,
     SolverConfig,
+    StochasticOracle,
     acsa_linesearch_run,
     acsa_run,
     coarse_gap_bound,
@@ -22,6 +24,7 @@ from eigsmooth.optimize import (
     write_trace,
 )
 from eigsmooth.problems import BallProblem, dspca_problem, maxcut_problem, synthetic_covariance
+from eigsmooth.smoothing import SmoothingParams
 from eigsmooth.spectral import symmetrize
 
 
@@ -326,6 +329,47 @@ def test_linesearch_floor_on_noiseless_quadratic():
     assert all(a >= b - 1e-15 for a, b in zip(gammas, gammas[1:]))
 
 
+def test_line_search_never_steps_below_its_floor(monkeypatch):
+    # gamma_max / gamma_min = 1 / 0.3 is no power of 2, so the shrink that
+    # crosses the floor must land on it. Spies recover each step's scale from
+    # its prox argument gamma_t * G, gamma_t = (t + 1) gamma / 2, where G is
+    # the latest gradient at key (t,); with a row per iteration, each monitor
+    # call closes an iteration.
+    from eigsmooth import optimize
+
+    prob = _small_maxcut(n=8)
+    grads, steps, t = {}, [], [1]
+    prox, evaluate = optimize.prox_map_euclidean, optimize.StochasticOracle.evaluate
+
+    def evaluate_spy(self, point, key):
+        ev = evaluate(self, point, key)
+        grads[key] = ev.grad
+        return ev
+
+    def prox_spy(setup, x, y):
+        g = grads[(t[0],)]
+        steps.append((t[0], 2.0 * float(np.vdot(y, g) / np.vdot(g, g)) / (t[0] + 1.0)))
+        return prox(setup, x, y)
+
+    def monitor_spy(point):
+        t[0] += 1
+        return type(prob).true_objective(prob, point)
+
+    monkeypatch.setattr(optimize, "prox_map_euclidean", prox_spy)
+    monkeypatch.setattr(optimize.StochasticOracle, "evaluate", evaluate_spy)
+    monkeypatch.setattr(prob, "true_objective", monitor_spy)
+    config = SolverConfig(N=10, eps=0.1, q=2, seed=5, gamma_max=1.0, gamma_min=0.3,
+                          true_obj_every=1)
+    res = acsa_linesearch_run(prob, None, prob.prox_setup(), config)
+    assert not res.aborted and res.gamma_final == 0.3
+    assert min(gamma for _, gamma in steps) == pytest.approx(0.3, rel=1e-12)
+    assert all(gamma >= 0.3 * (1.0 - 1e-12) for _, gamma in steps)
+    # each row's gamma is the scale of the step its iteration took
+    accepted = dict(steps)  # the last step of an iteration is the one it keeps
+    assert [r.gamma for r in res.trace] == pytest.approx([accepted[r.t] for r in res.trace],
+                                                         rel=1e-12)
+
+
 def _det_continuation_reference(prob, per_stage=3000):
     stages = (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6)
     setup = prob.prox_setup()
@@ -439,6 +483,43 @@ def test_numerical_oracle_failure_aborts(monkeypatch, failure):
         assert reason in res.abort_reason
 
 
+@pytest.mark.parametrize("algorithm", ["acsa", "subgrad", "det_smooth"])
+def test_interrupt_ends_the_run_with_its_trace(monkeypatch, algorithm):
+    # an interrupt in the third oracle call ends each solver loop as a
+    # numerical failure does, keeping rows t = 1 and 2, and names itself
+    from eigsmooth import optimize
+
+    calls = []
+
+    def interrupting(fn):
+        def spy(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(optimize, "gradient_oracle", interrupting(optimize.gradient_oracle))
+    monkeypatch.setattr(optimize.ExactEigOracle, "evaluate",
+                        interrupting(optimize.ExactEigOracle.evaluate))
+    monkeypatch.setattr(optimize, "softmax_smoothed", interrupting(optimize.softmax_smoothed))
+    prob = _small_maxcut()
+    setup = prob.prox_setup()
+    run = {
+        "acsa": lambda: acsa_run(prob, None, setup,
+                                 SolverConfig(N=10, eps=0.1, q=2, seed=5, true_obj_every=1)),
+        "subgrad": lambda: subgradient_baseline(prob, setup, 10, seed=5, true_obj_every=1),
+        "det_smooth": lambda: nesterov_smooth_baseline(prob, setup, 0.1, 10, true_obj_every=1),
+    }[algorithm]
+    try:
+        res = run()
+    except KeyboardInterrupt:  # escaped, it would end the whole test session
+        pytest.fail("the interrupt escaped the solver loop")
+    assert res.aborted and res.abort_reason == "KeyboardInterrupt"
+    assert res.iterations == 2
+    assert [r.t for r in res.trace] == [1, 2]
+
+
 def test_det_smooth_failure_aborts(monkeypatch):
     from eigsmooth import optimize
 
@@ -473,6 +554,25 @@ def test_config_validation():
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{"N": 5, "eps": 0.1, field: value})
     assert SolverConfig(N=5, eps=0.0, k=1).k == 1  # k >= 3 only where the smoothing needs it
+
+
+def test_solver_config_derives_q_from_eps():
+    # unset, q = max(1, ceil(0.1 / eps)) samples per oracle call, and 1 unsmoothed
+    assert SolverConfig(N=5, eps=0.05).q == 2
+    assert SolverConfig(N=5, eps=0.03).q == 4
+    assert SolverConfig(N=5, eps=0.5).q == 1
+    assert SolverConfig(N=5, eps=0.0).q == 1
+    assert SolverConfig(N=5, eps=0.05, q=7).q == 7
+
+
+@pytest.mark.parametrize("build", [
+    lambda prob: StochasticOracle(prob, SmoothingParams(eps=0.1, n=prob.dim), 2, -1, 1e-6),
+    lambda prob: ExactEigOracle(prob, -1),
+], ids=["stochastic", "exact"])
+def test_oracles_reject_a_negative_seed(build):
+    # at construction, as SolverConfig does, not as an abort of the first evaluation
+    with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got -1$"):
+        build(_small_maxcut())
 
 
 def test_generic_runs_need_explicit_gammas():
@@ -708,6 +808,14 @@ def test_trace_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("nope\n1,2,3,4,5,6\n")
     with pytest.raises(ValueError):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_read_trace_rejects_an_empty_file(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty trace$"):
         read_trace(path)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from eigsmooth.phase import (
     SpectrumModel,
+    ScalingReport,
     classify_regime,
     eps_critical,
     equal_gap_model,
@@ -58,13 +59,23 @@ def test_model_rejects_nonfinite_eigenvalues():
     ({"gamma": 0.0}, "gamma must be finite and positive, got 0.0"),
     ({"gamma": -1.0}, "gamma must be finite and positive, got -1.0"),
     ({"gamma": np.inf}, "eigenvalues must be finite, got gamma=inf"),
-    ({"top": np.nan}, "eigenvalues must be finite, got top=nan"),
-    ({"top": -np.inf}, "eigenvalues must be finite, got top=-inf"),
 ])
 def test_equal_gap_model_names_its_settings(kwargs, message):
     # a negative multiplicity must not index the spectrum from its end
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         equal_gap_model(10, **kwargs)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: tile_model(equal_gap_model(5, multiplicity=2), 2), ValueError,
+     "n must exceed the top multiplicity 2"),
+    (lambda: classify_regime(equal_gap_model(10), 0.0), ValueError, "eps must be positive"),
+    (lambda: classify_regime(equal_gap_model(10), -1.0), ValueError, "eps must be positive"),
+    (lambda: ScalingReport("sub", [], -1.0, 0.0, 1.0, 200, 0).row_for(100), KeyError, "100"),
+], ids=["tile_n", "regime_eps_0", "regime_eps_negative", "row_for_missing_n"])
+def test_phase_checks_name_the_fault(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_monte_carlo_rejects_repeated_size():

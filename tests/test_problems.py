@@ -121,6 +121,16 @@ def test_dspca_identity_optimum_by_grid():
     assert np.allclose(X, -0.5 * np.eye(2), atol=1e-6)
 
 
+@pytest.mark.parametrize("reference, problem", [
+    # 13 points on each of the 10 upper-triangle entries, and on 6 shifts
+    (box_reference, lambda: dspca_problem(synthetic_covariance(4, np.random.default_rng(0)))),
+    (ball_reference, lambda: maxcut_problem(6, np.random.default_rng(0))),
+], ids=["box", "ball"])
+def test_grid_references_refuse_past_desk_scale(reference, problem):
+    with pytest.raises(ValueError, match="^grid reference is a desk-scale tool$"):
+        reference(problem())
+
+
 def test_dspca_diameter_matches_direct_maximization():
     rng = np.random.default_rng(2)
     A = synthetic_covariance(3, rng)

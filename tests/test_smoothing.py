@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,18 @@ def test_params_validation():
         SmoothingParams(eps=0.1, n=4, k=0)
     p = SmoothingParams(eps=0.5, n=10)
     assert p.scale == 0.05 and p.k == 3
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SmoothingParams(eps=0.1, n=0), "n must be a positive integer"),
+    (lambda: gradient_oracle(np.eye(3), SmoothingParams(eps=0.1, n=3), 0, 1, (), 1e-9),
+     "q must be a positive integer"),
+    (lambda: gradient_variance_probe(np.eye(3), SmoothingParams(eps=0.1, n=3), 99,
+                                     np.random.default_rng(0)), "trials must be at least 100"),
+], ids=["params_n", "oracle_q", "probe_trials"])
+def test_smoothing_checks_name_the_setting(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_bounds_and_constants():

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -425,6 +426,30 @@ def test_secular_shifts_reject_non_finite_weights():
             W = np.array([[1.0, 1.0, bad], [1.0, 1.0, 1.0]])
             with pytest.raises(ValueError, match="weights must be finite"):
                 spectral._secular_shifts(lam, W, 1.0)
+
+
+_LAM = np.array([1.0, 0.0])
+
+
+@pytest.mark.parametrize("text, call, message", [
+    (None, lambda path: lanczos_iteration_budget(10, 0.0), "rel_tol must lie in (0, 1)"),
+    (None, lambda path: lanczos_iteration_budget(10, 1.0), "rel_tol must lie in (0, 1)"),
+    (None, lambda path: secular_shifts_batch(_LAM, np.ones((2, 3)), 0.1),
+     "lambdas must be a 1-d array and weight rows of the same length"),
+    (None, lambda path: secular_shifts_batch(_LAM, np.ones((2, 2)), 0.0), "scale must be positive"),
+    (None, lambda path: secular_shifts_batch(_LAM, np.ones((2, 2)), -0.1), "scale must be positive"),
+    ("", lambda path: spectral._read_rows(path, header=False), "{path}: empty file"),
+    ("\n  \n", lambda path: spectral._read_rows(path, header=True), "{path}: empty file"),
+    ("1 2\n3 4\n", lambda path: spectral._table(path, spectral._read_rows(path, False), 3, 2),
+     "{path}: expected 3 rows of 2 values, found 2"),
+], ids=["budget_tol_0", "budget_tol_1", "batch_shape", "batch_scale_0", "batch_scale_negative",
+        "rows_empty", "rows_blank", "table_short"])
+def test_spectral_checks_name_the_fault(tmp_path, text, call, message):
+    path = tmp_path / "data.txt"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
+        call(path)
 
 
 def test_secular_prepass_keeps_memory_off_the_weight_array():
