@@ -10,9 +10,11 @@ aggregate iterate x_t^ag through the midpoint sequence
 takes prox steps of size gamma_t = (t+1) gamma / 2, and optionally adapts the
 scale gamma by a monotone (shrink-only) line search: the candidate aggregate
 must satisfy a sampled upper-model inequality, otherwise gamma is multiplied
-by GAMMA_D < 1 down to a floor gamma_min. Two distinct oracle realizations
-enter each test; the trailing one is reused at the next iteration whenever
-the evaluation point is unchanged, otherwise it is resampled and charged.
+by GAMMA_D < 1 down to a floor gamma_min. Each iteration evaluates its
+midpoint at key (t,), each exit test its candidate at key (t+1,), and every
+evaluation is charged. A run takes exactly one source of evaluations: a
+problem, which it smooths into a `StochasticOracle` at the config's eps, k
+and q, or, for a generic run, the caller's oracle.
 
 Deterministic baselines in the same trace schema: projected subgradient
 steps on the exact top-eigenvalue objective, and accelerated gradient on the
@@ -83,9 +85,10 @@ class SolverConfig:
     """All solver parameters; a gamma left None is derived at run time.
 
     q, the samples per oracle call, defaults to max(1, ceil(0.1/eps)), 1 at
-    eps = 0. gamma_max / gamma_min bound the line-search ladder (defaults: a
-    theory floor 1/(2L), with L the smoothed-gradient Lipschitz bound divided
-    by LIP_SCALE = 100, and a ceiling LADDER_SPAN = 16 times higher). The
+    eps = 0; an eps so small that 0.1/eps overflows needs q set. gamma_max /
+    gamma_min bound the line-search ladder (defaults: a theory floor 1/(2L),
+    with L the smoothed-gradient Lipschitz bound divided by LIP_SCALE = 100,
+    and a ceiling LADDER_SPAN = 16 times higher). The
     search starts at the ceiling and shrinks by GAMMA_D = 0.5. `eps` may be
     0 only in a generic run, whose oracle the caller passes; a problem's
     smoothing rejects it. Every field is checked here, before any run.
@@ -106,7 +109,11 @@ class SolverConfig:
         if not 0.0 <= self.eps < math.inf:
             raise ValueError(f"eps must be finite and nonnegative, got {self.eps!r}")
         if self.q is None:
-            self.q = max(1, math.ceil(0.1 / self.eps)) if self.eps > 0.0 else 1
+            ratio = 0.1 / self.eps if self.eps > 0.0 else 1.0  # q = 1 unsmoothed
+            if ratio == math.inf:
+                raise ValueError(f"eps={self.eps!r} is too small to derive "
+                                 "q = ceil(0.1/eps); set q")
+            self.q = max(1, math.ceil(ratio))
         if self.q < 1:
             raise ValueError("q must be at least 1")
         _check_seed(self.seed)
@@ -196,7 +203,6 @@ class StochasticOracle:
         self.problem = problem
         self.params = params
         self.q = int(q)
-        self.sigma2 = 1.0 / self.q  # variance bound of the q-average
         self.seed = _check_seed(int(seed))
         self.lanczos_tol = lanczos_tol
 
@@ -210,8 +216,6 @@ class StochasticOracle:
 class ExactEigOracle:
     """Noise-free oracle: one leading eigenpair per evaluation (cost 1), by
     Lanczos to relative precision 1e-9, whose vector is the gradient's factor."""
-
-    sigma2 = 0.0
 
     def __init__(self, problem, seed):
         self.problem = problem
@@ -227,8 +231,6 @@ class ExactEigOracle:
 class FunctionOracle:
     """Deterministic oracle from a plain (value, grad) function; zero cost.
     Drives the noiseless quadratic of acceptance criterion 6 (line search)."""
-
-    sigma2 = 0.0
 
     def __init__(self, fn):
         self.fn = fn
@@ -283,17 +285,20 @@ def coarse_gap_bound(L, diameter, N, sigma2, gamma_max, gamma_min, t_gamma, mu):
     )
 
 
-def _default_smoothing(problem, config):
-    return SmoothingParams(eps=config.eps, n=problem.dim, k=config.k)
+def _run_source(problem, oracle, config):
+    """(oracle, L) of a run, which takes exactly one of `problem` and `oracle`.
 
-
-def _default_oracle(problem, config):
-    return StochasticOracle(problem, _default_smoothing(problem, config), config.q, config.seed,
-                            config.oracle_tol)
-
-
-def _scaled_lipschitz(problem, config):
-    return lipschitz_bound(_default_smoothing(problem, config)) / LIP_SCALE
+    A problem is smoothed at the config's eps and k: its oracle is a
+    `StochasticOracle` with the config's q, and L its Lipschitz bound divided
+    by LIP_SCALE. A generic run uses the caller's oracle, with L None.
+    """
+    if (problem is None) == (oracle is None):
+        raise ValueError("a run takes exactly one of 'problem' and 'oracle'")
+    if problem is None:
+        return oracle, None
+    params = SmoothingParams(eps=config.eps, n=problem.dim, k=config.k)
+    oracle = StochasticOracle(problem, params, config.q, config.seed, config.oracle_tol)
+    return oracle, lipschitz_bound(params) / LIP_SCALE
 
 
 def _resolve_ladder(config, L):
@@ -322,14 +327,12 @@ def _resolve_ladder(config, L):
     return gamma_min, gamma_max
 
 
-def _plain_gamma(setup, config, L, sigma2):
+def _plain_gamma(setup, config, L):
     """Deterministic step scale of the plain method: min of the smooth step
-    1/(2L) and the noise-driven ceiling sqrt(6) D / ((N+2)^{3/2} sigma)."""
-    smooth = 1.0 / (2.0 * L)
-    if sigma2 <= 0.0:
-        return smooth
-    ceiling = math.sqrt(6.0) * setup.diameter / ((config.N + 2.0) ** 1.5 * math.sqrt(sigma2))
-    return min(smooth, ceiling)
+    1/(2L) and the noise-driven ceiling sqrt(6) D / ((N+2)^{3/2} sigma), with
+    sigma^2 = 1/q the variance of the q-sample oracle."""
+    sigma = math.sqrt(1.0 / config.q)
+    return min(1.0 / (2.0 * L), math.sqrt(6.0) * setup.diameter / ((config.N + 2.0) ** 1.5 * sigma))
 
 
 # What ends a run early with its trace kept: a numerical failure or an interrupt.
@@ -400,7 +403,6 @@ def _acsa_engine(problem, oracle, setup, config, gamma_min, gamma):
     n_iter = config.N
     x = np.array(setup.center, dtype=float, copy=True)
     x_ag = x.copy()
-    cached = None  # (key, point, OracleEval) of the trailing exit-test call
     rec = _Recorder(problem, n_iter, config.true_obj_every)
     t_gamma = None
     error = None
@@ -410,12 +412,8 @@ def _acsa_engine(problem, oracle, setup, config, gamma_min, gamma):
         w_ag = (t - 1.0) / (t + 1.0)
         x_md = w_md * x + w_ag * x_ag
         try:
-            if cached is not None and cached[0] == (t,) and np.array_equal(cached[1], x_md):
-                ev = cached[2]  # recycled: already charged when first computed
-            else:
-                ev = _evaluate(oracle.evaluate, x_md, (t,))
-                rec.cost += ev.cost
-            cached = None
+            ev = _evaluate(oracle.evaluate, x_md, (t,))
+            rec.cost += ev.cost
             while True:
                 gamma_t = (t + 1.0) * gamma / 2.0
                 x_next = prox_map_euclidean(setup, x, gamma_t * ev.grad)
@@ -428,7 +426,6 @@ def _acsa_engine(problem, oracle, setup, config, gamma_min, gamma):
                     break
                 ev_next = _evaluate(oracle.evaluate, x_ag_next, (t + 1,))
                 rec.cost += ev_next.cost
-                cached = ((t + 1,), x_ag_next, ev_next)
                 if line_search_exit(ev.value, ev.grad, ev_next.value, x_ag_next - x_md, gamma):
                     break
                 gamma = max(gamma_min, gamma * GAMMA_D)
@@ -445,17 +442,16 @@ def _acsa_engine(problem, oracle, setup, config, gamma_min, gamma):
 def acsa_run(problem, oracle, setup, config):
     """Plain accelerated stochastic method with the deterministic step scale
     derived from the (down-scaled) Lipschitz bound; logs the expected-gap
-    bound alongside the result. An explicitly set config.gamma_min overrides
-    the derived scale (the only option for a generic problem, None, whose
-    oracle the caller passes). A problem is smoothed, so its eps must be
-    positive."""
-    L = None if problem is None else _scaled_lipschitz(problem, config)
-    if oracle is None:
-        oracle = _default_oracle(problem, config)
+    bound alongside the result. It takes exactly one of `problem` and
+    `oracle`, else ValueError: a problem is smoothed, so its eps must be
+    positive; a generic run (problem None) evaluates the caller's oracle. An
+    explicitly set config.gamma_min overrides the derived scale, and is the
+    only option for a generic run."""
+    oracle, L = _run_source(problem, oracle, config)
     if config.gamma_min is not None:
         gamma = config.gamma_min
     elif L is not None:
-        gamma = _plain_gamma(setup, config, L, getattr(oracle, "sigma2", 0.0))
+        gamma = _plain_gamma(setup, config, L)
     else:
         raise ValueError("set 'gamma_min' explicitly when no smoothed problem defines the scale")
     result = _acsa_engine(problem, oracle, setup, config, gamma, gamma)
@@ -470,16 +466,14 @@ def acsa_linesearch_run(problem, oracle, setup, config):
     """Adaptive variant: the step scale starts at gamma_max and shrinks by
     GAMMA_D on every failed exit test, floored at gamma_min, after which the
     search is disabled; records the first floor iteration T_gamma and logs
-    the coarse expected-accuracy bound. As in `acsa_run`, a problem is
-    smoothed and None is a generic one."""
-    L = None if problem is None else _scaled_lipschitz(problem, config)
-    if oracle is None:
-        oracle = _default_oracle(problem, config)
+    the coarse expected-accuracy bound. As in `acsa_run`, it takes exactly
+    one of `problem`, which it smooths, and the `oracle` of a generic run."""
+    oracle, L = _run_source(problem, oracle, config)
     gamma_min, gamma_max = _resolve_ladder(config, L)
     result = _acsa_engine(problem, oracle, setup, config, gamma_min, gamma_max)
     if L is not None:
         result.gap_bound = coarse_gap_bound(
-            L, setup.diameter, config.N, getattr(oracle, "sigma2", 0.0), gamma_max, gamma_min,
+            L, setup.diameter, config.N, 1.0 / config.q, gamma_max, gamma_min,
             result.t_gamma, config.k * config.eps,
         )
     return result

@@ -157,6 +157,9 @@ def test_solve_rejects_bad_eps(tmp_path, capsys, algorithm, eps, fields):
     ("phase", {"gamma": -1}, "gamma must be finite and positive, got -1.0"),
     ("phase", {"gamma": "nan"}, "eigenvalues must be finite, got gamma=nan"),
     ("phase", {"top": "inf"}, "unknown field 'top'"),
+    # 0.1/eps overflows, so no q can be derived: a setting, not a crash
+    ("solve", {"algorithm": "stoch_ls", "eps": 5e-324},
+     "stoch_ls: eps=5e-324 is too small to derive q = ceil(0.1/eps); set q"),
 ])
 def test_config_mistakes_are_config_errors(tmp_path, capsys, command, fields, message):
     # solve starts from eps = 0, which only subgrad accepts; rows for the others set eps

@@ -209,6 +209,45 @@ def test_iterates_feasible_and_md_combination_exact(monkeypatch):
     assert all(a >= b - 1e-15 for a, b in zip(gammas, gammas[1:]))
 
 
+def test_every_evaluation_is_charged_at_its_own_key(monkeypatch):
+    # acceptance criterion 6's adaptive run: iteration t evaluates its midpoint
+    # at key (t,) and each exit test its candidate at (t+1,); no evaluation is
+    # reused, and each is charged q*k = 6 units. With a row per iteration,
+    # each monitor call closes an iteration.
+    from eigsmooth import optimize
+
+    prob = maxcut_problem(6, np.random.default_rng(42))
+    calls = []
+    evaluate = optimize.StochasticOracle.evaluate
+
+    def evaluate_spy(self, point, key):
+        calls.append(key)
+        return evaluate(self, point, key)
+
+    def monitor_spy(point):
+        calls.append("row")
+        return type(prob).true_objective(prob, point)
+
+    monkeypatch.setattr(optimize.StochasticOracle, "evaluate", evaluate_spy)
+    monkeypatch.setattr(prob, "true_objective", monitor_spy)
+    config = SolverConfig(N=40, eps=0.1, q=2, seed=5, true_obj_every=1)
+    res = acsa_linesearch_run(prob, None, prob.prox_setup(), config)
+    blocks, block = [], []
+    for call in calls:
+        if call == "row":
+            blocks.append(block)
+            block = []
+        else:
+            block.append(call)
+    assert block == [] and len(blocks) == 40
+    for t, block in enumerate(blocks, start=1):
+        assert block[0] == (t,) and block[1:] == [(t + 1,)] * (len(block) - 1)
+    assert all(len(block) == 1 for block in blocks[res.t_gamma + 1:])  # the search has stopped
+    assert sum(map(len, blocks)) == 46 and res.total_eigvecs == 276.0
+    assert [r.eigvecs for r in res.trace] == [6.0 * c for c in np.cumsum(list(map(len, blocks)))]
+    assert res.trace[-1].obj_true == -11.326581370817678
+
+
 def test_seed_determinism():
     prob = _small_maxcut()
     config = SolverConfig(N=20, eps=0.1, q=2, seed=7, true_obj_every=1)
@@ -418,8 +457,6 @@ def test_oracle_failure_aborts_with_partial_trace():
     from eigsmooth.spectral import LanczosConvergenceError
 
     class FlakyOracle:
-        sigma2 = 0.0
-
         def __init__(self, fail_at):
             self.fail_at = fail_at
 
@@ -550,7 +587,8 @@ def test_config_validation():
         SolverConfig(N=5, eps=0.1, gamma_max=0.1, gamma_min=0.2)
     # the other field checks run in test_cli.py's config-mistake cases
     for field, value in [("gamma_max", -1.0), ("eps", math.nan), ("eps", -1.0), ("eps", math.inf),
-                         ("oracle_tol", 0.0), ("true_obj_every", 0), ("seed", -1)]:
+                         ("oracle_tol", 0.0), ("true_obj_every", 0), ("seed", -1),
+                         ("eps", 5e-324)]:  # 0.1/eps overflows: no q to derive
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{"N": 5, "eps": 0.1, field: value})
     assert SolverConfig(N=5, eps=0.0, k=1).k == 1  # k >= 3 only where the smoothing needs it
@@ -563,6 +601,12 @@ def test_solver_config_derives_q_from_eps():
     assert SolverConfig(N=5, eps=0.5).q == 1
     assert SolverConfig(N=5, eps=0.0).q == 1
     assert SolverConfig(N=5, eps=0.05, q=7).q == 7
+    # where 0.1/eps overflows, q must be set, and any q at least 1 is valid
+    with pytest.raises(ValueError, match=re.escape(
+            "eps=5e-324 is too small to derive q = ceil(0.1/eps); set q")):
+        SolverConfig(N=5, eps=5e-324)
+    assert SolverConfig(N=5, eps=5e-324, q=3).q == 3
+    assert SolverConfig(N=5, eps=1e-300).q == math.ceil(0.1 / 1e-300)
 
 
 @pytest.mark.parametrize("build", [
@@ -583,6 +627,24 @@ def test_generic_runs_need_explicit_gammas():
         acsa_linesearch_run(None, oracle, setup, config)
     with pytest.raises(ValueError, match="set 'gamma_min' explicitly"):
         acsa_run(None, oracle, setup, config)
+
+
+@pytest.mark.parametrize("run", [acsa_run, acsa_linesearch_run])
+def test_runs_take_exactly_one_source(monkeypatch, run):
+    # a problem brings its smoothed oracle and a generic run the caller's:
+    # both, or neither, is rejected before any evaluation
+    from eigsmooth import optimize
+
+    calls = []
+    evaluate = optimize.StochasticOracle.evaluate
+    monkeypatch.setattr(optimize.StochasticOracle, "evaluate",
+                        lambda self, point, key: calls.append(key) or evaluate(self, point, key))
+    prob = _small_maxcut()
+    config = SolverConfig(N=3, eps=0.1, q=2, gamma_max=1.0, gamma_min=0.5)
+    for problem, oracle in ((prob, FunctionOracle(calls.append)), (None, None)):
+        with pytest.raises(ValueError, match="^a run takes exactly one of 'problem' and 'oracle'$"):
+            run(problem, oracle, prob.prox_setup(), config)
+    assert calls == []
 
 
 @pytest.mark.parametrize("run", [acsa_run, acsa_linesearch_run])

@@ -72,7 +72,10 @@ def test_equal_gap_model_names_its_settings(kwargs, message):
     (lambda: classify_regime(equal_gap_model(10), 0.0), ValueError, "eps must be positive"),
     (lambda: classify_regime(equal_gap_model(10), -1.0), ValueError, "eps must be positive"),
     (lambda: ScalingReport("sub", [], -1.0, 0.0, 1.0, 200, 0).row_for(100), KeyError, "100"),
-], ids=["tile_n", "regime_eps_0", "regime_eps_negative", "row_for_missing_n"])
+    (lambda: SpectrumModel.from_lambdas([1.0, 2.0, 0.5]), ValueError,
+     "eigenvalues must be in decreasing order"),
+], ids=["tile_n", "regime_eps_0", "regime_eps_negative", "row_for_missing_n",
+        "from_lambdas_increasing"])
 def test_phase_checks_name_the_fault(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
