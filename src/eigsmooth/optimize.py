@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .smoothing import SmoothingParams, gradient_oracle, lipschitz_bound, sample_rng, smoothing_constant
-from .spectral import SpectralError, check_symmetric, full_eig, lanczos_leading
+from .spectral import SpectralError, full_eig, lanczos_leading
 
 __all__ = [
     "ProxSetup",
@@ -195,8 +195,9 @@ class StochasticOracle:
 
     Each evaluation draws q independent smoothed samples at the mapped matrix
     and hands their q eigenvectors to the problem's `pull_back` as factors.
-    Noise is keyed by (seed, *key, sample index). The matrix goes to the
-    Lanczos path, each pair to relative precision `lanczos_tol`.
+    Noise is keyed by (seed, *key, sample index). `problem.matrix(point)`
+    must be exactly symmetric, as the built-in problems' are by construction;
+    it goes to Lanczos as is, each pair to relative precision `lanczos_tol`.
     """
 
     def __init__(self, problem, params, q, seed, lanczos_tol):
@@ -222,7 +223,7 @@ class ExactEigOracle:
         self.seed = _check_seed(int(seed))
 
     def evaluate(self, point, key):
-        M = check_symmetric(self.problem.matrix(point))  # Lanczos trusts its input
+        M = self.problem.matrix(point)  # exactly symmetric; Lanczos checks it is finite
         pair = lanczos_leading(M, rel_tol=1e-9, rng=sample_rng(self.seed, *key))
         value, grad = _composite(self.problem, point, pair.value, pair.vector[None], None)
         return OracleEval(value=value, grad=grad, cost=pair.cost_eigvecs)

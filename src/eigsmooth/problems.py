@@ -12,7 +12,7 @@ Two families:
   normalized Wishart sample, so its spectrum sits in [0, 1].
 
 Both expose the composite-objective interface the solvers consume:
-`matrix(point)` maps the variable to the symmetric matrix whose top
+`matrix(point)` maps the variable to the exactly symmetric matrix whose top
 eigenvalue is measured, `pull_back(F, w)` chain-rules a matrix gradient
 given as rank-one factors, sum_k w_k f_k f_k^T over the rows f_k of F (unit
 weights when w is None): the box problem forms that n x n sum, the ball

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    SpectralDecomp,
-    _rank_one_top,
-    check_symmetric,
-    full_eig,
-    lanczos_leading,
-)
+from .spectral import SpectralDecomp, _rank_one_top, full_eig, lanczos_leading
 
 __all__ = [
     "SmoothingParams",
@@ -139,15 +133,14 @@ def gradient_oracle(X, params, q, seed, key, lanczos_tol):
     then the start vectors of its k Lanczos runs, the run for z on
     X + (eps/n) z z^T to relative precision `lanczos_tol`; it keeps the
     largest top eigenvalue (ties to the lowest index) and its unit vector.
-    The reduction runs in sample index order. X is checked once here and
-    the runs take it unchecked. Cost: k eigenpair units per sample.
+    The reduction runs in sample index order; the runs trust X's symmetry
+    and check its shape and finiteness. Cost: k eigenpair units per sample.
     """
     q = int(q)
     if q < 1:
         raise ValueError("q must be a positive integer")
-    X = check_symmetric(X)
-    if X.shape[0] != params.n:
-        raise ValueError(f"params.n={params.n} does not match matrix dimension {X.shape[0]}")
+    if len(X) != params.n:
+        raise ValueError(f"params.n={params.n} does not match matrix dimension {len(X)}")
     values, vectors, units = np.empty(q), np.empty((q, params.n)), 0.0
     for l in range(q):
         gen = sample_rng(seed, *key, l)

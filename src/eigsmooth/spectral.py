@@ -17,13 +17,13 @@ The kernel's limits are constants: a Lanczos run makes at most
 rank-one secular solve runs to relative precision `_SECULAR_TOL` = 1e-13
 within `_SECULAR_MAX_ITER` = 120 evaluations.
 
-Every matrix is validated by the one `check_symmetric`, where it enters,
+Every matrix is validated by the one `check_symmetric` where it enters,
 and handed back as is when exactly symmetric, so validation copies nothing;
-`lanczos_leading` trusts the matrix its caller validated. Every data file
-(a matrix, a sample table, a spectrum) is parsed by the one reader
-`_read_rows` and shaped by `_table`; each fault names `path:line`.
-All routines are pure functions of their inputs plus an explicit seeded
-random stream, so they are safe to call concurrently.
+`lanczos_leading` trusts symmetry and tests each step's alpha for
+finiteness. Every data file (a matrix, a sample table, a spectrum) is
+parsed by the one reader `_read_rows` and shaped by `_table`; each fault
+names `path:line`. All routines are pure functions of their inputs plus an
+explicit seeded random stream, so they are safe to call concurrently.
 
 Cost accounting: every leading eigenpair produced counts as one
 "eigenvector unit" regardless of how many matrix-vector products it took;
@@ -242,16 +242,17 @@ def lanczos_leading(X, rel_tol, *, rng, update=None):
     the operator A and the pair is charged one eigenvector unit.
 
     A is X, or with ``update=(scale, z)`` the operator ``X + scale * z z^T``,
-    applied as ``X q + scale * z (z^T q)`` and never formed. On both paths
-    X is trusted as its caller validated it (by `check_symmetric`): it is
-    only converted by ``np.asarray``, and only the update pair is checked
-    here. Breakdown is judged from the Lanczos tridiagonal alone, and the
-    workspace grows with the steps taken.
+    applied as ``X q + scale * z (z^T q)`` and never formed. X's symmetry is
+    trusted; its shape and the update pair are checked up front, and a step
+    whose alpha (n = 1: the value) is not finite raises ValueError. Breakdown
+    is judged from the tridiagonal alone; the workspace grows with the steps.
 
     Raises LanczosConvergenceError after `_LANCZOS_ATTEMPTS` failed
     attempts; never returns a silently unconverged answer.
     """
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != X.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {X.shape}")
     if update is None:
         scale, z = 0.0, None
     else:
@@ -262,6 +263,8 @@ def lanczos_leading(X, rel_tol, *, rng, update=None):
     n = X.shape[0]
     if n == 1:
         value = float(X[0, 0] if z is None else X[0, 0] + scale * z[0] ** 2)
+        if not math.isfinite(value):
+            raise ValueError("matrix entries must be finite")
         return EigPair(value=value, vector=np.ones(1), cost_eigvecs=1.0)
     # The Krylov space is the whole space after n steps; more cannot help.
     steps = min(lanczos_iteration_budget(n, rel_tol), n)
@@ -302,6 +305,8 @@ def _lanczos_attempt(X, scale, z, steps, rel_tol, rng):
             w += (scale * float(z @ q)) * z
         matvecs += 1
         T[j, j] = alpha = float(q @ w)
+        if not math.isfinite(alpha):  # before w -= alpha q could raise a RuntimeWarning
+            raise ValueError("matrix entries must be finite")
         w -= alpha * q
         if j > 0:
             w -= T[j, j - 1] * prev

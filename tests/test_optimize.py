@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigsmooth.optimize import (
     TRACE_HEADER,
@@ -302,25 +304,37 @@ def test_linesearch_run_is_truncation_invariant(kind):
 
 
 @pytest.mark.parametrize(**_KINDS)
-def test_oracle_input_is_exactly_symmetric(monkeypatch, kind):
-    # the problems build A + X and C + diag(w) exactly symmetric, so the
-    # oracle's one check passes each matrix through unchanged and uncopied
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_oracle_input_is_exactly_symmetric(kind, n, seed):
+    # No oracle checks symmetry: the problems build A + X and C + diag(w)
+    # exactly symmetric, and clip, the ball's scaling and the engine's affine
+    # steps act entrywise, so every matrix that stoch_ls, acsa and subgrad
+    # hand to Lanczos equals its transpose
     from eigsmooth import optimize
 
-    seen = []
+    seen = {"gradient_oracle": [], "lanczos_leading": []}
 
-    def spy(fn):
+    def spy(name):
+        fn = getattr(optimize, name)
+
         def wrapper(M, *args, **kwargs):
-            seen.append(M)
+            seen[name].append(M)
             return fn(M, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(optimize, "gradient_oracle", spy(optimize.gradient_oracle))
-    prob = _PROBLEMS[kind]()
-    config = SolverConfig(N=15, eps=0.1, q=2, seed=12)
-    acsa_linesearch_run(prob, None, prob.prox_setup(), config)
-    assert len(seen) >= 15
-    assert all(np.array_equal(M, M.T) for M in seen)
+    rng = np.random.default_rng(seed)
+    prob = dspca_problem(synthetic_covariance(n, rng)) if kind == "dspca" else maxcut_problem(n, rng)
+    config = SolverConfig(N=6, eps=0.1, q=2, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in seen:
+            mp.setattr(optimize, name, spy(name))
+        acsa_linesearch_run(prob, None, prob.prox_setup(), config)
+        acsa_run(prob, None, prob.prox_setup(), config)
+        subgradient_baseline(prob, prob.prox_setup(), config.N, seed=seed)
+    assert len(seen["gradient_oracle"]) >= 2 * config.N
+    assert len(seen["lanczos_leading"]) == config.N  # subgrad's exact oracle
+    assert all(np.array_equal(M, M.T) for Ms in seen.values() for M in Ms)
 
 
 def test_noiseless_quadratic_accelerated_rate():
@@ -443,8 +457,6 @@ def test_acsa_reaches_reference_on_small_ball_problem():
     config = SolverConfig(N=N, eps=eps, q=q, seed=12, oracle_tol=1e-7)
     res = acsa_run(prob, None, setup, config)
     assert not res.aborted
-    from eigsmooth.problems import ball_reference  # local: desk-scale oracle
-
     # coordinate-grid reference is impractical at n = 6; compare against a
     # long line-search run instead, which tracks the optimum tightly
     ref_config = SolverConfig(N=2000, eps=0.02, q=10, seed=13, oracle_tol=1e-7)
@@ -484,7 +496,7 @@ def test_numerical_oracle_failure_aborts(monkeypatch, failure):
     def failing(self, point, key):
         if key[0] == 3:
             if failure == "nonfinite":
-                point = np.full_like(point, np.nan)  # the oracle's input check rejects it
+                point = np.full_like(point, np.nan)  # its first Lanczos alpha is NaN
             elif failure == "linalg":
                 raise np.linalg.LinAlgError("injected eigh failure")
             elif failure == "spectral":
@@ -507,7 +519,7 @@ def test_numerical_oracle_failure_aborts(monkeypatch, failure):
     reason = {"nonfinite": "ValueError: matrix entries must be finite",
               "linalg": "LinAlgError: injected", "spectral": "injected failure"}[failure]
     assert reason in res.abort_reason
-    if failure == "nonfinite":  # the exact oracle checks the matrix its Lanczos run trusts
+    if failure == "nonfinite":  # the exact oracle's Lanczos run rejects it the same way
         exact = optimize.ExactEigOracle.evaluate
 
         def nan_at_3(self, point, key):

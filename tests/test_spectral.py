@@ -765,6 +765,9 @@ def test_lanczos_update_rejects_bad_rank_one_term():
     for update in [(0.1,), (0.1, good, 14.0, 6.0)]:  # only the pair (scale, z)
         with pytest.raises(ValueError):
             lanczos_leading(X, 1e-8, rng=rng, update=update)
+    for bad in (np.ones((3, 2)), np.ones(3)):  # X's shape is checked too, its symmetry trusted
+        with pytest.raises(ValueError, match="^expected a square matrix"):
+            lanczos_leading(bad, 1e-8, rng=rng, update=(0.1, good))
     pair = lanczos_leading(X, rel_tol=1e-12, rng=rng, update=(0.5, good))
     ref = full_eig(X + 0.5 * np.outer(good, good))
     assert abs(pair.value - ref.values[0]) <= 1e-10
