@@ -267,8 +267,9 @@ def cmd_compare(args):
         runs.append((rep, records))
     names = []
     for i, (rep, _) in enumerate(runs):
-        base = rep.get("name", rep["algorithm"])
-        name = base if base not in names else f"{base}_{i}"
+        name = base = rep.get("name", rep["algorithm"])
+        while name in names:  # the first of base, base_i, base_{i+1}, ... not yet taken
+            name, i = f"{base}_{i}", i + 1
         names.append(name)
     checkpoints = sorted({r.eigvecs for _, records in runs for r in records})
     columns = []

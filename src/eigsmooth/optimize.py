@@ -105,6 +105,9 @@ class SolverConfig:
     true_obj_every: int | None = None
 
     def __post_init__(self):
+        for name in ("N", "k", "q", "true_obj_every"):  # q and the cadence may be unset
+            if not isinstance(value := getattr(self, name), (int, np.integer, type(None))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         _check_run_length(self.N, self.true_obj_every)
         if not 0.0 <= self.eps < math.inf:
             raise ValueError(f"eps must be finite and nonnegative, got {self.eps!r}")
@@ -136,7 +139,7 @@ def check_finite_positive(name, value):
 
 def _check_seed(seed):
     """The rule of every run seed, checked before the first draw."""
-    if seed < 0:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     return seed
 
@@ -204,7 +207,7 @@ class StochasticOracle:
         self.problem = problem
         self.params = params
         self.q = int(q)
-        self.seed = _check_seed(int(seed))
+        self.seed = int(_check_seed(seed))
         self.lanczos_tol = lanczos_tol
 
     def evaluate(self, point, key):
@@ -220,7 +223,7 @@ class ExactEigOracle:
 
     def __init__(self, problem, seed):
         self.problem = problem
-        self.seed = _check_seed(int(seed))
+        self.seed = int(_check_seed(seed))
 
     def evaluate(self, point, key):
         M = self.problem.matrix(point)  # exactly symmetric; Lanczos checks it is finite
@@ -336,7 +339,7 @@ def _plain_gamma(setup, config, L):
     return min(1.0 / (2.0 * L), math.sqrt(6.0) * setup.diameter / ((config.N + 2.0) ** 1.5 * sigma))
 
 
-# What ends a run early with its trace kept: a numerical failure or an interrupt.
+# Raised anywhere in an iteration, these end a run with its rows kept (see `_evaluate`).
 _ABORTS = (SpectralError, KeyboardInterrupt)
 
 
@@ -400,19 +403,17 @@ class _Recorder:
 def _acsa_engine(problem, oracle, setup, config, gamma_min, gamma):
     """AC-SA iterations from step scale `gamma`; failed exit tests shrink it
     by GAMMA_D down to the floor `gamma_min`, where the search stops. The
-    plain method is the one-rung ladder gamma == gamma_min."""
-    n_iter = config.N
+    plain method is the one-rung ladder gamma == gamma_min. An abort
+    anywhere in an iteration keeps the rows before it."""
     x = np.array(setup.center, dtype=float, copy=True)
     x_ag = x.copy()
-    rec = _Recorder(problem, n_iter, config.true_obj_every)
-    t_gamma = None
-    error = None
-    t = 0
-    for t in range(1, n_iter + 1):
-        w_md = 2.0 / (t + 1.0)
-        w_ag = (t - 1.0) / (t + 1.0)
-        x_md = w_md * x + w_ag * x_ag
+    rec = _Recorder(problem, config.N, config.true_obj_every)
+    t_gamma = error = None
+    for t in range(1, config.N + 1):
         try:
+            w_md = 2.0 / (t + 1.0)
+            w_ag = (t - 1.0) / (t + 1.0)
+            x_md = w_md * x + w_ag * x_ag
             ev = _evaluate(oracle.evaluate, x_md, (t,))
             rec.cost += ev.cost
             while True:
@@ -430,14 +431,12 @@ def _acsa_engine(problem, oracle, setup, config, gamma_min, gamma):
                 if line_search_exit(ev.value, ev.grad, ev_next.value, x_ag_next - x_md, gamma):
                     break
                 gamma = max(gamma_min, gamma * GAMMA_D)
+            x, x_ag = x_next, x_ag_next
+            rec.row(t, x_ag, ev.value, gamma)
         except _ABORTS as exc:
             error = exc
             break
-        x, x_ag = x_next, x_ag_next
-        rec.row(t, x_ag, ev.value, gamma)
-    if t_gamma is None:
-        t_gamma = t if error is not None else n_iter
-    return rec.result(x_ag, t, error, gamma_final=gamma, t_gamma=t_gamma)
+    return rec.result(x_ag, t, error, gamma_final=gamma, t_gamma=t if t_gamma is None else t_gamma)
 
 
 def acsa_run(problem, oracle, setup, config):
@@ -484,9 +483,10 @@ def subgradient_baseline(problem, setup, budget, seed=0, true_obj_every=None):
     """Projected subgradient descent on the exact objective.
 
     Steps D / (||g|| sqrt(t)); one leading eigenpair per iteration, from
-    `ExactEigOracle` (relative precision 1e-9). The best
-    objective is the lowest oracle value, and the trace monitors the point
-    that attained it, so its objective column never increases.
+    `ExactEigOracle` (relative precision 1e-9). The best objective is the
+    lowest oracle value, and the trace monitors the point that attained it,
+    so its objective column never increases. An abort anywhere in an
+    iteration keeps the rows before it.
     """
     oracle = ExactEigOracle(problem, seed)  # checks the seed first
     x = np.array(setup.center, dtype=float, copy=True)
@@ -494,22 +494,21 @@ def subgradient_baseline(problem, setup, budget, seed=0, true_obj_every=None):
     best_x = x.copy()
     rec = _Recorder(problem, budget, true_obj_every)
     error = None
-    t = 0
     for t in range(1, budget + 1):
         try:
             ev = _evaluate(oracle.evaluate, x, (t,))
+            rec.cost += ev.cost
+            if ev.value < best:
+                best = ev.value
+                best_x = x.copy()
+            gnorm = float(np.linalg.norm(ev.grad.ravel()))
+            if gnorm > 0.0:
+                step = setup.diameter / (gnorm * math.sqrt(t))
+                x = setup.project(x - step * ev.grad)
+            rec.row(t, best_x, ev.value)
         except _ABORTS as exc:
             error = exc
             break
-        rec.cost += ev.cost
-        if ev.value < best:
-            best = ev.value
-            best_x = x.copy()
-        gnorm = float(np.linalg.norm(ev.grad.ravel()))
-        if gnorm > 0.0:
-            step = setup.diameter / (gnorm * math.sqrt(t))
-            x = setup.project(x - step * ev.grad)
-        rec.row(t, best_x, ev.value)
     return rec.result(best_x, t, error, best_objective=best)
 
 
@@ -535,7 +534,8 @@ def nesterov_smooth_baseline(problem, setup, eps, budget, true_obj_every=None):
     """Accelerated gradient on the soft-max smoothing with mu = eps / log n.
 
     One matrix exponential per iteration, charged n eigenvector units. The
-    gradient step is 1/L with L = 1/mu. Needs n >= 2, eps > 0.
+    gradient step is 1/L with L = 1/mu. Needs n >= 2, eps > 0. An abort
+    anywhere in an iteration keeps the rows before it.
     """
     n = problem.dim
     if n < 2:
@@ -548,20 +548,19 @@ def nesterov_smooth_baseline(problem, setup, eps, budget, true_obj_every=None):
     x_prev = x.copy()
     rec = _Recorder(problem, budget, true_obj_every)
     error = None
-    t = 0
     for t in range(1, budget + 1):
-        y = x + ((t - 2.0) / (t + 1.0)) * (x - x_prev) if t > 1 else x
         try:
+            y = x + ((t - 2.0) / (t + 1.0)) * (x - x_prev) if t > 1 else x
             value, factors, weights, cost = _evaluate(softmax_smoothed, M := problem.matrix(y), mu)
+            rec.cost += cost
+            value, grad = _composite(problem, y, value, factors, weights)
+            del M, factors  # after the product: freed earlier, blocks get fresh pages; later, RSS
+            x_prev = x
+            x = setup.project(y - step * grad)
+            rec.row(t, x, value)
         except _ABORTS as exc:
             error = exc
             break
-        rec.cost += cost
-        value, grad = _composite(problem, y, value, factors, weights)
-        del M, factors  # after the product: freed earlier, blocks get fresh pages; later, RSS
-        x_prev = x
-        x = setup.project(y - step * grad)
-        rec.row(t, x, value)
     return rec.result(x, t, error)
 
 

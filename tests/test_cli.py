@@ -400,7 +400,10 @@ def test_solve_abort_writes_partial_trace(tmp_path, monkeypatch):
 
 
 def test_solve_interrupt_writes_partial_trace(tmp_path, monkeypatch):
+    # an interrupt in the third oracle call, and one in the third call of the
+    # trace's objective monitor, each end the command with exit 3 and outputs
     import eigsmooth.optimize as opt
+    from eigsmooth.problems import BallProblem
 
     real = opt.gradient_oracle
 
@@ -409,21 +412,33 @@ def test_solve_interrupt_writes_partial_trace(tmp_path, monkeypatch):
             raise KeyboardInterrupt
         return real(*args, key=key, **kwargs)
 
-    monkeypatch.setattr(opt, "gradient_oracle", interrupting)
+    monitor, monitored = BallProblem.true_objective, []
+
+    def interrupting_monitor(self, w):
+        monitored.append(None)
+        if len(monitored) == 3:
+            raise KeyboardInterrupt
+        return monitor(self, w)
+
     cfg = write_config(
         tmp_path / "c.txt",
         problem="maxcut", algorithm="acsa", n=5, N=30, seed=2, eps=0.1, q=1,
         true_obj_every=1,
     )
-    try:
-        code = main(["solve", "--config", cfg, "--out", str(tmp_path)])
-    except KeyboardInterrupt:  # escaped, it would end the whole test session
-        pytest.fail("the interrupt escaped the command")
-    assert code == 3
-    rep = read_report(tmp_path / "acsa_report.txt")
-    assert rep["completed"] == "false" and rep["abort_reason"] == "KeyboardInterrupt"
-    assert int(rep["iterations"]) == 2
-    assert [r.t for r in read_trace(tmp_path / rep["trace"])] == [1, 2]
+    for place, owner, name, spy in (("oracle", opt, "gradient_oracle", interrupting),
+                                    ("monitor", BallProblem, "true_objective", interrupting_monitor)):
+        out = tmp_path / place
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, spy)
+            try:
+                code = main(["solve", "--config", cfg, "--out", str(out)])
+            except KeyboardInterrupt:  # escaped, it would end the whole test session
+                pytest.fail(f"the {place} interrupt escaped the command")
+        assert code == 3, place
+        rep = read_report(out / "acsa_report.txt")
+        assert rep["completed"] == "false" and rep["abort_reason"] == "KeyboardInterrupt"
+        assert int(rep["iterations"]) == 2
+        assert [r.t for r in read_trace(out / rep["trace"])] == [1, 2]
 
 
 def test_solve_det_smooth_abort_writes_partial_trace(tmp_path, monkeypatch):
@@ -483,6 +498,14 @@ def test_compare_identical_runs(tmp_path):
     for line in lines[1:]:
         _, a, b = line.split(",")
         assert a == b
+    # a suffix never yields a name already taken: reports named a, a_2 and a
+    for out, name in ((out1, "a"), (out2, "a_2"), (tmp_path / "c", "a")):
+        assert main(["solve", "--config", write_config(
+            tmp_path / "n.txt", problem="maxcut", algorithm="subgrad", n=5, N=10, seed=9,
+            true_obj_every=1, name=name), "--out", str(out)]) == 0
+    assert main(["compare", str(out1 / "a_report.txt"), str(out2 / "a_2_report.txt"),
+                 str(tmp_path / "c" / "a_report.txt"), "--out", str(merged)]) == 0
+    assert merged.read_text().splitlines()[0] == "eigvecs,best_a,best_a_2,best_a_3"
 
 
 def test_compare_stoch_vs_det_merged_curves(tmp_path):

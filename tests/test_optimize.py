@@ -532,10 +532,12 @@ def test_numerical_oracle_failure_aborts(monkeypatch, failure):
         assert reason in res.abort_reason
 
 
+@pytest.mark.parametrize("place", ["oracle", "pull_back", "project", "monitor"])
 @pytest.mark.parametrize("algorithm", ["acsa", "subgrad", "det_smooth"])
-def test_interrupt_ends_the_run_with_its_trace(monkeypatch, algorithm):
-    # an interrupt in the third oracle call ends each solver loop as a
-    # numerical failure does, keeping rows t = 1 and 2, and names itself
+def test_interrupt_ends_the_run_with_its_trace(monkeypatch, algorithm, place):
+    # an interrupt at the third call of the oracle, the gradient's pull-back,
+    # the projection or the trace's objective monitor ends each solver loop as
+    # a numerical failure does, keeping rows t = 1 and 2, and names itself
     from eigsmooth import optimize
 
     calls = []
@@ -548,12 +550,17 @@ def test_interrupt_ends_the_run_with_its_trace(monkeypatch, algorithm):
             return fn(*args, **kwargs)
         return spy
 
-    monkeypatch.setattr(optimize, "gradient_oracle", interrupting(optimize.gradient_oracle))
-    monkeypatch.setattr(optimize.ExactEigOracle, "evaluate",
-                        interrupting(optimize.ExactEigOracle.evaluate))
-    monkeypatch.setattr(optimize, "softmax_smoothed", interrupting(optimize.softmax_smoothed))
     prob = _small_maxcut()
     setup = prob.prox_setup()
+    if place == "oracle":
+        monkeypatch.setattr(optimize, "gradient_oracle", interrupting(optimize.gradient_oracle))
+        monkeypatch.setattr(optimize.ExactEigOracle, "evaluate",
+                            interrupting(optimize.ExactEigOracle.evaluate))
+        monkeypatch.setattr(optimize, "softmax_smoothed", interrupting(optimize.softmax_smoothed))
+    else:
+        owner, name = {"pull_back": (prob, "pull_back"), "project": (setup, "project"),
+                       "monitor": (prob, "true_objective")}[place]
+        monkeypatch.setattr(owner, name, interrupting(getattr(owner, name)))
     run = {
         "acsa": lambda: acsa_run(prob, None, setup,
                                  SolverConfig(N=10, eps=0.1, q=2, seed=5, true_obj_every=1)),
@@ -600,10 +607,14 @@ def test_config_validation():
     # the other field checks run in test_cli.py's config-mistake cases
     for field, value in [("gamma_max", -1.0), ("eps", math.nan), ("eps", -1.0), ("eps", math.inf),
                          ("oracle_tol", 0.0), ("true_obj_every", 0), ("seed", -1),
-                         ("eps", 5e-324)]:  # 0.1/eps overflows: no q to derive
+                         ("eps", 5e-324),  # 0.1/eps overflows: no q to derive
+                         # counts are integers: none is rounded, or fails later in range()
+                         ("N", 5.0), ("k", 3.5), ("q", 2.5), ("seed", 1.5), ("seed", 2.0),
+                         ("true_obj_every", 2.0)]:
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{"N": 5, "eps": 0.1, field: value})
     assert SolverConfig(N=5, eps=0.0, k=1).k == 1  # k >= 3 only where the smoothing needs it
+    assert SolverConfig(N=np.int64(5), eps=0.1, seed=np.uint32(2)).N == 5  # numpy integers count
 
 
 def test_solver_config_derives_q_from_eps():
