@@ -65,6 +65,12 @@ GAMMA_D = 0.5  # the line search's shrink factor
 LADDER_SPAN = 16.0  # the derived ceiling gamma_max, in theory steps 1/(2L)
 LIP_SCALE = 100.0  # the smoothed Lipschitz bound is divided by this before any step
 
+# Soft-max weights below this fraction of the largest leave the gradient. The
+# dropped terms' Frobenius norm is then at most sqrt(n) 2^-60 of the
+# gradient's, under one roundoff (2^-53) for n < 2^14, and each kept weight's
+# square root is at least 2^-30 / sqrt(n), so no scaled factor underflows.
+_SOFTMAX_KEEP = 2.0 ** -60
+
 
 @dataclass
 class ProxSetup:
@@ -105,10 +111,10 @@ class SolverConfig:
     true_obj_every: int | None = None
 
     def __post_init__(self):
-        for name in ("N", "k", "q", "true_obj_every"):  # q and the cadence may be unset
+        _check_run_length(self.N, self.true_obj_every)
+        for name in ("k", "q"):  # q may be unset
             if not isinstance(value := getattr(self, name), (int, np.integer, type(None))):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        _check_run_length(self.N, self.true_obj_every)
         if not 0.0 <= self.eps < math.inf:
             raise ValueError(f"eps must be finite and nonnegative, got {self.eps!r}")
         if self.q is None:
@@ -146,7 +152,11 @@ def _check_seed(seed):
 
 def _check_run_length(N, true_obj_every):
     """The rules every solver loop shares: a budget `N` of at least one
-    iteration, and a trace cadence unset or at least 1."""
+    iteration, and a trace cadence unset or at least 1, both integers."""
+    if not isinstance(N, (int, np.integer)):
+        raise ValueError(f"N must be an integer, got {N!r}")
+    if not isinstance(true_obj_every, (int, np.integer, type(None))):
+        raise ValueError(f"true_obj_every must be an integer, got {true_obj_every!r}")
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N!r}")
     if true_obj_every is not None and true_obj_every < 1:
@@ -521,13 +531,17 @@ def softmax_smoothed(M, mu):
     units), shifted by lambda_max so the exponentials never overflow. Returns
     (value, factors, weights, cost), the gradient left as factors: the
     eigenvectors v_i as rows, weighted by p_i = exp(lambda_i/mu)/Tr exp(M/mu).
+    Only the rows whose weight is at least _SOFTMAX_KEEP times the largest are
+    returned; the values come in decreasing order, so they are a prefix, and
+    the factors a view of the decomposition's vectors. The value sums all n.
     """
     dec = full_eig(M)
     n = dec.n
     shifted = np.exp((dec.values - dec.values[0]) / mu)
     total = float(shifted.sum())
     value = dec.values[0] + mu * math.log(total) - mu * math.log(n)
-    return value, dec.vectors.T, shifted / total, dec.cost_eigvecs
+    m = int(np.count_nonzero(shifted >= _SOFTMAX_KEEP))  # shifted[0] = 1 is the largest
+    return value, dec.vectors.T[:m], shifted[:m] / total, dec.cost_eigvecs
 
 
 def nesterov_smooth_baseline(problem, setup, eps, budget, true_obj_every=None):

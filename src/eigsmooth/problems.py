@@ -73,7 +73,10 @@ class BoxProblem:
         return np.clip(X, -self.rho, self.rho)
 
     def pull_back(self, F, w=None):
-        return F.T @ F if w is None else (F.T * w) @ F  # one buffer: numpy's symmetric product
+        # Rows scaled by sqrt(w) in one buffer H, so H^T H is numpy's symmetric
+        # product: half the flops of a general one, and exactly symmetric.
+        H = F if w is None else F * np.sqrt(w)[:, None]
+        return H.T @ H
 
     def linear_value(self, X):
         return 0.0

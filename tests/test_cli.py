@@ -327,7 +327,7 @@ _TRACE_GOLDEN = {
     "stoch_ls_dspca": (dict(problem="dspca", algorithm="stoch_ls", n=40, N=120, seed=11,
                             true_obj_every=3), "5854e3f46e474ece"),
     "det_smooth_dspca": (
-        dict(problem="dspca", algorithm="det_smooth", n=40, N=300, seed=5), "4e14581d8b4e6c12"),
+        dict(problem="dspca", algorithm="det_smooth", n=40, N=300, seed=5), "03274b3aab2f3c8c"),
     "subgrad_maxcut": (
         dict(problem="maxcut", algorithm="subgrad", n=30, N=400, seed=3), "58000792ac7443aa"),
     "acsa_maxcut": (

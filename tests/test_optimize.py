@@ -310,10 +310,12 @@ def test_oracle_input_is_exactly_symmetric(kind, n, seed):
     # No oracle checks symmetry: the problems build A + X and C + diag(w)
     # exactly symmetric, and clip, the ball's scaling and the engine's affine
     # steps act entrywise, so every matrix that stoch_ls, acsa and subgrad
-    # hand to Lanczos equals its transpose
+    # hand to Lanczos equals its transpose. The soft-max gradient is a
+    # symmetric product, so the matrices det_smooth hands to full_eig do too,
+    # and its check never symmetrizes.
     from eigsmooth import optimize
 
-    seen = {"gradient_oracle": [], "lanczos_leading": []}
+    seen = {"gradient_oracle": [], "lanczos_leading": [], "full_eig": []}
 
     def spy(name):
         fn = getattr(optimize, name)
@@ -332,8 +334,10 @@ def test_oracle_input_is_exactly_symmetric(kind, n, seed):
         acsa_linesearch_run(prob, None, prob.prox_setup(), config)
         acsa_run(prob, None, prob.prox_setup(), config)
         subgradient_baseline(prob, prob.prox_setup(), config.N, seed=seed)
+        nesterov_smooth_baseline(prob, prob.prox_setup(), config.eps, config.N)
     assert len(seen["gradient_oracle"]) >= 2 * config.N
     assert len(seen["lanczos_leading"]) == config.N  # subgrad's exact oracle
+    assert len(seen["full_eig"]) == config.N  # det_smooth's soft-max
     assert all(np.array_equal(M, M.T) for Ms in seen.values() for M in Ms)
 
 
@@ -687,6 +691,11 @@ def test_problem_runs_reject_eps_zero(run):
     (subgradient_baseline, {"budget": 5, "true_obj_every": 0}, "true_obj_every"),
     # a run seed keys every noise draw: a negative one is a setting, not an abort
     (subgradient_baseline, {"budget": 5, "seed": -1}, "seed"),
+    # counts are integers, as SolverConfig's are: not a TypeError from range()
+    (nesterov_smooth_baseline, {"eps": 0.1, "budget": 5.0}, "N"),
+    (nesterov_smooth_baseline, {"eps": 0.1, "budget": 5, "true_obj_every": 1.0}, "true_obj_every"),
+    (subgradient_baseline, {"budget": 5.0}, "N"),
+    (subgradient_baseline, {"budget": 5, "true_obj_every": 1.0}, "true_obj_every"),
 ])
 def test_baselines_reject_settings_before_any_oracle_call(monkeypatch, run, kwargs, field):
     from eigsmooth import optimize

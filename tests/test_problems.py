@@ -367,14 +367,62 @@ def test_box_oracle_gradient_is_the_dense_average_bit_for_bit(q):
     assert np.array_equal(ev.grad, _dense_sample_average(est.vectors))
 
 
+def _relative_frobenius(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
 @pytest.mark.parametrize("n", [5, 37, 400])
-def test_box_gradient_from_softmax_factors_is_the_dense_gradient_bit_for_bit(n):
+def test_box_gradient_from_softmax_factors_is_the_dense_gradient_to_rounding(n):
+    # The weighted pull-back is numpy's symmetric product over the kept
+    # factors: exactly symmetric, and the dense general product's to rounding.
     box = dspca_problem(synthetic_covariance(n, np.random.default_rng(n)))
     X = box.project(0.05 * symmetrize(np.random.default_rng(n + 1).standard_normal((n, n))))
     mu = 0.05 / math.log(n)
     value, F, p, _ = softmax_smoothed(box.matrix(X), mu)
-    assert np.array_equal(_composite(box, X, value, F, p)[1],
-                          _dense_softmax_gradient(box.matrix(X), mu))
+    grad = _composite(box, X, value, F, p)[1]
+    assert np.array_equal(grad, grad.T)
+    assert _relative_frobenius(grad, _dense_softmax_gradient(box.matrix(X), mu)) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["box", "ball"])
+def test_softmax_pull_back_over_kept_rows_matches_the_full_product(monkeypatch, kind):
+    # At every iteration of a det_smooth run the kept factors are a prefix of
+    # the decomposition's vectors (a view), the weights a prefix of all n, the
+    # dropped weights below 2^-60 of the largest, the charge n units, and the
+    # pull-back the full n-row product (the ball: its diagonal) to 1e-14.
+    from eigsmooth import optimize
+
+    n, rng = 30, np.random.default_rng(3)
+    prob = dspca_problem(synthetic_covariance(n, rng)) if kind == "box" else maxcut_problem(n, rng)
+    decomps, kept = [], []
+
+    def spy_full_eig(M):
+        decomps.append(full_eig(M))
+        return decomps[-1]
+
+    def spy_softmax(M, mu):
+        value, F, w, cost = softmax_smoothed(M, mu)
+        dec = decomps[-1]
+        shifted = np.exp((dec.values - dec.values[0]) / mu)
+        p = shifted / shifted.sum()
+        m = len(w)
+        assert F.shape == (m, n) and np.shares_memory(F, dec.vectors)
+        assert np.array_equal(F, dec.vectors.T[:m]) and np.array_equal(w, p[:m])
+        assert np.all(shifted[:m] >= 2.0**-60) and np.all(shifted[m:] < 2.0**-60)
+        assert cost == n
+        full = (dec.vectors * p) @ dec.vectors.T
+        full = full if kind == "box" else np.diag(full)
+        assert _relative_frobenius(prob.pull_back(F, w), full) <= 1e-14
+        kept.append(m)
+        return value, F, w, cost
+
+    monkeypatch.setattr(optimize, "full_eig", spy_full_eig)
+    monkeypatch.setattr(optimize, "softmax_smoothed", spy_softmax)
+    res = optimize.nesterov_smooth_baseline(prob, prob.prox_setup(), 0.05, 40)
+    assert res.iterations == len(kept) == len(decomps) == 40 and res.total_eigvecs == 40 * n
+    assert min(kept) < n  # some iterations truncate
+    if kind == "box":
+        assert max(kept) == n  # and, late in the run, every row counts
 
 
 def test_ball_gradient_is_the_dense_diagonal_to_rounding():
