@@ -239,7 +239,7 @@ class ExactEigOracle:
         M = self.problem.matrix(point)  # exactly symmetric; Lanczos checks it is finite
         pair = lanczos_leading(M, rel_tol=1e-9, rng=sample_rng(self.seed, *key))
         value, grad = _composite(self.problem, point, pair.value, pair.vector[None], None)
-        return OracleEval(value=value, grad=grad, cost=pair.cost_eigvecs)
+        return OracleEval(value=value, grad=grad, cost=1.0)
 
 
 class FunctionOracle:
@@ -398,9 +398,11 @@ class _Recorder:
 
     def result(self, solution, t, error=None, **extra):
         """RunResult after iteration t; an `error` aborted iteration t, so
-        only t - 1 iterations completed, and an error without a message, such
-        as an interrupt, is named by its class. `extra` sets further fields
-        and may override the best objective."""
+        only t - 1 iterations completed, and `solution` is the iterate of the
+        last completed one (the solvers commit an iteration's update after its
+        row). An error without a message, such as an interrupt, is named by
+        its class. `extra` sets further fields and may override the best
+        objective."""
         fields = {"best_objective": self.best, **extra}
         return RunResult(
             solution=solution, trace=self.rows, total_eigvecs=self.cost,
@@ -441,8 +443,10 @@ def _acsa_engine(problem, oracle, setup, config, gamma_min, gamma):
                 if line_search_exit(ev.value, ev.grad, ev_next.value, x_ag_next - x_md, gamma):
                     break
                 gamma = max(gamma_min, gamma * GAMMA_D)
+            value = ev.value
+            del x_md, ev  # the monitor sees no more live n x n arrays than after the update
+            rec.row(t, x_ag_next, value, gamma)
             x, x_ag = x_next, x_ag_next
-            rec.row(t, x_ag, ev.value, gamma)
         except _ABORTS as exc:
             error = exc
             break
@@ -500,22 +504,24 @@ def subgradient_baseline(problem, setup, budget, seed=0, true_obj_every=None):
     """
     oracle = ExactEigOracle(problem, seed)  # checks the seed first
     x = np.array(setup.center, dtype=float, copy=True)
-    best = float("inf")
-    best_x = x.copy()
+    best, best_x = float("inf"), x
     rec = _Recorder(problem, budget, true_obj_every)
     error = None
     for t in range(1, budget + 1):
         try:
             ev = _evaluate(oracle.evaluate, x, (t,))
             rec.cost += ev.cost
-            if ev.value < best:
-                best = ev.value
-                best_x = x.copy()
-            gnorm = float(np.linalg.norm(ev.grad.ravel()))
+            value, gnorm = ev.value, float(np.linalg.norm(ev.grad.ravel()))
+            x_next = x
             if gnorm > 0.0:
                 step = setup.diameter / (gnorm * math.sqrt(t))
-                x = setup.project(x - step * ev.grad)
-            rec.row(t, best_x, ev.value)
+                x_next = setup.project(x - step * ev.grad)
+            del ev
+            improved = value < best
+            rec.row(t, x if improved else best_x, value)
+            if improved:
+                best, best_x = value, x
+            x = x_next
         except _ABORTS as exc:
             error = exc
             break
@@ -541,7 +547,7 @@ def softmax_smoothed(M, mu):
     total = float(shifted.sum())
     value = dec.values[0] + mu * math.log(total) - mu * math.log(n)
     m = int(np.count_nonzero(shifted >= _SOFTMAX_KEEP))  # shifted[0] = 1 is the largest
-    return value, dec.vectors.T[:m], shifted[:m] / total, dec.cost_eigvecs
+    return value, dec.vectors.T[:m], shifted[:m] / total, float(n)
 
 
 def nesterov_smooth_baseline(problem, setup, eps, budget, true_obj_every=None):
@@ -569,9 +575,10 @@ def nesterov_smooth_baseline(problem, setup, eps, budget, true_obj_every=None):
             rec.cost += cost
             value, grad = _composite(problem, y, value, factors, weights)
             del M, factors  # after the product: freed earlier, blocks get fresh pages; later, RSS
-            x_prev = x
-            x = setup.project(y - step * grad)
-            rec.row(t, x, value)
+            x_next = setup.project(y - step * grad)
+            del y, grad
+            rec.row(t, x_next, value)
+            x_prev, x = x, x_next
         except _ABORTS as exc:
             error = exc
             break

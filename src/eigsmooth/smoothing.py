@@ -141,7 +141,7 @@ def gradient_oracle(X, params, q, seed, key, lanczos_tol):
         raise ValueError("q must be a positive integer")
     if len(X) != params.n:
         raise ValueError(f"params.n={params.n} does not match matrix dimension {len(X)}")
-    values, vectors, units = np.empty(q), np.empty((q, params.n)), 0.0
+    values, vectors = np.empty(q), np.empty((q, params.n))
     for l in range(q):
         gen = sample_rng(seed, *key, l)
         Z = gen.standard_normal((params.k, params.n))
@@ -149,8 +149,8 @@ def gradient_oracle(X, params, q, seed, key, lanczos_tol):
                  for z in Z]
         best = pairs[int(np.argmax([p.value for p in pairs]))]
         values[l], vectors[l] = best.value, best.vector
-        units += sum(p.cost_eigvecs for p in pairs)
-    return GradientEstimate(vectors=vectors, value=float(values.mean()), cost_eigvecs=units)
+    return GradientEstimate(vectors=vectors, value=float(values.mean()),
+                            cost_eigvecs=float(q * params.k))
 
 
 def fk_values_batch(decomp, params, draws, rng):

@@ -27,8 +27,8 @@ explicit seeded random stream, so they are safe to call concurrently.
 
 Cost accounting: every leading eigenpair produced counts as one
 "eigenvector unit" regardless of how many matrix-vector products it took;
-a full decomposition counts as n units.
-Raw matrix-vector product counts are kept on `EigPair.matvecs`.
+a full decomposition counts as n units. Callers charge them where the work
+is done. Raw matrix-vector product counts are kept on `EigPair.matvecs`.
 """
 from __future__ import annotations
 
@@ -160,7 +160,7 @@ def _table(path, rows, m, n):
 
 @dataclass
 class EigPair:
-    """A leading eigenpair with its cost in eigenvector units.
+    """A leading eigenpair, one eigenvector unit.
 
     `vector` is unit norm with its first nonzero coordinate positive.
     `matvecs` records raw matrix-vector products (zero on analytic paths).
@@ -170,14 +170,13 @@ class EigPair:
 
     value: float
     vector: np.ndarray
-    cost_eigvecs: float = 1.0
     matvecs: int = 0
     degenerate: bool = False
 
 
 @dataclass
 class SpectralDecomp:
-    """Full symmetric eigendecomposition, eigenvalues decreasing.
+    """Full symmetric eigendecomposition (n eigenvector units), eigenvalues decreasing.
 
     Columns of `vectors` are orthonormal eigenvectors, so
     ``X = vectors @ diag(values) @ vectors.T``.
@@ -185,7 +184,6 @@ class SpectralDecomp:
 
     values: np.ndarray
     vectors: np.ndarray
-    cost_eigvecs: float
 
     @property
     def n(self):
@@ -217,7 +215,7 @@ def full_eig(X):
     order = np.argsort(-w, kind="stable")
     w, V = w[order], V.take(order, axis=1)
     _canonical_sign(V.T)
-    return SpectralDecomp(values=w, vectors=V, cost_eigvecs=float(X.shape[0]))
+    return SpectralDecomp(values=w, vectors=V)
 
 
 def lanczos_iteration_budget(n, rel_tol):
@@ -239,13 +237,14 @@ def lanczos_leading(X, rel_tol, *, rng, update=None):
     stagnation (budget exhausted or premature breakdown without a converged
     top pair), `_LANCZOS_ATTEMPTS` attempts in all. On success the Ritz
     residual satisfies ``||A v - value v|| <= rel_tol * max(1, |value|)`` for
-    the operator A and the pair is charged one eigenvector unit.
+    the operator A and the pair counts as one eigenvector unit.
 
     A is X, or with ``update=(scale, z)`` the operator ``X + scale * z z^T``,
     applied as ``X q + scale * z (z^T q)`` and never formed. X's symmetry is
     trusted; its shape and the update pair are checked up front, and a step
-    whose alpha (n = 1: the value) is not finite raises ValueError. Breakdown
-    is judged from the tridiagonal alone; the workspace grows with the steps.
+    whose alpha is not finite raises ValueError. Breakdown is judged from the
+    tridiagonal alone; the workspace grows with the steps. At n = 1 the one
+    step breaks down at once and its 1 x 1 Ritz pair is the answer.
 
     Raises LanczosConvergenceError after `_LANCZOS_ATTEMPTS` failed
     attempts; never returns a silently unconverged answer.
@@ -261,11 +260,6 @@ def lanczos_leading(X, rel_tol, *, rng, update=None):
         if not 0.0 < scale < math.inf or z.shape != X.shape[:1] or not np.all(np.isfinite(z)):
             raise ValueError(f"update must be (scale > 0, z of {X.shape[0]} finite entries)")
     n = X.shape[0]
-    if n == 1:
-        value = float(X[0, 0] if z is None else X[0, 0] + scale * z[0] ** 2)
-        if not math.isfinite(value):
-            raise ValueError("matrix entries must be finite")
-        return EigPair(value=value, vector=np.ones(1), cost_eigvecs=1.0)
     # The Krylov space is the whole space after n steps; more cannot help.
     steps = min(lanczos_iteration_budget(n, rel_tol), n)
     total_matvecs = 0
@@ -282,6 +276,7 @@ def lanczos_leading(X, rel_tol, *, rng, update=None):
 
 
 def _lanczos_attempt(X, scale, z, steps, rel_tol, rng):
+    """At most `steps` <= n steps from a fresh start: (certified pair or None, matvecs)."""
     n = X.shape[0]
     # Basis Q and tridiagonal T start at 32 columns and double when full; a
     # decoupled step (breakdown) leaves its coupling in T zero.
@@ -290,11 +285,11 @@ def _lanczos_attempt(X, scale, z, steps, rel_tol, rng):
     # A converged residual is only trusted once a few dimensions are spanned;
     # this guards against start vectors that are themselves eigenvectors of a
     # non-leading eigenvalue (residual zero, wrong answer).
-    min_span = min(3, n, steps)
+    min_span = min(3, steps)
     q = rng.standard_normal(n)
     q /= np.linalg.norm(q)
     # Breakdown scale: T = Q^T A Q, so its largest |alpha| or beta bounds ||A||_2 below.
-    matvecs, breakdown = 0, 1e-14
+    breakdown = 1e-14
     for j in range(steps):
         if j == cap:
             cap = min(2 * cap, steps)
@@ -303,13 +298,12 @@ def _lanczos_attempt(X, scale, z, steps, rel_tol, rng):
         w = X @ q
         if z is not None:
             w += (scale * float(z @ q)) * z
-        matvecs += 1
         T[j, j] = alpha = float(q @ w)
         if not math.isfinite(alpha):  # before w -= alpha q could raise a RuntimeWarning
             raise ValueError("matrix entries must be finite")
         w -= alpha * q
-        if j > 0:
-            w -= T[j, j - 1] * prev
+        if j > 0:  # after a decoupling the coupling T[j, j - 1] is zero
+            w -= T[j, j - 1] * Q[:, j - 1]
         # Full reorthogonalization, two passes: correctness over speed.
         basis = Q[:, : j + 1]
         w -= basis @ (basis.T @ w)
@@ -323,24 +317,24 @@ def _lanczos_attempt(X, scale, z, steps, rel_tol, rng):
             if abs(beta * s[-1]) <= rel_tol * max(1.0, abs(theta)):
                 vec = Q[:, :span] @ s
                 vec /= math.copysign(np.linalg.norm(vec), vec[np.argmax(vec != 0.0)])
-                return EigPair(value=theta, vector=vec, cost_eigvecs=1.0), matvecs
+                return EigPair(value=theta, vector=vec), span
         if beta <= breakdown:
-            if span >= min(steps, n):
+            if span == steps:
                 # Nothing left to span within the budget: hand back for restart.
-                return None, matvecs
+                return None, span
             # The spanned subspace is invariant but not certified: decouple
             # (zero coupling) and continue from a fresh orthogonal direction.
-            prev, q = q, rng.standard_normal(n)
+            q = rng.standard_normal(n)
             q -= basis @ (basis.T @ q)
             q -= basis @ (basis.T @ q)
             norm = float(np.linalg.norm(q))
             if norm <= breakdown:
-                return None, matvecs
+                return None, span
             q /= norm
         else:
             T[span, j] = T[j, span] = beta
-            prev, q = q, w / beta
-    return None, matvecs
+            q = w / beta
+    return None, steps
 
 
 def _secular_newton(D, W, scale, lo, hi, rel_tol, max_iter):
@@ -556,15 +550,12 @@ def rank_one_leading(decomp, v, eps_over_n):
     The eigenvalue is lambda_1 + t* with t* from the secular equation (to
     `_SECULAR_TOL`); eigenvector coordinates in the eigenbasis are
     (coords of v)_j / (value - lambda_j), normalized and rotated back.
-    Charged one eigenvector unit. Raises ValueError unless eps_over_n > 0 and v is nonzero.
+    One eigenvector unit. Raises ValueError unless eps_over_n > 0 and v is nonzero.
     The one-vector reference of acceptance criterion 1 (secular oracle equivalence).
     """
     v = np.asarray(v, dtype=float)
     values, degenerate, _, vecs = _rank_one_top(decomp, v[None, None, :], eps_over_n)
-    return EigPair(
-        value=float(values[0, 0]), vector=vecs[0], cost_eigvecs=1.0,
-        degenerate=bool(degenerate[0, 0]),
-    )
+    return EigPair(value=float(values[0, 0]), vector=vecs[0], degenerate=bool(degenerate[0, 0]))
 
 
 def _leading_gap(decomp):

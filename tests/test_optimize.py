@@ -541,9 +541,19 @@ def test_numerical_oracle_failure_aborts(monkeypatch, failure):
 def test_interrupt_ends_the_run_with_its_trace(monkeypatch, algorithm, place):
     # an interrupt at the third call of the oracle, the gradient's pull-back,
     # the projection or the trace's objective monitor ends each solver loop as
-    # a numerical failure does, keeping rows t = 1 and 2, and names itself
+    # a numerical failure does, keeping rows t = 1 and 2 and the solution of
+    # the last completed iteration, and names itself
     from eigsmooth import optimize
 
+    prob = _small_maxcut()
+    setup = prob.prox_setup()
+    run = {
+        "acsa": lambda N: acsa_run(prob, None, setup,
+                                   SolverConfig(N=N, eps=0.1, q=2, seed=5, true_obj_every=1)),
+        "subgrad": lambda N: subgradient_baseline(prob, setup, N, seed=5, true_obj_every=1),
+        "det_smooth": lambda N: nesterov_smooth_baseline(prob, setup, 0.1, N, true_obj_every=1),
+    }[algorithm]
+    completed = run(2)  # before the spies go in
     calls = []
 
     def interrupting(fn):
@@ -554,8 +564,6 @@ def test_interrupt_ends_the_run_with_its_trace(monkeypatch, algorithm, place):
             return fn(*args, **kwargs)
         return spy
 
-    prob = _small_maxcut()
-    setup = prob.prox_setup()
     if place == "oracle":
         monkeypatch.setattr(optimize, "gradient_oracle", interrupting(optimize.gradient_oracle))
         monkeypatch.setattr(optimize.ExactEigOracle, "evaluate",
@@ -565,19 +573,14 @@ def test_interrupt_ends_the_run_with_its_trace(monkeypatch, algorithm, place):
         owner, name = {"pull_back": (prob, "pull_back"), "project": (setup, "project"),
                        "monitor": (prob, "true_objective")}[place]
         monkeypatch.setattr(owner, name, interrupting(getattr(owner, name)))
-    run = {
-        "acsa": lambda: acsa_run(prob, None, setup,
-                                 SolverConfig(N=10, eps=0.1, q=2, seed=5, true_obj_every=1)),
-        "subgrad": lambda: subgradient_baseline(prob, setup, 10, seed=5, true_obj_every=1),
-        "det_smooth": lambda: nesterov_smooth_baseline(prob, setup, 0.1, 10, true_obj_every=1),
-    }[algorithm]
     try:
-        res = run()
+        res = run(10)
     except KeyboardInterrupt:  # escaped, it would end the whole test session
         pytest.fail("the interrupt escaped the solver loop")
     assert res.aborted and res.abort_reason == "KeyboardInterrupt"
     assert res.iterations == 2
     assert [r.t for r in res.trace] == [1, 2]
+    assert np.array_equal(res.solution, completed.solution)
 
 
 def test_det_smooth_failure_aborts(monkeypatch):

@@ -337,7 +337,7 @@ def test_gap_witness_bound_every_draw():
 @pytest.mark.parametrize("bad", ["inf", "nan"])
 def test_lanczos_path_still_validates(bad, n):
     # symmetry is trusted (the problems check A and C where they are built);
-    # a non-finite entry makes a Lanczos step's alpha, or the n = 1 value, non-finite
+    # a non-finite entry makes a Lanczos step's alpha non-finite, also at n = 1
     X = random_symmetric(n, np.random.default_rng(0))
     i, j = (0, 0) if n == 1 else {"inf": (2, 2), "nan": (1, 3)}[bad]
     X[i, j] = X[j, i] = np.inf if bad == "inf" else np.nan

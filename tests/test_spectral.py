@@ -46,7 +46,6 @@ def test_full_eig_identity():
     dec = full_eig(np.eye(3))
     assert np.allclose(dec.values, [1.0, 1.0, 1.0])
     assert np.allclose(dec.vectors.T @ dec.vectors, np.eye(3), atol=1e-14)
-    assert dec.cost_eigvecs == 3.0
 
 
 def test_full_eig_fixed_spectrum():
@@ -131,7 +130,6 @@ def test_lanczos_diagonal():
     pair = lanczos_leading(np.diag([3.0, 2.0, 1.0]), rel_tol=1e-10, rng=rng)
     assert abs(pair.value - 3.0) <= 1e-10
     assert min(np.linalg.norm(pair.vector - [1, 0, 0]), np.linalg.norm(pair.vector + [1, 0, 0])) <= 1e-8
-    assert pair.cost_eigvecs == 1.0
 
 
 def test_lanczos_budget_formula():
@@ -773,6 +771,20 @@ def test_lanczos_update_rejects_bad_rank_one_term():
     assert abs(pair.value - ref.values[0]) <= 1e-10
     one = lanczos_leading(np.array([[2.0]]), 1e-8, rng=rng, update=(0.5, np.array([3.0])))
     assert one.value == 2.0 + 0.5 * 9.0
+
+
+@pytest.mark.parametrize("update", [None, (0.3, np.array([-0.7]))])
+def test_lanczos_one_by_one_takes_one_step(update):
+    # n = 1 runs the Krylov loop: one product, an immediate breakdown, and a
+    # 1 x 1 Ritz pair; the start vector's sign (+ at seed 3, - at seed 4) is
+    # canonicalized away
+    X = np.array([[-1.1]])
+    value = -1.1 if update is None else -1.1 + (0.3 * -0.7) * -0.7
+    for seed in (3, 4):
+        pair = lanczos_leading(X, 1e-10, rng=np.random.default_rng(seed), update=update)
+        assert (pair.value, pair.vector.tolist(), pair.matvecs) == (value, [1.0], 1)
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        lanczos_leading(np.array([[np.inf]]), 1e-10, rng=np.random.default_rng(0), update=update)
 
 
 # ------------------------------------------------- Lanczos golden values
