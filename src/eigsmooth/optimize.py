@@ -362,13 +362,12 @@ def _evaluate(fn, *args):
 
 
 class _Recorder:
-    """Trace rows, clock, cumulative cost and best monitored objective of one
-    solver run. Rows are taken every `every` iterations (default: about 200
-    rows per budget) and at the last one; the solver adds its oracle costs
-    to `cost`. Budget and cadence are checked on construction, before the
-    first iteration. Solvers never modify a recorded point in place, so a
-    row handed the same point object as the last row reuses its monitored
-    objective."""
+    """Trace rows, clock and cumulative cost of one solver run. Rows are
+    taken every `every` iterations (default: about 200 rows per budget) and
+    at the last one; the solver adds its oracle costs to `cost`. Budget and
+    cadence are checked on construction, before the first iteration.
+    Solvers never modify a recorded point in place, so a row handed the same
+    point object as the last row reuses its monitored objective."""
 
     def __init__(self, problem, budget, every):
         _check_run_length(budget, every)
@@ -377,7 +376,6 @@ class _Recorder:
         self.every = every or max(1, math.ceil(budget / 200))
         self.rows = []
         self.cost = 0.0
-        self.best = float("inf")
         self.start = time.perf_counter()
         self.monitored = (None, float("nan"))  # (point, objective) of the last row
 
@@ -388,11 +386,8 @@ class _Recorder:
         if point is not self.monitored[0]:
             monitor = getattr(self.problem, "true_objective", None)
             self.monitored = (point, float("nan") if monitor is None else float(monitor(point)))
-        obj_true = self.monitored[1]
-        if not math.isnan(obj_true):
-            self.best = min(self.best, obj_true)
         self.rows.append(TraceRecord(
-            t=t, obj_true=obj_true, obj_sampled=sampled, gamma=gamma,
+            t=t, obj_true=self.monitored[1], obj_sampled=sampled, gamma=gamma,
             eigvecs=self.cost, wall_ms=(time.perf_counter() - self.start) * 1e3,
         ))
 
@@ -401,9 +396,10 @@ class _Recorder:
         only t - 1 iterations completed, and `solution` is the iterate of the
         last completed one (the solvers commit an iteration's update after its
         row). An error without a message, such as an interrupt, is named by
-        its class. `extra` sets further fields and may override the best
-        objective."""
-        fields = {"best_objective": self.best, **extra}
+        its class. The best objective is the lowest monitored one in the
+        rows; `extra` sets further fields and may override it."""
+        best = min((r.obj_true for r in self.rows if not math.isnan(r.obj_true)), default=math.inf)
+        fields = {"best_objective": best, **extra}
         return RunResult(
             solution=solution, trace=self.rows, total_eigvecs=self.cost,
             iterations=t - 1 if error is not None else t, aborted=error is not None,
@@ -413,14 +409,17 @@ class _Recorder:
 
 
 def _acsa_engine(problem, oracle, setup, config, gamma_min, gamma):
-    """AC-SA iterations from step scale `gamma`; failed exit tests shrink it
-    by GAMMA_D down to the floor `gamma_min`, where the search stops. The
-    plain method is the one-rung ladder gamma == gamma_min. An abort
-    anywhere in an iteration keeps the rows before it."""
+    """AC-SA iterations from step scale `gamma`; failed exit tests shrink a
+    trial scale by GAMMA_D down to the floor `gamma_min`, where the search
+    stops. The plain method is the one-rung ladder gamma == gamma_min. Each
+    iteration commits its trial scale with its iterates, after its row, and
+    t_gamma is the last iteration that ended above the floor (0 if none).
+    An abort anywhere in an iteration keeps the rows and the committed
+    state before it."""
     x = np.array(setup.center, dtype=float, copy=True)
     x_ag = x.copy()
     rec = _Recorder(problem, config.N, config.true_obj_every)
-    t_gamma = error = None
+    t_gamma, error = 0, None
     for t in range(1, config.N + 1):
         try:
             w_md = 2.0 / (t + 1.0)
@@ -428,29 +427,29 @@ def _acsa_engine(problem, oracle, setup, config, gamma_min, gamma):
             x_md = w_md * x + w_ag * x_ag
             ev = _evaluate(oracle.evaluate, x_md, (t,))
             rec.cost += ev.cost
+            trial = gamma
             while True:
-                gamma_t = (t + 1.0) * gamma / 2.0
+                gamma_t = (t + 1.0) * trial / 2.0
                 x_next = prox_map_euclidean(setup, x, gamma_t * ev.grad)
                 # same combination as x_md, written so x_ag_next == x_next
                 # exactly whenever the two points coincide (singleton sets)
                 x_ag_next = x_next + w_ag * (x_ag - x_next)
-                if gamma <= gamma_min:
-                    if t_gamma is None:
-                        t_gamma = t - 1
+                if trial <= gamma_min:
                     break
                 ev_next = _evaluate(oracle.evaluate, x_ag_next, (t + 1,))
                 rec.cost += ev_next.cost
-                if line_search_exit(ev.value, ev.grad, ev_next.value, x_ag_next - x_md, gamma):
+                if line_search_exit(ev.value, ev.grad, ev_next.value, x_ag_next - x_md, trial):
                     break
-                gamma = max(gamma_min, gamma * GAMMA_D)
+                trial = max(gamma_min, trial * GAMMA_D)
             value = ev.value
             del x_md, ev  # the monitor sees no more live n x n arrays than after the update
-            rec.row(t, x_ag_next, value, gamma)
-            x, x_ag = x_next, x_ag_next
+            rec.row(t, x_ag_next, value, trial)
+            x, x_ag, gamma = x_next, x_ag_next, trial
+            t_gamma = t if gamma > gamma_min else t_gamma
         except _ABORTS as exc:
             error = exc
             break
-    return rec.result(x_ag, t, error, gamma_final=gamma, t_gamma=t if t_gamma is None else t_gamma)
+    return rec.result(x_ag, t, error, gamma_final=gamma, t_gamma=t_gamma)
 
 
 def acsa_run(problem, oracle, setup, config):
@@ -479,8 +478,8 @@ def acsa_run(problem, oracle, setup, config):
 def acsa_linesearch_run(problem, oracle, setup, config):
     """Adaptive variant: the step scale starts at gamma_max and shrinks by
     GAMMA_D on every failed exit test, floored at gamma_min, after which the
-    search is disabled; records the first floor iteration T_gamma and logs
-    the coarse expected-accuracy bound. As in `acsa_run`, it takes exactly
+    search is disabled; records T_gamma, the last iteration that ended above
+    the floor, and logs the coarse expected-accuracy bound. As in `acsa_run`, it takes exactly
     one of `problem`, which it smooths, and the `oracle` of a generic run."""
     oracle, L = _run_source(problem, oracle, config)
     gamma_min, gamma_max = _resolve_ladder(config, L)

@@ -137,10 +137,10 @@ def eps_critical(model):
 def t0_solve(model, eps):
     """Unique positive t0 with (1/n) sum_{j>l} 1/(t0+gamma+delta_j) = 1/eps.
 
-    Exists only above the critical level; solved to relative precision
-    1e-12 by the secular solver's rational steps (Newton and bisection as
-    fallbacks) inside [0, (1 - l/n) eps], so t0 <= (1 - l/n) eps on return.
-    Raises SpectralError if t0 is not fixed after 200 evaluations.
+    Exists only above the critical level; solved by the secular solver's
+    rational steps inside [0, (1 - l/n) eps], so t0 <= (1 - l/n) eps on
+    return, under the kernel's limits: relative precision 1e-13, and a
+    SpectralError if t0 is not fixed after 120 evaluations.
     """
     eps0 = eps_critical(model)
     if eps <= eps0:
@@ -149,10 +149,8 @@ def t0_solve(model, eps):
     base = model.gamma_gap + model.deltas
     # The secular equation with pole offsets `base`, weights 1/n and scale
     # eps; its bracket [0, eps * sum of weights] is [0, (1 - l/n) eps].
-    t, _ = _secular_newton(
-        base, np.full((1, base.size), 1.0 / n), eps,
-        np.zeros(1), np.array([(1.0 - model.multiplicity / n) * eps]), 1e-12, 200,
-    )
+    t, _ = _secular_newton(base, np.full((1, base.size), 1.0 / n), eps, np.zeros(1),
+                           np.array([(1.0 - model.multiplicity / n) * eps]))
     return float(t[0])
 
 
@@ -324,9 +322,9 @@ def monte_carlo_gap(model_family, n_list, eps_rule, trials, seed=0):
             stat = median_T
             t0 = float("nan")
             if pred.regime == "sub":
-                normalized = float(np.median(shifts) * n * (1.0 / eps - 1.0 / eps0))
+                normalized = median_T * n * (1.0 / eps - 1.0 / eps0)
             else:
-                normalized = float(np.median(shifts) * math.sqrt(n))
+                normalized = median_T * math.sqrt(n)
         rows.append(PhaseRow(
             n=int(n), eps=eps, eps0=eps0, regime=pred.regime, median_T=median_T,
             predicted_order=pred.predicted_order, scaling_stat=stat, t0=t0,

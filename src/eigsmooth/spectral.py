@@ -189,10 +189,6 @@ class SpectralDecomp:
     def n(self):
         return self.values.shape[0]
 
-    def coordinates(self, v):
-        """Coordinates of a vector in the eigenbasis."""
-        return self.vectors.T @ np.asarray(v, dtype=float)
-
 
 def _canonical_sign(vecs):
     """Negate in place each vector (the last axis) whose first nonzero entry is negative."""
@@ -337,7 +333,7 @@ def _lanczos_attempt(X, scale, z, steps, rel_tol, rng):
     return None, steps
 
 
-def _secular_newton(D, W, scale, lo, hi, rel_tol, max_iter):
+def _secular_newton(D, W, scale, lo, hi):
     """Roots of s_i(t) = 1/scale - sum_j W_ij / (D_ij + t), one per row of W.
 
     `D` holds the pole offsets, shape (n,) for all rows or (m, n). Each s_i
@@ -351,12 +347,12 @@ def _secular_newton(D, W, scale, lo, hi, rel_tol, max_iter):
     root from above, fast also where the nearest pole dominates. Where the
     model has no positive root the step is Newton's, and a step leaving the
     bracket, which each evaluation tightens, is replaced by bisection. A
-    row's root is fixed once its step is within rel_tol of t or its residual
-    reaches the rounding floor (where a step leaving the bracket falls back
-    to the evaluated t). Fixed rows leave the active set as soon as that
-    does not raise peak memory. Returns
-    (roots, evaluations per row); raises SpectralError if some row is not
-    fixed after `max_iter` evaluations.
+    row's root is fixed once its step is within `_SECULAR_TOL` of t or its
+    residual reaches the rounding floor (where a step leaving the bracket
+    falls back to the evaluated t). Fixed rows leave the active set as soon
+    as that does not raise peak memory. Returns (roots, evaluations per
+    row); raises SpectralError if some row is not fixed after
+    `_SECULAR_MAX_ITER` evaluations.
     """
     m = W.shape[0]
     roots = np.empty(m)
@@ -380,7 +376,7 @@ def _secular_newton(D, W, scale, lo, hi, rel_tol, max_iter):
     t = lo.copy()
     live, left = np.ones(m, dtype=bool), m  # rows carried and not yet fixed
     inv_scale = 1.0 / scale
-    for it in range(1, max_iter + 1):
+    for it in range(1, _SECULAR_MAX_ITER + 1):
         denom = D + t[:, None]
         terms = W / denom
         s = inv_scale - terms.sum(axis=1)
@@ -413,7 +409,7 @@ def _secular_newton(D, W, scale, lo, hi, rel_tol, max_iter):
             # A row at the rounding floor keeps its evaluated t: its bracket
             # may have closed onto t, and bisection would leave the root.
             np.copyto(t_new, np.where(at_floor, t, 0.5 * (lo + hi)), where=outside)
-        done = (np.abs(t_new - t) <= rel_tol * t_new) | at_floor
+        done = (np.abs(t_new - t) <= _SECULAR_TOL * t_new) | at_floor
         fixed = done & live
         count = np.count_nonzero(fixed)
         t = t_new
@@ -433,15 +429,14 @@ def _secular_newton(D, W, scale, lo, hi, rel_tol, max_iter):
                     D = D[live]
                 live = np.ones(left, dtype=bool)
     raise SpectralError(
-        f"secular solver did not converge to rel_tol={rel_tol:g} within {max_iter} "
-        f"iterations on {left} of {m} rows"
+        f"secular solver did not converge to rel_tol={_SECULAR_TOL:g} within "
+        f"{_SECULAR_MAX_ITER} iterations on {left} of {m} rows"
     )
 
 
 def _secular_shifts(lambdas, weights, scale):
-    """Validated secular roots for weight rows over one decreasing spectrum,
-    to `_SECULAR_TOL` within `_SECULAR_MAX_ITER` evaluations. Returns
-    (shifts, degenerate flags, iterations).
+    """Validated secular roots for weight rows over one decreasing spectrum.
+    Returns (shifts, degenerate flags, iterations).
 
     Weights below 1e-14 of their row total are deflated; then the columns of
     exactly equal eigenvalues (no tolerance) are summed into one pole each.
@@ -492,7 +487,7 @@ def _secular_shifts(lambdas, weights, scale):
     D = np.maximum(d - off[:, None], 0.0) if np.count_nonzero(degenerate) else d
     lo = scale * np.add.reduce(W, axis=1, where=D == 0.0)
     hi = scale * totals
-    t, iterations = _secular_newton(D, W, scale, lo, hi, _SECULAR_TOL, _SECULAR_MAX_ITER)
+    t, iterations = _secular_newton(D, W, scale, lo, hi)
     return np.maximum(t - off, 0.0), degenerate, iterations
 
 

@@ -583,6 +583,38 @@ def test_interrupt_ends_the_run_with_its_trace(monkeypatch, algorithm, place):
     assert np.array_equal(res.solution, completed.solution)
 
 
+def test_aborted_line_search_reports_its_committed_scale(monkeypatch):
+    # the line search shrinks the scale inside iteration 2 (4.44 -> 2.22); an
+    # interrupt at that iteration's monitor reports the scale and t_gamma of
+    # iteration 1, with its solution, not the shrunk trial scale
+    prob = _small_maxcut()
+    setup = prob.prox_setup()
+
+    def run(N):
+        config = SolverConfig(N=N, eps=0.1, q=2, seed=5, true_obj_every=1)
+        return acsa_linesearch_run(prob, None, setup, config)
+
+    completed = {N: run(N) for N in (1, 2, 3, 10)}
+    top, half, floor = 4.444444444444445, 2.2222222222222223, 0.2777777777777778
+    ladders = {1: [top], 2: [top, half], 3: [top, half, floor], 10: [top, half] + [floor] * 8}
+    for N, res in completed.items():
+        assert [r.gamma for r in res.trace] == ladders[N]
+        assert (res.gamma_final, res.t_gamma) == (ladders[N][-1], min(N, 2))
+    monitor, calls = prob.true_objective, []
+
+    def interrupting(point):
+        calls.append(None)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return monitor(point)
+
+    monkeypatch.setattr(prob, "true_objective", interrupting)
+    res = run(10)
+    assert res.aborted and res.iterations == 1
+    assert (res.gamma_final, res.t_gamma) == (completed[1].gamma_final, completed[1].t_gamma)
+    assert np.array_equal(res.solution, completed[1].solution)
+
+
 def test_det_smooth_failure_aborts(monkeypatch):
     from eigsmooth import optimize
 

@@ -334,7 +334,7 @@ def _unmerged_shifts(lam, W, scale):
     # One pole term per eigenvalue, ties included; rows with weight on the top.
     D = lam[0] - lam
     lo = scale * W[:, D == 0.0].sum(axis=1)
-    return spectral._secular_newton(D, W, scale, lo, scale * W.sum(axis=1), 1e-13, 120)
+    return spectral._secular_newton(D, W, scale, lo, scale * W.sum(axis=1))
 
 
 def test_merged_poles_match_unmerged_reference():
