@@ -32,7 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smoothing import SmoothingParams, gradient_oracle, lipschitz_bound, sample_rng, smoothing_constant
+from .smoothing import (
+    SmoothingParams, _check_integer, gradient_oracle, lipschitz_bound, sample_rng, smoothing_constant,
+)
 from .spectral import SpectralError, full_eig, lanczos_leading
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
     "RunResult",
     "StochasticOracle",
     "ExactEigOracle",
-    "FunctionOracle",
     "prox_map_euclidean",
     "line_search_exit",
     "acsa_run",
@@ -112,9 +113,9 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_run_length(self.N, self.true_obj_every)
-        for name in ("k", "q"):  # q may be unset
-            if not isinstance(value := getattr(self, name), (int, np.integer, type(None))):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integer("k", self.k)
+        if self.q is not None:
+            _check_integer("q", self.q)
         if not 0.0 <= self.eps < math.inf:
             raise ValueError(f"eps must be finite and nonnegative, got {self.eps!r}")
         if self.q is None:
@@ -153,10 +154,9 @@ def _check_seed(seed):
 def _check_run_length(N, true_obj_every):
     """The rules every solver loop shares: a budget `N` of at least one
     iteration, and a trace cadence unset or at least 1, both integers."""
-    if not isinstance(N, (int, np.integer)):
-        raise ValueError(f"N must be an integer, got {N!r}")
-    if not isinstance(true_obj_every, (int, np.integer, type(None))):
-        raise ValueError(f"true_obj_every must be an integer, got {true_obj_every!r}")
+    _check_integer("N", N)
+    if true_obj_every is not None:
+        _check_integer("true_obj_every", true_obj_every)
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N!r}")
     if true_obj_every is not None and true_obj_every < 1:
@@ -216,7 +216,7 @@ class StochasticOracle:
     def __init__(self, problem, params, q, seed, lanczos_tol):
         self.problem = problem
         self.params = params
-        self.q = int(q)
+        self.q = _check_integer("q", q)
         self.seed = int(_check_seed(seed))
         self.lanczos_tol = lanczos_tol
 
@@ -240,18 +240,6 @@ class ExactEigOracle:
         pair = lanczos_leading(M, rel_tol=1e-9, rng=sample_rng(self.seed, *key))
         value, grad = _composite(self.problem, point, pair.value, pair.vector[None], None)
         return OracleEval(value=value, grad=grad, cost=1.0)
-
-
-class FunctionOracle:
-    """Deterministic oracle from a plain (value, grad) function; zero cost.
-    Drives the noiseless quadratic of acceptance criterion 6 (line search)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def evaluate(self, point, key):
-        value, grad = self.fn(point)
-        return OracleEval(value=float(value), grad=np.asarray(grad, dtype=float), cost=0.0)
 
 
 def prox_map_euclidean(setup, x, y):

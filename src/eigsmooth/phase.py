@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .optimize import check_finite_positive
-from .smoothing import sample_rng
+from .smoothing import _check_integer, sample_rng
 from .spectral import _read_rows, _secular_newton, _table, secular_shifts_batch
 
 __all__ = [
@@ -143,8 +143,8 @@ def t0_solve(model, eps):
     SpectralError if t0 is not fixed after 120 evaluations.
     """
     eps0 = eps_critical(model)
-    if eps <= eps0:
-        raise ValueError(f"eps={eps!r} is not above the critical level {eps0!r}")
+    if not eps0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and above the critical level {eps0!r}, got {eps!r}")
     n = model.n
     base = model.gamma_gap + model.deltas
     # The secular equation with pole offsets `base`, weights 1/n and scale
@@ -213,7 +213,7 @@ class PhasePrediction:
 def classify_regime(model, eps):
     """Classify eps against the critical level (critical within 1e-9 * eps0)
     and package the predicted scaling."""
-    if eps <= 0.0:
+    if not 0.0 < eps < math.inf:  # NaN and inf too: no solve survives them
         raise ValueError("eps must be positive")
     eps0 = eps_critical(model)
     if abs(eps - eps0) <= 1e-9 * eps0:
@@ -231,7 +231,7 @@ def sample_shifts(model, eps, trials, rng):
     the squared Gaussian mass on the leading eigenspace (whose (eps/n)
     multiple is an almost-sure lower bound on T).
     """
-    W = rng.standard_normal((int(trials), model.n))
+    W = rng.standard_normal((_check_integer("trials", trials), model.n))
     np.square(W, out=W)
     shifts = secular_shifts_batch(model.lambdas, W, eps / model.n)
     top = W[:, : model.multiplicity].sum(axis=1)
@@ -293,10 +293,12 @@ def monte_carlo_gap(model_family, n_list, eps_rule, trials, seed=0):
     predicted order. Sizes and every size's model and regime are settled
     before the first draw.
     """
-    if int(trials) < MIN_TRIALS:
+    if _check_integer("trials", trials) < MIN_TRIALS:
         raise ValueError(f"trials must be at least {MIN_TRIALS} per size")
     if not len(n_list):
         raise ValueError("n_list must not be empty")
+    for n in n_list:
+        _check_integer("n", n)
     if len(set(map(int, n_list))) < len(n_list):
         raise ValueError(f"n_list repeats a size: {[int(n) for n in n_list]}")
     preds = []

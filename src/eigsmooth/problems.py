@@ -20,10 +20,9 @@ problem only its diagonal sum_k w_k f_k^2 in O(kn). `linear_value` /
 `linear_grad` carry the affine term (0.0 for none); `prox_setup()` packages
 projection, diameter, and start point.
 
-Also here: covariance ingestion with top-variance coordinate selection, a
-synthetic low-rank-plus-noise generator reproducing the well-separated
-leading-eigenvalue regime, and dense multilevel grid references for desk
-scale validation.
+Also here: covariance ingestion with top-variance coordinate selection, and
+a synthetic low-rank-plus-noise covariance reproducing the well-separated
+leading-eigenvalue regime.
 """
 from __future__ import annotations
 
@@ -39,12 +38,9 @@ __all__ = [
     "BoxProblem",
     "BallProblem",
     "load_covariance",
-    "synthetic_samples",
     "synthetic_covariance",
     "dspca_problem",
     "maxcut_problem",
-    "box_reference",
-    "ball_reference",
 ]
 
 
@@ -193,14 +189,6 @@ def load_covariance(path, n_select):
     return _normalize_spectral(check_symmetric(cov, tol=1e-8), path)
 
 
-def synthetic_samples(m, n, rng):
-    """Observation matrix from a two-factor model (factor strengths 4 and 2)
-    plus isotropic noise of unit standard deviation."""
-    loadings = rng.standard_normal((n, 2))
-    factors = rng.standard_normal((m, 2)) * np.array([4.0, 2.0])
-    return factors @ loadings.T + rng.standard_normal((m, n))
-
-
 def synthetic_covariance(n, rng):
     """Two-factor (strengths 4 and 2) plus noise (standard deviation 0.5)
     covariance with unit spectral norm and well-separated leading
@@ -235,87 +223,3 @@ def maxcut_problem(n, rng, radius=None):
     C = G.T @ G
     radius = float(radius) if radius is not None else float(n)
     return BallProblem(C=C / np.linalg.eigvalsh(C)[-1], radius=radius)
-
-
-def _grid_refine(evaluate, center, half, levels, points, clamp):
-    """Multilevel dense grid minimization: evaluate on a points^d grid
-    centered on the incumbent, then shrink the window.
-
-    The window halves only when the incumbent stays interior to it; a best
-    point on the window edge doubles the window instead, so descent along a
-    constraint boundary is not lost to premature zooming.
-    """
-    d = center.shape[0]
-    half0 = half
-    best_x = center.copy()
-    best_val = float("inf")
-    for _ in range(levels):
-        axes = [np.linspace(best_x[i] - half, best_x[i] + half, points) for i in range(d)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        grid_center = best_x.copy()
-        mesh = clamp(mesh)
-        vals = evaluate(mesh)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_x = mesh[i].copy()
-        on_edge = np.any(np.abs(best_x - grid_center) >= half * (1.0 - 2.0 / (points - 1)))
-        half = min(2.0 * half, half0) if on_edge else 0.5 * half
-    return best_x, best_val
-
-
-def box_reference(problem, levels=18, points=13):
-    """Brute-force reference optimum of a small box problem by multilevel
-    dense grid over the upper triangle of X (desk scale: n <= 3)."""
-    n = problem.dim
-    iu = np.triu_indices(n)
-    d = len(iu[0])
-    if points**d > 2_000_000:
-        raise ValueError("grid reference is a desk-scale tool")
-
-    def evaluate(mesh):
-        m = mesh.shape[0]
-        Xs = np.zeros((m, n, n))
-        Xs[:, iu[0], iu[1]] = mesh
-        Xs = Xs + np.transpose(Xs, (0, 2, 1))
-        Xs[:, np.arange(n), np.arange(n)] *= 0.5
-        vals = np.linalg.eigvalsh(problem.A[None, :, :] + Xs)[:, -1]
-        return vals
-
-    def clamp(mesh):
-        return np.clip(mesh, -problem.rho, problem.rho)
-
-    x, val = _grid_refine(evaluate, np.zeros(d), problem.rho, levels, points, clamp=clamp)
-    X = np.zeros((n, n))
-    X[iu] = x
-    X = X + X.T
-    X[np.arange(n), np.arange(n)] *= 0.5
-    return X, val
-
-
-def ball_reference(problem, levels=18, points=13):
-    """Brute-force reference optimum of a small ball problem by multilevel
-    dense grid over w (desk scale: n <= 4), from a window of half-width the
-    radius.
-
-    The objective decreases without bound along the all-ones direction, so
-    the constraint always binds: the search covers the whole ball (grid
-    points are projected onto it) and the incumbent typically sits on the
-    boundary.
-    """
-    n = problem.dim
-    if points**n > 2_000_000:
-        raise ValueError("grid reference is a desk-scale tool")
-
-    def evaluate(mesh):
-        m = mesh.shape[0]
-        Ms = np.broadcast_to(problem.C, (m, n, n)).copy()
-        Ms[:, np.arange(n), np.arange(n)] += mesh
-        return np.linalg.eigvalsh(Ms)[:, -1] - mesh.sum(axis=1)
-
-    def clamp(mesh):
-        norms = np.linalg.norm(mesh, axis=1, keepdims=True)
-        factor = np.minimum(1.0, problem.radius / np.maximum(norms, 1e-300))
-        return mesh * factor
-
-    return _grid_refine(evaluate, np.zeros(n), float(problem.radius), levels, points, clamp)

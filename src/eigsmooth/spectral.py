@@ -1,16 +1,16 @@
 """Dense symmetric spectral kernel.
 
 Leading eigenpairs by randomized Lanczos with restarts, full symmetric
-decompositions, rank-one updates through the secular equation with analytic
-eigenvectors, and spectral-gap smoothness constants.
+decompositions, and the rise of the top eigenvalue under rank-one updates
+through the secular equation.
 
-Every secular equation in the package (the oracle's rank-one updates, the
-phase lab's batches of weight rows, and its t0) goes through one
-row-vectorized solver. Its step is the root of a two-pole rational model of
-the equation, with Newton's step and bisection as fallbacks. Exactly equal
-eigenvalues are one pole: after deflation their weights are summed, one term
-per distinct eigenvalue. Like Lanczos, it either converges or raises
-SpectralError; it never returns a silently unconverged answer.
+Every secular equation in the package (the phase lab's batches of weight
+rows, and its t0) goes through one row-vectorized solver. Its step is the
+root of a two-pole rational model of the equation, with Newton's step and
+bisection as fallbacks. Exactly equal eigenvalues are one pole: after
+deflation their weights are summed, one term per distinct eigenvalue. Like
+Lanczos, it either converges or raises SpectralError; it never returns a
+silently unconverged answer.
 
 The kernel's limits are constants: a Lanczos run makes at most
 `_LANCZOS_ATTEMPTS` = 3 attempts of `lanczos_iteration_budget` steps, and a
@@ -40,7 +40,6 @@ import numpy as np
 __all__ = [
     "SpectralError",
     "LanczosConvergenceError",
-    "NonsmoothPointError",
     "EigPair",
     "SpectralDecomp",
     "symmetrize",
@@ -49,9 +48,6 @@ __all__ = [
     "lanczos_iteration_budget",
     "lanczos_leading",
     "secular_shifts_batch",
-    "rank_one_leading",
-    "local_lip_constant",
-    "extremal_direction",
 ]
 
 # Weights below this fraction of the total are deflated out of the secular
@@ -68,9 +64,6 @@ _LANCZOS_ATTEMPTS = 3
 _SECULAR_TOL = 1e-13
 _SECULAR_MAX_ITER = 120
 
-# A top eigenvalue within this of the second is treated as multiple.
-_GAP_THRESHOLD = 1e-12
-
 # A secular residual within this many roundoffs of 1/scale is at the root to
 # working precision: further steps would only hop between the floats around it.
 _ROUNDING_FLOOR = 4.0 * np.finfo(float).eps
@@ -82,10 +75,6 @@ class SpectralError(Exception):
 
 class LanczosConvergenceError(SpectralError):
     """Lanczos failed to reach tolerance within its iteration and restart budget."""
-
-
-class NonsmoothPointError(SpectralError):
-    """Top eigenvalue is (numerically) multiple; gap-based quantities are undefined."""
 
 
 def symmetrize(X):
@@ -163,15 +152,12 @@ class EigPair:
     """A leading eigenpair, one eigenvector unit.
 
     `vector` is unit norm with its first nonzero coordinate positive.
-    `matvecs` records raw matrix-vector products (zero on analytic paths).
-    `degenerate` marks rank-one updates whose vector was orthogonal to the
-    leading eigenspace of the base matrix.
+    `matvecs` records raw matrix-vector products.
     """
 
     value: float
     vector: np.ndarray
     matvecs: int = 0
-    degenerate: bool = False
 
 
 @dataclass
@@ -450,7 +436,7 @@ def _secular_shifts(lambdas, weights, scale):
     W = np.asarray(weights, dtype=float)
     if lam.ndim != 1 or W.ndim != 2 or W.shape[1] != lam.shape[0]:
         raise ValueError("lambdas must be a 1-d array and weight rows of the same length")
-    if scale <= 0.0:
+    if not 0.0 < scale < math.inf:  # NaN and inf too: no solve survives them
         raise ValueError("scale must be positive")
     # One pass takes the row minima for this check and the deflation flag. They
     # skip NaN, which the finiteness check below catches.
@@ -510,72 +496,3 @@ def secular_shifts_batch(lambdas, weights, scale):
     `weights` is never written.
     """
     return _secular_shifts(lambdas, np.atleast_2d(weights), scale)[0]
-
-
-def _rank_one_top(decomp, Z, scale):
-    """Top eigenpairs of ``X + scale * z z^T`` from a decomposition of X, for
-    m groups of k update vectors z (`Z` has shape (m, k, n)).
-
-    Returns the top eigenvalues (m, k), the degenerate flags (m, k), each
-    group's argmax (ties to the lowest index) and the winners' unit
-    eigenvectors (m, n) with canonical sign. Their
-    eigenbasis coordinates are coords_j / ((lambda_1 - lambda_j) + shift),
-    free of cancellation; a root at the pole (shift 0) leaves the top
-    eigenvector of X in place.
-    """
-    lam, V = decomp.values, decomp.vectors
-    coords = Z @ V
-    shifts, degenerate, _ = _secular_shifts(lam, coords.reshape(-1, lam.size) ** 2, scale)
-    shifts = shifts.reshape(coords.shape[:2])
-    values = lam[0] + shifts
-    i0 = np.argmax(values, axis=1)
-    degenerate = degenerate.reshape(shifts.shape)
-    groups = np.arange(Z.shape[0])
-    shift = shifts[groups, i0][:, None]
-    pole = shift == 0.0
-    comps = coords[groups, i0] / np.where(pole, 1.0, (lam[0] - lam) + shift)
-    vecs = comps @ V.T
-    vecs = np.where(pole, V[:, 0], vecs / np.linalg.norm(vecs, axis=1, keepdims=True))
-    return values, degenerate, i0, _canonical_sign(vecs)
-
-
-def rank_one_leading(decomp, v, eps_over_n):
-    """Leading eigenpair of ``X + eps_over_n * v v^T`` from a decomposition of X.
-
-    The eigenvalue is lambda_1 + t* with t* from the secular equation (to
-    `_SECULAR_TOL`); eigenvector coordinates in the eigenbasis are
-    (coords of v)_j / (value - lambda_j), normalized and rotated back.
-    One eigenvector unit. Raises ValueError unless eps_over_n > 0 and v is nonzero.
-    The one-vector reference of acceptance criterion 1 (secular oracle equivalence).
-    """
-    v = np.asarray(v, dtype=float)
-    values, degenerate, _, vecs = _rank_one_top(decomp, v[None, None, :], eps_over_n)
-    return EigPair(value=float(values[0, 0]), vector=vecs[0], degenerate=bool(degenerate[0, 0]))
-
-
-def _leading_gap(decomp):
-    """lambda_1 - lambda_2; NonsmoothPointError if it is at most 1e-12."""
-    gap = float(decomp.values[0] - decomp.values[1])
-    if gap <= _GAP_THRESHOLD:
-        raise NonsmoothPointError(
-            f"spectral gap {gap:.3e} at or below threshold {_GAP_THRESHOLD:g}"
-        )
-    return gap
-
-
-def local_lip_constant(decomp):
-    """1 / (lambda_1 - lambda_2), the local Lipschitz constant of the gradient
-    of the top-eigenvalue map when the top eigenvalue is simple (gap above
-    1e-12). Checked by acceptance criterion 4 (Lipschitz constants)."""
-    return 1.0 / _leading_gap(decomp)
-
-
-def extremal_direction(decomp):
-    """Unit-Frobenius symmetric direction attaining the supremum of the second
-    directional derivative of the top-eigenvalue map: the normalized swap of
-    the two leading eigenvectors. The gap must exceed 1e-12. Attains the
-    bound of acceptance criterion 4 (Lipschitz constants)."""
-    _leading_gap(decomp)
-    p1 = decomp.vectors[:, 0]
-    p2 = decomp.vectors[:, 1]
-    return (np.outer(p1, p2) + np.outer(p2, p1)) / math.sqrt(2.0)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from eigsmooth.optimize import (
-    FunctionOracle,
     ProxSetup,
     SolverConfig,
     acsa_linesearch_run,
@@ -22,27 +21,20 @@ from eigsmooth.phase import (
     monte_carlo_gap,
     sample_shifts,
 )
-from eigsmooth.problems import (
+from eigsmooth.problems import dspca_problem, maxcut_problem, synthetic_covariance
+from eigsmooth.smoothing import SmoothingParams, lipschitz_bound, smoothing_constant
+from eigsmooth.spectral import full_eig, symmetrize
+
+from paper_checks import (
+    FunctionOracle,
     ball_reference,
     box_reference,
-    dspca_problem,
-    maxcut_problem,
-    synthetic_covariance,
-)
-from eigsmooth.smoothing import (
-    SmoothingParams,
+    extremal_direction,
     fk_value,
     fk_values_batch,
     gradient_variance_probe,
-    lipschitz_bound,
-    smoothing_constant,
-)
-from eigsmooth.spectral import (
-    extremal_direction,
-    full_eig,
     local_lip_constant,
     rank_one_leading,
-    symmetrize,
 )
 
 

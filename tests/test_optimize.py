@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from eigsmooth.optimize import (
     TRACE_HEADER,
     ExactEigOracle,
-    FunctionOracle,
     ProxSetup,
     SolverConfig,
     StochasticOracle,
@@ -28,6 +27,8 @@ from eigsmooth.optimize import (
 from eigsmooth.problems import BallProblem, dspca_problem, maxcut_problem, synthetic_covariance
 from eigsmooth.smoothing import SmoothingParams
 from eigsmooth.spectral import symmetrize
+
+from paper_checks import FunctionOracle, ball_reference
 
 
 def box_setup(n, half):
@@ -827,8 +828,6 @@ def test_subgradient_rate_order():
     # reaches gap <= eps within 10x of (D / eps)^2 iterations on a 2-d problem
     prob = _small_maxcut(n=2, seed=18, radius=2.0)
     setup = prob.prox_setup()
-    from eigsmooth.problems import ball_reference
-
     _, ref = ball_reference(prob, levels=20, points=15)
     eps = 0.05
     budget = int(10 * (setup.diameter / eps) ** 2)

@@ -71,11 +71,19 @@ def test_equal_gap_model_names_its_settings(kwargs, message):
      "n must exceed the top multiplicity 2"),
     (lambda: classify_regime(equal_gap_model(10), 0.0), ValueError, "eps must be positive"),
     (lambda: classify_regime(equal_gap_model(10), -1.0), ValueError, "eps must be positive"),
+    # before t0_solve, not after 120 evaluations or as a RuntimeWarning
+    (lambda: classify_regime(equal_gap_model(10), math.nan), ValueError, "eps must be positive"),
+    (lambda: classify_regime(equal_gap_model(10), math.inf), ValueError, "eps must be positive"),
+    # counts are integers: none is truncated
+    (lambda: monte_carlo_gap(equal_gap_model, [100.6], lambda eps0, n: eps0, 200), ValueError,
+     "n must be an integer, got 100.6"),
+    (lambda: monte_carlo_gap(equal_gap_model, [100], lambda eps0, n: eps0, 200.9), ValueError,
+     "trials must be an integer, got 200.9"),
     (lambda: ScalingReport("sub", [], -1.0, 0.0, 1.0, 200, 0).row_for(100), KeyError, "100"),
     (lambda: SpectrumModel.from_lambdas([1.0, 2.0, 0.5]), ValueError,
      "eigenvalues must be in decreasing order"),
-], ids=["tile_n", "regime_eps_0", "regime_eps_negative", "row_for_missing_n",
-        "from_lambdas_increasing"])
+], ids=["tile_n", "regime_eps_0", "regime_eps_negative", "regime_eps_nan", "regime_eps_inf",
+        "sweep_n_float", "sweep_trials_float", "row_for_missing_n", "from_lambdas_increasing"])
 def test_phase_checks_name_the_fault(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
@@ -148,8 +156,9 @@ def test_t0_residual_and_bound():
 
 def test_t0_rejects_subcritical():
     m = SpectrumModel.from_lambdas(FIG_SPECTRUM)
-    with pytest.raises(ValueError):
-        t0_solve(m, 1.0)
+    for eps in (1.0, math.nan, math.inf):  # no solve runs on a non-finite eps
+        with pytest.raises(ValueError):
+            t0_solve(m, eps)
 
 
 def test_t0_monotone_in_eps():

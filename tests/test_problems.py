@@ -8,16 +8,15 @@ from eigsmooth.optimize import ExactEigOracle, StochasticOracle, _composite, sof
 from eigsmooth.problems import (
     BallProblem,
     BoxProblem,
-    ball_reference,
-    box_reference,
     dspca_problem,
     load_covariance,
     maxcut_problem,
     synthetic_covariance,
-    synthetic_samples,
 )
 from eigsmooth.smoothing import SmoothingParams, gradient_oracle, sample_rng
 from eigsmooth.spectral import full_eig, lanczos_leading, symmetrize
+
+from paper_checks import ball_reference, box_reference, synthetic_samples
 
 
 # ----------------------------------------------------------------- loading
@@ -119,16 +118,6 @@ def test_dspca_identity_optimum_by_grid():
     X, val = box_reference(prob, levels=20, points=11)
     assert val == pytest.approx(0.5, abs=1e-9)
     assert np.allclose(X, -0.5 * np.eye(2), atol=1e-6)
-
-
-@pytest.mark.parametrize("reference, problem", [
-    # 13 points on each of the 10 upper-triangle entries, and on 6 shifts
-    (box_reference, lambda: dspca_problem(synthetic_covariance(4, np.random.default_rng(0)))),
-    (ball_reference, lambda: maxcut_problem(6, np.random.default_rng(0))),
-], ids=["box", "ball"])
-def test_grid_references_refuse_past_desk_scale(reference, problem):
-    with pytest.raises(ValueError, match="^grid reference is a desk-scale tool$"):
-        reference(problem())
 
 
 def test_dspca_diameter_matches_direct_maximization():
