@@ -36,7 +36,6 @@ from .optimize import (
     SolverConfig,
     acsa_linesearch_run,
     acsa_run,
-    check_finite_positive,
     nesterov_smooth_baseline,
     read_trace,
     subgradient_baseline,
@@ -46,6 +45,7 @@ from .phase import equal_gap_model, load_spectrum, monte_carlo_gap, tile_model, 
 from .problems import (_SelectionError, dspca_problem, load_covariance, maxcut_problem,
                        synthetic_covariance)
 from .smoothing import sample_rng
+from .spectral import check_finite_positive
 
 ALGORITHMS = ("stoch_ls", "acsa", "det_smooth", "subgrad")
 

@@ -33,14 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .smoothing import (
-    SmoothingParams, _check_integer, gradient_oracle, lipschitz_bound, sample_rng, smoothing_constant,
+    SmoothingParams, gradient_oracle, lipschitz_bound, sample_rng, smoothing_constant,
 )
-from .spectral import SpectralError, full_eig, lanczos_leading
+from .spectral import SpectralError, _check_count, check_finite_positive, full_eig, lanczos_leading
 
 __all__ = [
     "ProxSetup",
     "SolverConfig",
-    "check_finite_positive",
     "TraceRecord",
     "OracleEval",
     "RunResult",
@@ -113,9 +112,9 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_run_length(self.N, self.true_obj_every)
-        _check_integer("k", self.k)
         if self.q is not None:
-            _check_integer("q", self.q)
+            _check_count("q", self.q, 1)
+        _check_count("k", self.k, 1)
         if not 0.0 <= self.eps < math.inf:
             raise ValueError(f"eps must be finite and nonnegative, got {self.eps!r}")
         if self.q is None:
@@ -124,11 +123,9 @@ class SolverConfig:
                 raise ValueError(f"eps={self.eps!r} is too small to derive "
                                  "q = ceil(0.1/eps); set q")
             self.q = max(1, math.ceil(ratio))
-        if self.q < 1:
-            raise ValueError("q must be at least 1")
-        _check_seed(self.seed)
-        if self.k < (3 if self.eps > 0.0 else 1):
-            raise ValueError(f"k must be at least 1, and at least 3 when eps > 0, got {self.k!r}")
+        _check_count("seed", self.seed, 0)
+        if self.eps > 0.0 and self.k < 3:
+            raise ValueError(f"k must be at least 3 when eps > 0, got {self.k!r}")
         for name in ("gamma_max", "gamma_min"):
             if getattr(self, name) is not None:
                 check_finite_positive(name, getattr(self, name))
@@ -138,29 +135,12 @@ class SolverConfig:
             raise ValueError("gamma_min <= gamma_max must hold when both are set")
 
 
-def check_finite_positive(name, value):
-    """The rule of every scale setting (step scales, eps, rho, radius)."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
-def _check_seed(seed):
-    """The rule of every run seed, checked before the first draw."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    return seed
-
-
 def _check_run_length(N, true_obj_every):
-    """The rules every solver loop shares: a budget `N` of at least one
-    iteration, and a trace cadence unset or at least 1, both integers."""
-    _check_integer("N", N)
+    """The counts every solver loop shares: a budget `N` of at least one
+    iteration, and a trace cadence unset or at least 1."""
+    _check_count("N", N, 1)
     if true_obj_every is not None:
-        _check_integer("true_obj_every", true_obj_every)
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N!r}")
-    if true_obj_every is not None and true_obj_every < 1:
-        raise ValueError(f"true_obj_every must be at least 1, got {true_obj_every!r}")
+        _check_count("true_obj_every", true_obj_every, 1)
 
 
 @dataclass
@@ -216,8 +196,8 @@ class StochasticOracle:
     def __init__(self, problem, params, q, seed, lanczos_tol):
         self.problem = problem
         self.params = params
-        self.q = _check_integer("q", q)
-        self.seed = int(_check_seed(seed))
+        self.q = _check_count("q", q, 1)
+        self.seed = int(_check_count("seed", seed, 0))
         self.lanczos_tol = lanczos_tol
 
     def evaluate(self, point, key):
@@ -233,7 +213,7 @@ class ExactEigOracle:
 
     def __init__(self, problem, seed):
         self.problem = problem
-        self.seed = int(_check_seed(seed))
+        self.seed = int(_check_count("seed", seed, 0))
 
     def evaluate(self, point, key):
         M = self.problem.matrix(point)  # exactly symmetric; Lanczos checks it is finite
@@ -544,9 +524,7 @@ def nesterov_smooth_baseline(problem, setup, eps, budget, true_obj_every=None):
     gradient step is 1/L with L = 1/mu. Needs n >= 2, eps > 0. An abort
     anywhere in an iteration keeps the rows before it.
     """
-    n = problem.dim
-    if n < 2:
-        raise ValueError(f"n must be at least 2 for soft-max smoothing, got {n}")
+    n = _check_count("n", problem.dim, 2)
     check_finite_positive("eps", eps)
     mu = eps / math.log(n)
     L = 1.0 / mu

@@ -29,9 +29,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .optimize import check_finite_positive
-from .smoothing import _check_integer, sample_rng
-from .spectral import _read_rows, _secular_newton, _table, secular_shifts_batch
+from .smoothing import sample_rng
+from .spectral import (
+    _check_count, _read_rows, _secular_newton, _table, check_finite_positive, secular_shifts_batch,
+)
 
 __all__ = [
     "SpectrumModel",
@@ -91,12 +92,9 @@ class SpectrumModel:
 def equal_gap_model(n, gamma=1.0, multiplicity=1):
     """Top eigenvalue 1 and all non-leading eigenvalues exactly gamma below
     it: `gamma` finite and positive, 1 <= `multiplicity` < n."""
-    if not math.isfinite(gamma):
-        raise ValueError(f"eigenvalues must be finite, got gamma={gamma!r}")
+    _check_count("n", n, 2)
     check_finite_positive("gamma", gamma)
-    if multiplicity < 1:
-        raise ValueError(f"multiplicity must be at least 1, got {multiplicity!r}")
-    if multiplicity >= n:
+    if _check_count("multiplicity", multiplicity, 1) >= n:
         raise ValueError("multiplicity must leave room below the top eigenvalue")
     lam = np.full(n, 1.0 - gamma)
     lam[:multiplicity] = 1.0
@@ -107,7 +105,7 @@ def tile_model(base, n):
     """Scale a spectrum to size n keeping the top block and cycling the
     non-leading gap profile, which preserves eps0 up to O(1/n)."""
     l = base.multiplicity
-    if n <= l:
+    if _check_count("n", n, 2) <= l:
         raise ValueError(f"n must exceed the top multiplicity {l}")
     reps = np.tile(base.deltas, int(math.ceil((n - l) / base.deltas.size)))[: n - l]
     lam = np.concatenate((np.full(l, base.lambdas[0]),
@@ -213,8 +211,7 @@ class PhasePrediction:
 def classify_regime(model, eps):
     """Classify eps against the critical level (critical within 1e-9 * eps0)
     and package the predicted scaling."""
-    if not 0.0 < eps < math.inf:  # NaN and inf too: no solve survives them
-        raise ValueError("eps must be positive")
+    check_finite_positive("eps", eps)  # NaN and inf too: no solve survives them
     eps0 = eps_critical(model)
     if abs(eps - eps0) <= 1e-9 * eps0:
         return PhasePrediction("critical", eps, eps0, None, -0.5, model)
@@ -231,7 +228,7 @@ def sample_shifts(model, eps, trials, rng):
     the squared Gaussian mass on the leading eigenspace (whose (eps/n)
     multiple is an almost-sure lower bound on T).
     """
-    W = rng.standard_normal((_check_integer("trials", trials), model.n))
+    W = rng.standard_normal((_check_count("trials", trials, 0), model.n))
     np.square(W, out=W)
     shifts = secular_shifts_batch(model.lambdas, W, eps / model.n)
     top = W[:, : model.multiplicity].sum(axis=1)
@@ -293,12 +290,11 @@ def monte_carlo_gap(model_family, n_list, eps_rule, trials, seed=0):
     predicted order. Sizes and every size's model and regime are settled
     before the first draw.
     """
-    if _check_integer("trials", trials) < MIN_TRIALS:
-        raise ValueError(f"trials must be at least {MIN_TRIALS} per size")
+    _check_count("trials", trials, MIN_TRIALS)
     if not len(n_list):
         raise ValueError("n_list must not be empty")
     for n in n_list:
-        _check_integer("n", n)
+        _check_count("n", n, 2)
     if len(set(map(int, n_list))) < len(n_list):
         raise ValueError(f"n_list repeats a size: {[int(n) for n in n_list]}")
     preds = []

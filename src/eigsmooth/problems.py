@@ -31,8 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimize import ProxSetup, check_finite_positive
-from .spectral import _read_rows, _table, check_symmetric, symmetrize
+from .optimize import ProxSetup
+from .spectral import (
+    _check_count, _read_rows, _table, check_finite_positive, check_symmetric, symmetrize,
+)
 
 __all__ = [
     "BoxProblem",
@@ -167,8 +169,7 @@ def load_covariance(path, n_select):
     past n). A sample covariance that overflows, or a covariance that is
     zero, is a ValueError naming the file.
     """
-    if n_select < 1:
-        raise ValueError(f"n_select must be at least 1, got {n_select!r}")
+    _check_count("n_select", n_select, 1)
     (lineno, head), *rows = _read_rows(path, header=True)
     if len(head) > 2 or len(head) == 2 and head[0] < 2:
         raise ValueError(f"{path}:{lineno}: expected 'n', or 'm n' with m >= 2, on the first line")
@@ -193,8 +194,7 @@ def synthetic_covariance(n, rng):
     """Two-factor (strengths 4 and 2) plus noise (standard deviation 0.5)
     covariance with unit spectral norm and well-separated leading
     eigenvalues."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_count("n", n, 1)
     loadings = rng.standard_normal((n, 2)) / math.sqrt(n)
     A = (loadings * np.array([16.0, 4.0])) @ loadings.T + (0.25 / n) * np.eye(n)
     return _normalize_spectral(symmetrize(A))
@@ -217,8 +217,7 @@ def maxcut_problem(n, rng, radius=None):
     all-ones direction, so the constraint always binds; the radius sets the
     scale of the boundary minimizer.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _check_count("n", n, 2)
     G = rng.standard_normal((n, n))
     C = G.T @ G
     radius = float(radius) if radius is not None else float(n)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import lanczos_leading
+from .spectral import _check_count, check_finite_positive, lanczos_leading
 
 __all__ = [
     "SmoothingParams",
@@ -45,14 +45,9 @@ class SmoothingParams:
     k: int = 3
 
     def __post_init__(self):
-        if not 0.0 < self.eps < np.inf:
-            raise ValueError("eps must be finite and positive")
-        if _check_integer("k", self.k) < 1:
-            raise ValueError("k must be a positive integer")
-        if _check_integer("n", self.n) < 1:
-            raise ValueError("n must be a positive integer")
-        self.k = int(self.k)
-        self.n = int(self.n)
+        check_finite_positive("eps", self.eps)
+        self.k = int(_check_count("k", self.k, 1))
+        self.n = int(_check_count("n", self.n, 1))
 
     @property
     def scale(self):
@@ -78,15 +73,6 @@ class GradientEstimate:
         return self.vectors.shape[0]
 
 
-def _check_integer(name, value):
-    """The rule of every count (a size, a budget, a number of draws): an int
-    or numpy integer, never truncated from a float or parsed from a string.
-    Returns `value`."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def sample_rng(seed, *key):
     """Counter-based generator for (run seed, iteration, sample index, ...) keys."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key)))
@@ -102,8 +88,7 @@ def gradient_oracle(X, params, q, seed, key, lanczos_tol):
     The reduction runs in sample index order; the runs trust X's symmetry
     and check its shape and finiteness. Cost: k eigenpair units per sample.
     """
-    if _check_integer("q", q) < 1:
-        raise ValueError("q must be a positive integer")
+    _check_count("q", q, 1)
     if len(X) != params.n:
         raise ValueError(f"params.n={params.n} does not match matrix dimension {len(X)}")
     values, vectors = np.empty(q), np.empty((q, params.n))

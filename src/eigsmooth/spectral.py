@@ -20,10 +20,14 @@ within `_SECULAR_MAX_ITER` = 120 evaluations.
 Every matrix is validated by the one `check_symmetric` where it enters,
 and handed back as is when exactly symmetric, so validation copies nothing;
 `lanczos_leading` trusts symmetry and tests each step's alpha for
-finiteness. Every data file (a matrix, a sample table, a spectrum) is
-parsed by the one reader `_read_rows` and shaped by `_table`; each fault
-names `path:line`. All routines are pure functions of their inputs plus an
-explicit seeded random stream, so they are safe to call concurrently.
+finiteness. Beside `check_symmetric` stand the one rule of every count (a
+size, a budget, a number of draws, a seed), `_check_count`, and of every
+scale (eps, a step scale, a radius, a gap), `check_finite_positive`; every
+module applies them where its inputs enter. Every data file (a matrix, a
+sample table, a spectrum) is parsed by the one reader `_read_rows` and
+shaped by `_table`; each fault names `path:line`. All routines are pure
+functions of their inputs plus an explicit seeded random stream, so they
+are safe to call concurrently.
 
 Cost accounting: every leading eigenpair produced counts as one
 "eigenvector unit" regardless of how many matrix-vector products it took;
@@ -44,6 +48,7 @@ __all__ = [
     "SpectralDecomp",
     "symmetrize",
     "check_symmetric",
+    "check_finite_positive",
     "full_eig",
     "lanczos_iteration_budget",
     "lanczos_leading",
@@ -107,6 +112,22 @@ def check_symmetric(X, tol=1e-12):
     if asym > 0.5 * tol * max(1.0, top, -bottom):
         raise ValueError(f"matrix is not symmetric: max |X - X^T| = {2.0 * asym:.3e}")
     return half + half.T
+
+
+def _check_count(name, value, minimum):
+    """The rule of every count: an int or numpy integer of at least `minimum`,
+    never truncated from a float or parsed from a string. Returns `value`."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+    return value
+
+
+def check_finite_positive(name, value):
+    """The rule of every scale: finite and positive, so NaN and inf fail too."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _read_rows(path, header):
@@ -436,8 +457,7 @@ def _secular_shifts(lambdas, weights, scale):
     W = np.asarray(weights, dtype=float)
     if lam.ndim != 1 or W.ndim != 2 or W.shape[1] != lam.shape[0]:
         raise ValueError("lambdas must be a 1-d array and weight rows of the same length")
-    if not 0.0 < scale < math.inf:  # NaN and inf too: no solve survives them
-        raise ValueError("scale must be positive")
+    check_finite_positive("scale", scale)  # NaN and inf too: no solve survives them
     # One pass takes the row minima for this check and the deflation flag. They
     # skip NaN, which the finiteness check below catches.
     mins = np.fmin.reduce(W, axis=1, initial=np.inf)

@@ -135,9 +135,9 @@ def test_solve_rejects_bad_eps(tmp_path, capsys, algorithm, eps, fields):
     # eps0 = n / (n - 1) falls through 1.005 between n = 100 and n = 400
     ("phase", {"n_list": "100,400,1600", "eps_rule": 1.005},
      "eps_rule changes regime across sizes: sub vs super"),
-    # a repeated size leaves no slope to fit; a non-finite eigenvalue no spectrum
+    # a repeated size leaves no slope to fit; a non-finite gamma no spectrum
     ("phase", {"n_list": "100,100"}, "n_list repeats a size: [100, 100]"),
-    ("phase", {"gamma": "nan"}, "eigenvalues must be finite, got gamma=nan"),
+    ("phase", {"gamma": "nan"}, "gamma must be finite and positive, got nan"),
     ("phase", {"top": "inf"}, "unknown field 'top'"),  # the top eigenvalue is no setting
     # a key the chosen model does not read is rejected before any file is opened
     ("phase", {"model": "file", "spectrum_path": "no-such-file.txt", "gamma": -5, "multiplicity": 0},

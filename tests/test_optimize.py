@@ -678,7 +678,7 @@ def test_solver_config_derives_q_from_eps():
 ], ids=["stochastic", "exact"])
 def test_oracles_reject_a_negative_seed(build):
     # at construction, as SolverConfig does, not as an abort of the first evaluation
-    with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got -1$"):
+    with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
         build(_small_maxcut())
 
 

@@ -48,7 +48,7 @@ def test_model_rejects_nonfinite_eigenvalues():
     for lam in ([np.nan, 1.0], [np.inf, 1.0], [2.0, 1.0, -np.inf], [np.inf, np.inf, 1.0]):
         with pytest.raises(ValueError, match="eigenvalues must be finite"):
             SpectrumModel.from_lambdas(np.array(lam))
-    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+    with pytest.raises(ValueError, match="gamma must be finite and positive, got nan"):
         equal_gap_model(10, gamma=np.nan)
 
 
@@ -58,7 +58,7 @@ def test_model_rejects_nonfinite_eigenvalues():
     ({"multiplicity": -9}, "multiplicity must be at least 1, got -9"),
     ({"gamma": 0.0}, "gamma must be finite and positive, got 0.0"),
     ({"gamma": -1.0}, "gamma must be finite and positive, got -1.0"),
-    ({"gamma": np.inf}, "eigenvalues must be finite, got gamma=inf"),
+    ({"gamma": np.inf}, "gamma must be finite and positive, got inf"),
 ])
 def test_equal_gap_model_names_its_settings(kwargs, message):
     # a negative multiplicity must not index the spectrum from its end
@@ -69,21 +69,31 @@ def test_equal_gap_model_names_its_settings(kwargs, message):
 @pytest.mark.parametrize("call, error, message", [
     (lambda: tile_model(equal_gap_model(5, multiplicity=2), 2), ValueError,
      "n must exceed the top multiplicity 2"),
-    (lambda: classify_regime(equal_gap_model(10), 0.0), ValueError, "eps must be positive"),
-    (lambda: classify_regime(equal_gap_model(10), -1.0), ValueError, "eps must be positive"),
+    (lambda: classify_regime(equal_gap_model(10), 0.0), ValueError,
+     "eps must be finite and positive, got 0.0"),
+    (lambda: classify_regime(equal_gap_model(10), -1.0), ValueError,
+     "eps must be finite and positive, got -1.0"),
     # before t0_solve, not after 120 evaluations or as a RuntimeWarning
-    (lambda: classify_regime(equal_gap_model(10), math.nan), ValueError, "eps must be positive"),
-    (lambda: classify_regime(equal_gap_model(10), math.inf), ValueError, "eps must be positive"),
+    (lambda: classify_regime(equal_gap_model(10), math.nan), ValueError,
+     "eps must be finite and positive, got nan"),
+    (lambda: classify_regime(equal_gap_model(10), math.inf), ValueError,
+     "eps must be finite and positive, got inf"),
     # counts are integers: none is truncated
     (lambda: monte_carlo_gap(equal_gap_model, [100.6], lambda eps0, n: eps0, 200), ValueError,
      "n must be an integer, got 100.6"),
     (lambda: monte_carlo_gap(equal_gap_model, [100], lambda eps0, n: eps0, 200.9), ValueError,
      "trials must be an integer, got 200.9"),
+    # a spectrum holds two eigenvalues at least; a draw count is never negative
+    (lambda: monte_carlo_gap(equal_gap_model, [1, 100], lambda eps0, n: eps0, 200), ValueError,
+     "n must be at least 2, got 1"),
+    (lambda: sample_shifts(equal_gap_model(10), 1.0, -1, np.random.default_rng(0)), ValueError,
+     "trials must be at least 0, got -1"),
     (lambda: ScalingReport("sub", [], -1.0, 0.0, 1.0, 200, 0).row_for(100), KeyError, "100"),
     (lambda: SpectrumModel.from_lambdas([1.0, 2.0, 0.5]), ValueError,
      "eigenvalues must be in decreasing order"),
 ], ids=["tile_n", "regime_eps_0", "regime_eps_negative", "regime_eps_nan", "regime_eps_inf",
-        "sweep_n_float", "sweep_trials_float", "row_for_missing_n", "from_lambdas_increasing"])
+        "sweep_n_float", "sweep_trials_float", "sweep_n_one", "shifts_trials_negative",
+        "row_for_missing_n", "from_lambdas_increasing"])
 def test_phase_checks_name_the_fault(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -1,10 +1,12 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from eigsmooth.optimize import ExactEigOracle, StochasticOracle, _composite, softmax_smoothed
+from eigsmooth.phase import equal_gap_model, tile_model
 from eigsmooth.problems import (
     BallProblem,
     BoxProblem,
@@ -95,6 +97,24 @@ def test_load_rejects_nonpositive_selection(tmp_path):
         for n_select in (0, -1, -6):
             with pytest.raises(ValueError, match=f"n_select must be at least 1, got {n_select}"):
                 load_covariance(path, n_select)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda path: equal_gap_model(10.5), "n must be an integer, got 10.5"),
+    (lambda path: equal_gap_model(10, multiplicity=1.5), "multiplicity must be an integer, got 1.5"),
+    (lambda path: tile_model(equal_gap_model(5), 9.5), "n must be an integer, got 9.5"),
+    (lambda path: synthetic_covariance(10.5, np.random.default_rng(0)),
+     "n must be an integer, got 10.5"),
+    (lambda path: maxcut_problem(6.5, np.random.default_rng(0)), "n must be an integer, got 6.5"),
+    (lambda path: load_covariance(path, 2.5), "n_select must be an integer, got 2.5"),
+], ids=["equal_gap_n", "equal_gap_multiplicity", "tile_n", "synthetic_n", "maxcut_n",
+        "load_n_select"])
+def test_float_counts_are_named(tmp_path, call, message):
+    # a count is never truncated, nor does it reach numpy as a float
+    path = tmp_path / "cov.txt"
+    write_matrix(path, np.eye(4))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(path)
 
 
 # ------------------------------------------------------------------- DSPCA

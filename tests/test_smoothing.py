@@ -41,9 +41,9 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: SmoothingParams(eps=0.1, n=0), "n must be a positive integer"),
+    (lambda: SmoothingParams(eps=0.1, n=0), "n must be at least 1, got 0"),
     (lambda: gradient_oracle(np.eye(3), SmoothingParams(eps=0.1, n=3), 0, 1, (), 1e-9),
-     "q must be a positive integer"),
+     "q must be at least 1, got 0"),
     # counts are integers: none is truncated or parsed
     (lambda: SmoothingParams(eps=0.1, n=10, k=3.9), "k must be an integer, got 3.9"),
     (lambda: SmoothingParams(eps=0.1, n=10.7), "n must be an integer, got 10.7"),
@@ -52,8 +52,11 @@ def test_params_validation():
      "q must be an integer, got 2.5"),
     (lambda: StochasticOracle(None, SmoothingParams(eps=0.1, n=3), 2.5, 1, 1e-9),
      "q must be an integer, got 2.5"),
+    # at construction, not as an abort of a generic run's first evaluation
+    (lambda: StochasticOracle(None, SmoothingParams(eps=0.1, n=3), 0, 1, 1e-9),
+     "q must be at least 1, got 0"),
 ], ids=["params_n", "oracle_q", "params_k_float", "params_n_float", "params_strings",
-        "oracle_q_float", "stochastic_oracle_q_float"])
+        "oracle_q_float", "stochastic_oracle_q_float", "stochastic_oracle_q_zero"])
 def test_smoothing_checks_name_the_setting(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

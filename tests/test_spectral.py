@@ -340,7 +340,7 @@ def _copying_secular_shifts(lambdas, weights, scale):
     if lam.ndim != 1 or W.ndim != 2 or W.shape[1] != lam.shape[0]:
         raise ValueError("lambdas must be a 1-d array and weight rows of the same length")
     if not 0.0 < scale < np.inf:
-        raise ValueError("scale must be positive")
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
     if np.count_nonzero(W < 0.0):
         raise ValueError("weights must be nonnegative")
     if np.count_nonzero(lam[1:] > lam[:-1]):
@@ -432,11 +432,15 @@ _LAM = np.array([1.0, 0.0])
     (None, lambda path: lanczos_iteration_budget(10, 1.0), "rel_tol must lie in (0, 1)"),
     (None, lambda path: secular_shifts_batch(_LAM, np.ones((2, 3)), 0.1),
      "lambdas must be a 1-d array and weight rows of the same length"),
-    (None, lambda path: secular_shifts_batch(_LAM, np.ones((2, 2)), 0.0), "scale must be positive"),
-    (None, lambda path: secular_shifts_batch(_LAM, np.ones((2, 2)), -0.1), "scale must be positive"),
+    (None, lambda path: secular_shifts_batch(_LAM, np.ones((2, 2)), 0.0),
+     "scale must be finite and positive, got 0.0"),
+    (None, lambda path: secular_shifts_batch(_LAM, np.ones((2, 2)), -0.1),
+     "scale must be finite and positive, got -0.1"),
     # not after 120 evaluations, nor as a RuntimeWarning
-    (None, lambda path: secular_shifts_batch(_LAM, np.ones((2, 2)), np.nan), "scale must be positive"),
-    (None, lambda path: secular_shifts_batch(_LAM, np.ones((2, 2)), np.inf), "scale must be positive"),
+    (None, lambda path: secular_shifts_batch(_LAM, np.ones((2, 2)), np.nan),
+     "scale must be finite and positive, got nan"),
+    (None, lambda path: secular_shifts_batch(_LAM, np.ones((2, 2)), np.inf),
+     "scale must be finite and positive, got inf"),
     ("", lambda path: spectral._read_rows(path, header=False), "{path}: empty file"),
     ("\n  \n", lambda path: spectral._read_rows(path, header=True), "{path}: empty file"),
     ("1 2\n3 4\n", lambda path: spectral._table(path, spectral._read_rows(path, False), 3, 2),
