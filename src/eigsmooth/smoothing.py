@@ -6,9 +6,9 @@ which is differentiable with a gradient that is an expected rank-one
 projector. One realization costs k leading eigenpairs; averaging q
 independent realizations gives a gradient estimate with variance 1/q.
 
-The sampler, `gradient_oracle`, runs Lanczos on the operator
-q -> X q + (eps/n) z (z^T q), never formed: it is the library's one path
-to the perturbed eigenpairs.
+The sampler, `gradient_oracle`, runs Lanczos on this module's operator
+q -> X q + (eps/n) z (z^T q), never formed, the library's one path to
+the perturbed eigenpairs; the Krylov kernel sees only its product.
 
 Reproducibility: per-sample generators are derived from counter-based keys
 (run seed, iteration, sample index), so parallel sample evaluation is
@@ -73,6 +73,18 @@ class GradientEstimate:
         return self.vectors.shape[0]
 
 
+class _RankOneUpdate:
+    """X + scale * z z^T for `lanczos_leading`, applied as X q + scale * z (z^T q)."""
+
+    def __init__(self, X, scale, z):
+        self.shape, self.X, self.scale, self.z = X.shape, X, scale, z
+
+    def __matmul__(self, q):
+        w = self.X @ q
+        w += (self.scale * float(self.z @ q)) * self.z
+        return w
+
+
 def sample_rng(seed, *key):
     """Counter-based generator for (run seed, iteration, sample index, ...) keys."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key)))
@@ -82,21 +94,21 @@ def gradient_oracle(X, params, q, seed, key, lanczos_tol):
     """Average of q independent rank-one gradient samples at the matrix X.
 
     Sample l draws from ``sample_rng(seed, *key, l)`` its k noise vectors,
-    then the start vectors of its k Lanczos runs, the run for z on
-    X + (eps/n) z z^T to relative precision `lanczos_tol`; it keeps the
-    largest top eigenvalue (ties to the lowest index) and its unit vector.
-    The reduction runs in sample index order; the runs trust X's symmetry
-    and check its shape and finiteness. Cost: k eigenpair units per sample.
+    then the start vectors of its k Lanczos runs, the run for z on this
+    module's `_RankOneUpdate` X + (eps/n) z z^T to relative precision
+    `lanczos_tol`; it keeps the largest top eigenvalue (ties to the lowest
+    index) and its unit vector. The reduction runs in sample index order;
+    the runs trust X's symmetry and check its shape and finiteness. Cost: k
+    eigenpair units per sample.
     """
     _check_count("q", q, 1)
     if len(X) != params.n:
         raise ValueError(f"params.n={params.n} does not match matrix dimension {len(X)}")
-    values, vectors = np.empty(q), np.empty((q, params.n))
+    X, values, vectors = np.asarray(X, dtype=float), np.empty(q), np.empty((q, params.n))
     for l in range(q):
         gen = sample_rng(seed, *key, l)
         Z = gen.standard_normal((params.k, params.n))
-        pairs = [lanczos_leading(X, rel_tol=lanczos_tol, rng=gen, update=(params.scale, z))
-                 for z in Z]
+        pairs = [lanczos_leading(_RankOneUpdate(X, params.scale, z), lanczos_tol, rng=gen) for z in Z]
         best = pairs[int(np.argmax([p.value for p in pairs]))]
         values[l], vectors[l] = best.value, best.vector
     return GradientEstimate(vectors=vectors, value=float(values.mean()),

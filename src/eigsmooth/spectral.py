@@ -1,8 +1,8 @@
 """Dense symmetric spectral kernel.
 
-Leading eigenpairs by randomized Lanczos with restarts, full symmetric
-decompositions, and the rise of the top eigenvalue under rank-one updates
-through the secular equation.
+Leading eigenpairs by randomized Lanczos with restarts of any operator with
+a square `shape` and a product ``A @ q``, full symmetric decompositions, and
+the rise of the top eigenvalue under rank-one updates (secular equation).
 
 Every secular equation in the package (the phase lab's batches of weight
 rows, and its t0) goes through one row-vectorized solver. Its step is the
@@ -19,11 +19,11 @@ within `_SECULAR_MAX_ITER` = 120 evaluations.
 
 Every matrix is validated by the one `check_symmetric` where it enters,
 and handed back as is when exactly symmetric, so validation copies nothing;
-`lanczos_leading` trusts symmetry and tests each step's alpha for
-finiteness. Beside `check_symmetric` stand the one rule of every count (a
-size, a budget, a number of draws, a seed), `_check_count`, and of every
-scale (eps, a step scale, a radius, a gap), `check_finite_positive`; every
-module applies them where its inputs enter. Every data file (a matrix, a
+`lanczos_leading` trusts its operator's symmetry and tests each step's
+alpha for finiteness. Beside `check_symmetric` stand the one rule of every
+count (a size, a budget, a number of draws, a seed), `_check_count`, and of
+every scale (eps, a step scale, a radius, a gap), `check_finite_positive`;
+every module applies them where its inputs enter. Every data file (a matrix, a
 sample table, a spectrum) is parsed by the one reader `_read_rows` and
 shaped by `_table`; each fault names `path:line`. All routines are pure
 functions of their inputs plus an explicit seeded random stream, so they
@@ -116,8 +116,8 @@ def check_symmetric(X, tol=1e-12):
 
 def _check_count(name, value, minimum):
     """The rule of every count: an int or numpy integer of at least `minimum`,
-    never truncated from a float or parsed from a string. Returns `value`."""
-    if not isinstance(value, (int, np.integer)):
+    never a bool, truncated from a float or parsed from a string. Returns `value`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
@@ -225,49 +225,42 @@ def lanczos_iteration_budget(n, rel_tol):
     """Matrix-vector budget guaranteeing relative precision `rel_tol` with
     probability 1 - p, p = 0.01, from a uniform random start:
     ceil(log(n / p^2) / (4 sqrt(rel_tol)))."""
+    _check_count("n", n, 1)
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
     return int(math.ceil(math.log(n / _LANCZOS_FAIL_PROB**2) / (4.0 * math.sqrt(rel_tol))))
 
 
-def lanczos_leading(X, rel_tol, *, rng, update=None):
+def lanczos_leading(A, rel_tol, *, rng):
     """Leading eigenpair by Lanczos with full reorthogonalization.
 
-    The start vector is drawn uniformly on the sphere from the seeded
-    generator `rng`. An attempt takes at most
-    ``min(lanczos_iteration_budget(n, rel_tol), n)`` steps (failure
-    probability 0.01). The run is restarted with a fresh start vector on
-    stagnation (budget exhausted or premature breakdown without a converged
-    top pair), `_LANCZOS_ATTEMPTS` attempts in all. On success the Ritz
-    residual satisfies ``||A v - value v|| <= rel_tol * max(1, |value|)`` for
-    the operator A and the pair counts as one eigenvector unit.
+    The start vector is drawn uniformly on the sphere from the seeded `rng`.
+    An attempt takes at most ``min(lanczos_iteration_budget(n, rel_tol), n)``
+    steps (failure probability 0.01). The run is restarted with a fresh
+    start vector on stagnation (budget exhausted or premature breakdown
+    without a converged top pair), `_LANCZOS_ATTEMPTS` attempts in all. On
+    success the Ritz residual satisfies ``||A v - value v|| <= rel_tol *
+    max(1, |value|)`` and the pair counts as one eigenvector unit.
 
-    A is X, or with ``update=(scale, z)`` the operator ``X + scale * z z^T``,
-    applied as ``X q + scale * z (z^T q)`` and never formed. X's symmetry is
-    trusted; its shape and the update pair are checked up front, and a step
-    whose alpha is not finite raises ValueError. Breakdown is judged from the
-    tridiagonal alone; the workspace grows with the steps. At n = 1 the one
-    step breaks down at once and its 1 x 1 Ritz pair is the answer.
+    A is an n x n array or any symmetric operator with a square `shape`
+    whose ``A @ q`` returns a new vector. Its symmetry is trusted, its shape
+    is checked up front (a missing one fails), and a step whose alpha is
+    not finite raises ValueError. Breakdown is judged from the tridiagonal
+    alone; the workspace grows with the steps. At n = 1 the one step breaks
+    down at once and its 1 x 1 Ritz pair is the answer.
 
     Raises LanczosConvergenceError after `_LANCZOS_ATTEMPTS` failed
     attempts; never returns a silently unconverged answer.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {X.shape}")
-    if update is None:
-        scale, z = 0.0, None
-    else:
-        scale, z = update  # a tuple other than the pair fails to unpack
-        scale, z = float(scale), np.asarray(z, dtype=float)
-        if not 0.0 < scale < math.inf or z.shape != X.shape[:1] or not np.all(np.isfinite(z)):
-            raise ValueError(f"update must be (scale > 0, z of {X.shape[0]} finite entries)")
-    n = X.shape[0]
+    shape = getattr(A, "shape", ())
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    n = shape[0]
     # The Krylov space is the whole space after n steps; more cannot help.
     steps = min(lanczos_iteration_budget(n, rel_tol), n)
     total_matvecs = 0
     for _ in range(_LANCZOS_ATTEMPTS):
-        pair, used = _lanczos_attempt(X, scale, z, steps, rel_tol, rng)
+        pair, used = _lanczos_attempt(A, n, steps, rel_tol, rng)
         total_matvecs += used
         if pair is not None:
             pair.matvecs = total_matvecs
@@ -278,9 +271,8 @@ def lanczos_leading(X, rel_tol, *, rng, update=None):
     )
 
 
-def _lanczos_attempt(X, scale, z, steps, rel_tol, rng):
+def _lanczos_attempt(A, n, steps, rel_tol, rng):
     """At most `steps` <= n steps from a fresh start: (certified pair or None, matvecs)."""
-    n = X.shape[0]
     # Basis Q and tridiagonal T start at 32 columns and double when full; a
     # decoupled step (breakdown) leaves its coupling in T zero.
     cap = min(steps, 32)
@@ -298,9 +290,7 @@ def _lanczos_attempt(X, scale, z, steps, rel_tol, rng):
             cap = min(2 * cap, steps)
             Q, T = np.pad(Q, ((0, 0), (0, cap - j))), np.pad(T, (0, cap - j))
         Q[:, j] = q
-        w = X @ q
-        if z is not None:
-            w += (scale * float(z @ q)) * z
+        w = A @ q
         T[j, j] = alpha = float(q @ w)
         if not math.isfinite(alpha):  # before w -= alpha q could raise a RuntimeWarning
             raise ValueError("matrix entries must be finite")

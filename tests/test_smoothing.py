@@ -420,7 +420,8 @@ def test_gradient_oracle_matches_sequential_samples(path):
     for l in range(q):
         gen = sample_rng(21, *key, l)
         Z = gen.standard_normal((params.k, n))
-        pairs = [lanczos_leading(X, rel_tol=tol, rng=gen, update=(params.scale, z)) for z in Z]
+        pairs = [lanczos_leading(smoothing._RankOneUpdate(X, params.scale, z), rel_tol=tol, rng=gen)
+                 for z in Z]
         best = pairs[int(np.argmax([p.value for p in pairs]))]
         values.append(best.value)
         vectors.append(best.vector)

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigsmooth import spectral
+from eigsmooth.optimize import SolverConfig
+from eigsmooth.phase import equal_gap_model, sample_shifts
 from eigsmooth.problems import load_covariance
-from eigsmooth.smoothing import SmoothingParams
+from eigsmooth.smoothing import SmoothingParams, _RankOneUpdate
 from eigsmooth.spectral import (
     LanczosConvergenceError,
     SpectralError,
@@ -445,14 +447,34 @@ _LAM = np.array([1.0, 0.0])
     ("\n  \n", lambda path: spectral._read_rows(path, header=True), "{path}: empty file"),
     ("1 2\n3 4\n", lambda path: spectral._table(path, spectral._read_rows(path, False), 3, 2),
      "{path}: expected 3 rows of 2 values, found 2"),
+    # the size meets the count rule where it enters, not math.log
+    (None, lambda path: lanczos_iteration_budget(0, 0.1), "n must be at least 1, got 0"),
+    (None, lambda path: lanczos_leading(np.zeros((0, 0)), 0.1, rng=np.random.default_rng(0)),
+     "n must be at least 1, got 0"),
 ], ids=["budget_tol_0", "budget_tol_1", "batch_shape", "batch_scale_0", "batch_scale_negative",
-        "batch_scale_nan", "batch_scale_inf", "rows_empty", "rows_blank", "table_short"])
+        "batch_scale_nan", "batch_scale_inf", "rows_empty", "rows_blank", "table_short",
+        "budget_n_0", "lanczos_size_0"])
 def test_spectral_checks_name_the_fault(tmp_path, text, call, message):
     path = tmp_path / "data.txt"
     if text is not None:
         path.write_text(text)
     with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
         call(path)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SolverConfig(N=True, eps=0.1), "N must be an integer, got True"),
+    (lambda: SmoothingParams(eps=0.1, n=10, k=True), "k must be an integer, got True"),
+    (lambda: SolverConfig(N=5, eps=0.1, q=True), "q must be an integer, got True"),
+    (lambda: SolverConfig(N=5, eps=0.1, seed=False), "seed must be an integer, got False"),
+    (lambda: sample_shifts(equal_gap_model(5), 0.1, False, np.random.default_rng(0)),
+     "trials must be an integer, got False"),
+    (lambda: lanczos_iteration_budget(True, 0.1), "n must be an integer, got True"),
+], ids=["N", "k", "q", "seed", "trials", "size"])
+def test_counts_refuse_bool(call, message):
+    # bool subclasses int, but True is no count of 1 and False none of 0
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_secular_prepass_keeps_memory_off_the_weight_array():
@@ -734,7 +756,7 @@ def scaled_identity_update_cases(draw):
 def test_lanczos_update_matches_secular(case):
     X, z, scale, seed = case
     rel_tol = 1e-10
-    pair = lanczos_leading(X, rel_tol=rel_tol, rng=np.random.default_rng(seed), update=(scale, z))
+    pair = lanczos_leading(_RankOneUpdate(X, scale, z), rel_tol=rel_tol, rng=np.random.default_rng(seed))
     ref = rank_one_leading(full_eig(X), z, scale)
     tol = rel_tol * max(1.0, abs(ref.value))
     M = X + scale * np.outer(z, z)
@@ -757,21 +779,16 @@ def test_lanczos_update_rejects_bad_rank_one_term():
     X = np.diag([2.0, 1.0, 0.0])
     rng = np.random.default_rng(0)
     good = np.ones(3)
-    for scale, z in [(0.0, good), (-0.1, good), (np.inf, good), (np.nan, good),
-                     (0.1, np.ones(2)), (0.1, np.ones(4)), (0.1, np.array([1.0, np.nan, 0.0])),
-                     (0.1, np.array([1.0, np.inf, 0.0])), (0.1, np.ones((3, 1)))]:
-        with pytest.raises(ValueError):
-            lanczos_leading(X, 1e-8, rng=rng, update=(scale, z))
-    for update in [(0.1,), (0.1, good, 14.0, 6.0)]:  # only the pair (scale, z)
-        with pytest.raises(ValueError):
-            lanczos_leading(X, 1e-8, rng=rng, update=update)
-    for bad in (np.ones((3, 2)), np.ones(3)):  # X's shape is checked too, its symmetry trusted
+    for bad in (np.ones((3, 2)), np.ones(3)):  # the operator's shape is checked, its symmetry trusted
         with pytest.raises(ValueError, match="^expected a square matrix"):
-            lanczos_leading(bad, 1e-8, rng=rng, update=(0.1, good))
-    pair = lanczos_leading(X, rel_tol=1e-12, rng=rng, update=(0.5, good))
+            lanczos_leading(_RankOneUpdate(bad, 0.1, good), 1e-8, rng=rng)
+    # an input without a shape is no operator, and is not converted into one
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(\)$"):
+        lanczos_leading([[2.0, 0.0], [0.0, 1.0]], 1e-8, rng=rng)
+    pair = lanczos_leading(_RankOneUpdate(X, 0.5, good), rel_tol=1e-12, rng=rng)
     ref = full_eig(X + 0.5 * np.outer(good, good))
     assert abs(pair.value - ref.values[0]) <= 1e-10
-    one = lanczos_leading(np.array([[2.0]]), 1e-8, rng=rng, update=(0.5, np.array([3.0])))
+    one = lanczos_leading(_RankOneUpdate(np.array([[2.0]]), 0.5, np.array([3.0])), 1e-8, rng=rng)
     assert one.value == 2.0 + 0.5 * 9.0
 
 
@@ -780,13 +797,13 @@ def test_lanczos_one_by_one_takes_one_step(update):
     # n = 1 runs the Krylov loop: one product, an immediate breakdown, and a
     # 1 x 1 Ritz pair; the start vector's sign (+ at seed 3, - at seed 4) is
     # canonicalized away
-    X = np.array([[-1.1]])
+    operator = (lambda X: X) if update is None else (lambda X: _RankOneUpdate(X, *update))
     value = -1.1 if update is None else -1.1 + (0.3 * -0.7) * -0.7
     for seed in (3, 4):
-        pair = lanczos_leading(X, 1e-10, rng=np.random.default_rng(seed), update=update)
+        pair = lanczos_leading(operator(np.array([[-1.1]])), 1e-10, rng=np.random.default_rng(seed))
         assert (pair.value, pair.vector.tolist(), pair.matvecs) == (value, [1.0], 1)
     with pytest.raises(ValueError, match="^matrix entries must be finite$"):
-        lanczos_leading(np.array([[np.inf]]), 1e-10, rng=np.random.default_rng(0), update=update)
+        lanczos_leading(operator(np.array([[np.inf]])), 1e-10, rng=np.random.default_rng(0))
 
 
 # ------------------------------------------------- Lanczos golden values
@@ -829,12 +846,12 @@ _LANCZOS_GOLDEN = {
 def _golden_run(case, path):
     X, steps, scale, z_seed, seed = _golden_case(case)
     z = np.random.default_rng(z_seed).standard_normal(X.shape[0])
-    update = None if path == "plain" else (scale, z)
+    A = X if path == "plain" else _RankOneUpdate(X, scale, z)
     budget = spectral.lanczos_iteration_budget
     if steps is not None:  # this runs in a child process, without monkeypatch
         spectral.lanczos_iteration_budget = lambda n, rel_tol: steps
     try:
-        pair = lanczos_leading(X, 1e-10, rng=np.random.default_rng(seed), update=update)
+        pair = lanczos_leading(A, 1e-10, rng=np.random.default_rng(seed))
     finally:
         spectral.lanczos_iteration_budget = budget
     return pair.matvecs, pair.value.hex(), _bits(pair.vector)
@@ -852,6 +869,15 @@ def test_lanczos_golden_values(case, path, golden_runs):
     assert golden_runs[case, path] == _LANCZOS_GOLDEN[case, path]
 
 
+def test_lanczos_applies_any_operator_as_its_array():
+    # an object with only a square shape and a product takes the array's steps and bits
+    X, _, _, _, seed = _golden_case("long")
+    plain = type("PlainOperator", (), {"shape": X.shape, "__matmul__": lambda self, q: X @ q})()
+    runs = [lanczos_leading(A, 1e-10, rng=np.random.default_rng(seed)) for A in (X, plain)]
+    dense, wrapped = ((pair.matvecs, pair.value.hex(), _bits(pair.vector)) for pair in runs)
+    assert wrapped == dense
+
+
 def test_lanczos_workspace_grows_with_steps_taken():
     # 101 steps at n = 1600 under a budget of n steps: a workspace sized to the
     # budget (an n x n basis plus an (n+1)^2 tridiagonal) peaks at 41 MB.
@@ -860,7 +886,7 @@ def test_lanczos_workspace_grows_with_steps_taken():
     z = np.random.default_rng(3).standard_normal(n)
     tracemalloc.start()
     try:
-        pair = lanczos_leading(X, rel_tol=1e-6, rng=np.random.default_rng(4), update=(0.05 / n, z))
+        pair = lanczos_leading(_RankOneUpdate(X, 0.05 / n, z), rel_tol=1e-6, rng=np.random.default_rng(4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
