@@ -137,7 +137,9 @@ def _seed(cfg, args):
 
 def _build_problem(cfg, kind, n, seed, cov):
     """The config's problem; a dspca one on `cov` when a data file gave it."""
-    data_rng = sample_rng(seed, 9001)  # problem data stream, disjoint from the solver's
+    # The problem data's stream has a one-element key; every solver stream's
+    # key has two or more (evaluation key, sample index), so none meets it.
+    data_rng = sample_rng(seed, 9001)
     if kind == "maxcut":
         return maxcut_problem(n, data_rng, radius=cfg.float("radius"))
     A = synthetic_covariance(n, data_rng) if cov is None else cov
@@ -195,8 +197,6 @@ def _run_solver(cfg, seed):
 def _write_report(path, fields):
     with open(path, "w") as fh:
         for key, value in fields.items():
-            if isinstance(value, float):
-                value = repr(value)
             fh.write(f"{key} = {value}\n")
 
 

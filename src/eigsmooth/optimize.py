@@ -174,20 +174,12 @@ class RunResult:
     abort_reason: str | None = None
 
 
-def _composite(problem, point, value, F, w, q=1):
-    """Composite (value, gradient): value and pull_back(F, w) / q, plus the linear term's."""
-    lin, grad = problem.linear_grad(point), problem.pull_back(F, w)
-    if q != 1:
-        grad /= q  # in place, on pull_back's new sum; a factor weight 1/q would round it apart
-    value = value + problem.linear_value(point)
-    return value, (grad if np.ndim(lin) == 0 and lin == 0.0 else grad + lin)
-
-
 class StochasticOracle:
     """Smoothed value/gradient oracle for a matrix-valued composite problem.
 
     Each evaluation draws q independent smoothed samples at the mapped matrix
-    and hands their q eigenvectors to the problem's `pull_back` as factors.
+    and hands their mean value and q eigenvectors to the problem's
+    `composite`, which assembles the objective's value and gradient.
     Noise is keyed by (seed, *key, sample index). `problem.matrix(point)`
     must be exactly symmetric, as the built-in problems' are by construction;
     it goes to Lanczos as is, each pair to relative precision `lanczos_tol`.
@@ -203,13 +195,15 @@ class StochasticOracle:
     def evaluate(self, point, key):
         est = gradient_oracle(self.problem.matrix(point), self.params, self.q, seed=self.seed,
                               key=key, lanczos_tol=self.lanczos_tol)
-        value, grad = _composite(self.problem, point, est.value, est.vectors, None, est.q)
+        value, grad = self.problem.composite(point, est.value, est.vectors, q=est.q)
         return OracleEval(value=value, grad=grad, cost=est.cost_eigvecs)
 
 
 class ExactEigOracle:
     """Noise-free oracle: one leading eigenpair per evaluation (cost 1), by
-    Lanczos to relative precision 1e-9, whose vector is the gradient's factor."""
+    Lanczos to relative precision 1e-9, whose vector is the gradient's factor.
+    Its start comes from ``sample_rng(seed, *key, 0)``, sample 0 of the
+    evaluation, as a `StochasticOracle` sample's noise does."""
 
     def __init__(self, problem, seed):
         self.problem = problem
@@ -217,8 +211,8 @@ class ExactEigOracle:
 
     def evaluate(self, point, key):
         M = self.problem.matrix(point)  # exactly symmetric; Lanczos checks it is finite
-        pair = lanczos_leading(M, rel_tol=1e-9, rng=sample_rng(self.seed, *key))
-        value, grad = _composite(self.problem, point, pair.value, pair.vector[None], None)
+        pair = lanczos_leading(M, rel_tol=1e-9, rng=sample_rng(self.seed, *key, 0))
+        value, grad = self.problem.composite(point, pair.value, pair.vector[None])
         return OracleEval(value=value, grad=grad, cost=1.0)
 
 
@@ -538,7 +532,7 @@ def nesterov_smooth_baseline(problem, setup, eps, budget, true_obj_every=None):
             y = x + ((t - 2.0) / (t + 1.0)) * (x - x_prev) if t > 1 else x
             value, factors, weights, cost = _evaluate(softmax_smoothed, M := problem.matrix(y), mu)
             rec.cost += cost
-            value, grad = _composite(problem, y, value, factors, weights)
+            value, grad = problem.composite(y, value, factors, weights)
             del M, factors  # after the product: freed earlier, blocks get fresh pages; later, RSS
             x_next = setup.project(y - step * grad)
             del y, grad

@@ -176,17 +176,18 @@ class PhasePrediction:
     def _tail(self, z):
         return np.asarray(z)[self.model.multiplicity :]
 
-    def xi1(self, z):
-        base = self.model.gamma_gap + self.model.deltas
+    def _xi(self, z, base):
         return float(np.sum((self._tail(z) ** 2 - 1.0) / base)) / math.sqrt(self.model.n)
+
+    def xi1(self, z):
+        return self._xi(z, self.model.gamma_gap + self.model.deltas)
 
     def zeta1(self, z):
         base = self.model.gamma_gap + self.model.deltas
         return float(np.sum(self._tail(z) ** 2 / base**2)) / self.model.n
 
     def xi_at_t0(self, z):
-        base = self.t0 + self.model.gamma_gap + self.model.deltas
-        return float(np.sum((self._tail(z) ** 2 - 1.0) / base)) / math.sqrt(self.model.n)
+        return self._xi(z, self.t0 + self.model.gamma_gap + self.model.deltas)
 
     def zeta_at_t0(self):
         base = self.t0 + self.model.gamma_gap + self.model.deltas
@@ -199,13 +200,6 @@ class PhasePrediction:
             xi, zeta = self.xi1(z), self.zeta1(z)
             return (xi + math.sqrt(xi**2 + 4.0 * self.chi2_top(z) * zeta)) / (2.0 * zeta)
         return self.xi_at_t0(z) / self.zeta_at_t0()
-
-    def w2(self, z):
-        """Second-order sub-critical constant (the n^(-3/2) term); exposed for
-        diagnostics only, as detecting it needs trial counts beyond desk scale."""
-        if self.regime != "sub":
-            raise ValueError("the second-order constant is defined in the sub-critical regime")
-        return self.w1(z) * self.xi1(z) / (1.0 / self.eps - 1.0 / self.eps0)
 
 
 def classify_regime(model, eps):
@@ -258,12 +252,6 @@ class ScalingReport:
     r2: float
     trials: int
     seed: int
-
-    def row_for(self, n):
-        for row in self.rows:
-            if row.n == n:
-                return row
-        raise KeyError(n)
 
 
 def _regression(xs, ys):

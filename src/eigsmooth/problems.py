@@ -16,9 +16,11 @@ Both expose the composite-objective interface the solvers consume:
 eigenvalue is measured, `pull_back(F, w)` chain-rules a matrix gradient
 given as rank-one factors, sum_k w_k f_k f_k^T over the rows f_k of F (unit
 weights when w is None): the box problem forms that n x n sum, the ball
-problem only its diagonal sum_k w_k f_k^2 in O(kn). `linear_value` /
-`linear_grad` carry the affine term (0.0 for none); `prox_setup()` packages
-projection, diameter, and start point.
+problem only its diagonal sum_k w_k f_k^2 in O(kn). `composite(point,
+value, F, w, q)` is the one place the objective's value and gradient are
+assembled from a top value and those factors, the pull-back divided by q
+(the box has no linear term, the ball adds -1^T w); `prox_setup()`
+packages projection, diameter, and start point.
 
 Also here: covariance ingestion with top-variance coordinate selection, and
 a synthetic low-rank-plus-noise covariance reproducing the well-separated
@@ -44,6 +46,13 @@ __all__ = [
     "dspca_problem",
     "maxcut_problem",
 ]
+
+
+def _divided(G, q):
+    """G / q in place, on a pull-back's new sum; a factor weight 1/q would round it apart."""
+    if q != 1:
+        G /= q
+    return G
 
 
 @dataclass
@@ -76,11 +85,9 @@ class BoxProblem:
         H = F if w is None else F * np.sqrt(w)[:, None]
         return H.T @ H
 
-    def linear_value(self, X):
-        return 0.0
-
-    def linear_grad(self, X):
-        return 0.0
+    def composite(self, X, value, F, w=None, q=1):
+        """(value, gradient) at X: no linear term, so the gradient is the pull-back's own sum."""
+        return value, _divided(self.pull_back(F, w), q)
 
     @property
     def diameter(self):
@@ -124,11 +131,9 @@ class BallProblem:
     def pull_back(self, F, w=None):
         return (F * F).sum(axis=0) if w is None else w @ (F * F)
 
-    def linear_value(self, w):
-        return -float(np.sum(w))
-
-    def linear_grad(self, w):
-        return -np.ones(self.dim)
+    def composite(self, w, value, F, p=None, q=1):
+        """(value, gradient) at w, each with the linear term -1^T w's part."""
+        return value - float(np.sum(w)), _divided(self.pull_back(F, p), q) - 1.0
 
     @property
     def diameter(self):

@@ -60,8 +60,9 @@ class GradientEstimate:
     """Average of q rank-one gradient samples, kept as its factors.
 
     The gradient (1/q) sum_l v_l v_l^T over the rows of `vectors` is never
-    formed here: a problem's `pull_back(vectors)` sums it in the variable
-    space, divided by q after. `value` averages the sampled objective values.
+    formed here: a problem's `composite` sums it in the variable space by
+    `pull_back(vectors)`, divided by q after. `value` averages the sampled
+    objective values.
     """
 
     vectors: np.ndarray  # (q, n), one unit eigenvector per sample
@@ -86,8 +87,10 @@ class _RankOneUpdate:
 
 
 def sample_rng(seed, *key):
-    """Counter-based generator for (run seed, iteration, sample index, ...) keys."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key)))
+    """Counter-based generator for (run seed, iteration, sample index, ...) keys;
+    the seed and every key element follow the count rule, at least 0."""
+    key = tuple(_check_count("key", k, 0) for k in key)
+    return np.random.default_rng(np.random.SeedSequence(_check_count("seed", seed, 0), spawn_key=key))
 
 
 def gradient_oracle(X, params, q, seed, key, lanczos_tol):

@@ -329,7 +329,7 @@ _TRACE_GOLDEN = {
     "det_smooth_dspca": (
         dict(problem="dspca", algorithm="det_smooth", n=40, N=300, seed=5), "03274b3aab2f3c8c"),
     "subgrad_maxcut": (
-        dict(problem="maxcut", algorithm="subgrad", n=30, N=400, seed=3), "58000792ac7443aa"),
+        dict(problem="maxcut", algorithm="subgrad", n=30, N=400, seed=3), "334b333566427f2d"),
     "acsa_maxcut": (
         dict(problem="maxcut", algorithm="acsa", n=30, N=150, seed=7), "b5b552663b4b0215"),
 }

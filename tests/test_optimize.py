@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 
@@ -25,8 +26,8 @@ from eigsmooth.optimize import (
     write_trace,
 )
 from eigsmooth.problems import BallProblem, dspca_problem, maxcut_problem, synthetic_covariance
-from eigsmooth.smoothing import SmoothingParams
-from eigsmooth.spectral import symmetrize
+from eigsmooth.smoothing import SmoothingParams, sample_rng
+from eigsmooth.spectral import lanczos_leading, symmetrize
 
 from paper_checks import FunctionOracle, ball_reference
 
@@ -133,14 +134,8 @@ def test_singleton_feasible_set_is_fixed_point():
         def project(self, X):
             return X0.copy()
 
-        def pull_back(self, F, w=None):
-            return F.T @ F if w is None else (F.T * w) @ F
-
-        def linear_value(self, X):
-            return 0.0
-
-        def linear_grad(self, X):
-            return np.zeros((4, 4))
+        def composite(self, X, value, F, w=None, q=1):
+            return value, (F.T @ F if w is None else (F.T * w) @ F) / q
 
         def prox_setup(self):
             return ProxSetup(project=self.project, diameter=1.0, center=X0.copy())
@@ -680,6 +675,24 @@ def test_oracles_reject_a_negative_seed(build):
     # at construction, as SolverConfig does, not as an abort of the first evaluation
     with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
         build(_small_maxcut())
+
+
+def test_exact_oracle_stream_is_disjoint_from_the_data_stream(monkeypatch):
+    # the CLI draws its problem data from sample_rng(seed, 9001); a subgrad
+    # run's evaluation at key (9001,) must not start Lanczos from that stream
+    from eigsmooth import optimize
+
+    starts = []
+
+    def spy(M, rel_tol, *, rng):
+        starts.append(copy.deepcopy(rng).standard_normal(M.shape[0]))
+        return lanczos_leading(M, rel_tol, rng=rng)
+
+    monkeypatch.setattr(optimize, "lanczos_leading", spy)
+    prob = _small_maxcut()
+    ExactEigOracle(prob, seed=5).evaluate(prob.center(), (9001,))
+    assert not np.array_equal(starts[0], sample_rng(5, 9001).standard_normal(prob.dim))
+    assert np.array_equal(starts[0], sample_rng(5, 9001, 0).standard_normal(prob.dim))
 
 
 def test_generic_runs_need_explicit_gammas():

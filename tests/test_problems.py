@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eigsmooth.optimize import ExactEigOracle, StochasticOracle, _composite, softmax_smoothed
+from eigsmooth.optimize import ExactEigOracle, StochasticOracle, softmax_smoothed
 from eigsmooth.phase import equal_gap_model, tile_model
 from eigsmooth.problems import (
     BallProblem,
@@ -294,10 +294,10 @@ def test_composite_sampled_gradient_sums():
     # 1^T (grad_w + 1) = trace of the averaged estimate = 1
     assert np.sum(ev.grad + 1.0) == pytest.approx(1.0, abs=1e-12)
     assert ev.cost == 4 * params.k  # q*k samples
-    # the kernel's estimate on the mapped matrix, plus the linear term
+    # the kernel's estimate on the mapped matrix, plus the linear term -1^T w
     est = gradient_oracle(prob.matrix(w), params, 4, seed=13, key=(0,), lanczos_tol=1e-6)
-    assert ev.value == est.value + prob.linear_value(w)
-    assert np.array_equal(ev.grad, prob.pull_back(est.vectors) / 4 + prob.linear_grad(w))
+    assert ev.value == est.value - float(np.sum(w))
+    assert np.array_equal(ev.grad, prob.pull_back(est.vectors) / 4 - 1.0)
 
 
 def test_composite_sampled_envelope():
@@ -328,11 +328,11 @@ def test_composite_gradient_skips_a_zero_linear_term():
         return sums[-1]
 
     box.pull_back = pull_back
-    value, grad = _composite(box, np.zeros((6, 6)), 0.5, F, None, 2)
+    value, grad = box.composite(np.zeros((6, 6)), 0.5, F, q=2)
     assert grad is sums[0]  # no n x n copy for the box
     assert value == 0.5 and np.array_equal(grad, (F.T @ F) / 2)
     ball = maxcut_problem(6, rng)
-    value, grad = _composite(ball, np.zeros(6), 0.5, F, None, 2)
+    value, grad = ball.composite(np.zeros(6), 0.5, F, q=2)
     assert value == 0.5 and np.array_equal(grad, np.sum(F * F, axis=0) / 2 - 1.0)
 
 
@@ -362,7 +362,7 @@ def test_box_gradient_from_sample_factors_is_the_dense_average_bit_for_bit(n):
     for q in range(1, 7):
         V = rng.standard_normal((q, n))
         V /= np.linalg.norm(V, axis=1, keepdims=True)
-        assert np.array_equal(_composite(box, X, 0.0, V, None, q)[1], _dense_sample_average(V))
+        assert np.array_equal(box.composite(X, 0.0, V, q=q)[1], _dense_sample_average(V))
 
 
 @pytest.mark.parametrize("q", range(1, 7))
@@ -388,7 +388,7 @@ def test_box_gradient_from_softmax_factors_is_the_dense_gradient_to_rounding(n):
     X = box.project(0.05 * symmetrize(np.random.default_rng(n + 1).standard_normal((n, n))))
     mu = 0.05 / math.log(n)
     value, F, p, _ = softmax_smoothed(box.matrix(X), mu)
-    grad = _composite(box, X, value, F, p)[1]
+    grad = box.composite(X, value, F, p)[1]
     assert np.array_equal(grad, grad.T)
     assert _relative_frobenius(grad, _dense_softmax_gradient(box.matrix(X), mu)) <= 1e-14
 
@@ -446,7 +446,7 @@ def test_ball_gradient_is_the_dense_diagonal_to_rounding():
         V /= np.linalg.norm(V, axis=1, keepdims=True)
         dense = np.diag(_dense_sample_average(V))
         if q == 1:  # the dense diagonal plus the linear term's gradient
-            assert np.array_equal(_composite(ball, w, 0.0, V, None)[1], dense + ball.linear_grad(w))
+            assert np.array_equal(ball.composite(w, 0.0, V)[1], dense - 1.0)
         assert np.allclose(ball.pull_back(V) / q, dense, rtol=q * eps, atol=0)
     mu = 0.05 / math.log(n)
     _, F, p, _ = softmax_smoothed(ball.matrix(w), mu)
@@ -467,7 +467,7 @@ def test_ball_evaluation_allocates_no_n_by_n_gradient(kind):
         kernel = lambda M: gradient_oracle(M, params, q, seed=1, key=key, lanczos_tol=1e-6)
     else:
         oracle = ExactEigOracle(ball, seed=1)
-        kernel = lambda M: lanczos_leading(M, rel_tol=1e-9, rng=sample_rng(1, *key))
+        kernel = lambda M: lanczos_leading(M, rel_tol=1e-9, rng=sample_rng(1, *key, 0))
     oracle.evaluate(w, key)  # warm numpy's caches
     build, base = ball.matrix, {}
 

@@ -9,6 +9,7 @@ import pytest
 
 from eigsmooth import smoothing
 from eigsmooth.optimize import StochasticOracle
+from eigsmooth.phase import equal_gap_model, monte_carlo_gap
 from eigsmooth.problems import dspca_problem, synthetic_covariance
 from eigsmooth.smoothing import SmoothingParams, gradient_oracle, lipschitz_bound, sample_rng, smoothing_constant
 from eigsmooth.spectral import full_eig, lanczos_leading, symmetrize
@@ -55,8 +56,23 @@ def test_params_validation():
     # at construction, not as an abort of a generic run's first evaluation
     (lambda: StochasticOracle(None, SmoothingParams(eps=0.1, n=3), 0, 1, 1e-9),
      "q must be at least 1, got 0"),
+    # every stream applies the count rule to its seed and key, where it is made
+    (lambda: monte_carlo_gap(equal_gap_model, [100], lambda eps0, n: eps0, 200, seed=-1),
+     "seed must be at least 0, got -1"),
+    (lambda: gradient_oracle(np.eye(3), SmoothingParams(eps=0.1, n=3), 1, -1, (0,), 1e-9),
+     "seed must be at least 0, got -1"),
+    (lambda: gradient_oracle(np.eye(3), SmoothingParams(eps=0.1, n=3), 1, 1.5, (0,), 1e-9),
+     "seed must be an integer, got 1.5"),
+    (lambda: monte_carlo_gap(equal_gap_model, [100], lambda eps0, n: eps0, 200, seed=True),
+     "seed must be an integer, got True"),
+    # a key element is not truncated: (1.7,) is not the stream of (1,)
+    (lambda: gradient_oracle(np.eye(3), SmoothingParams(eps=0.1, n=3), 1, 1, (1.7,), 1e-9),
+     "key must be an integer, got 1.7"),
+    (lambda: sample_rng(0, 2, -1), "key must be at least 0, got -1"),
 ], ids=["params_n", "oracle_q", "params_k_float", "params_n_float", "params_strings",
-        "oracle_q_float", "stochastic_oracle_q_float", "stochastic_oracle_q_zero"])
+        "oracle_q_float", "stochastic_oracle_q_float", "stochastic_oracle_q_zero",
+        "sweep_seed_negative", "oracle_seed_negative", "oracle_seed_float", "sweep_seed_bool",
+        "oracle_key_float", "key_negative"])
 def test_smoothing_checks_name_the_setting(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -158,17 +158,15 @@ def test_lanczos_clustered_top():
 
 
 class _FirstDrawRng:
-    """Wraps a generator, replacing the first standard_normal draw."""
+    """Wraps a generator, replacing its first standard_normal draws."""
 
-    def __init__(self, first, rng):
-        self.first = first
+    def __init__(self, rng, *first):
+        self.first = list(first)
         self.rng = rng
-        self.used = False
 
     def standard_normal(self, n):
-        if not self.used:
-            self.used = True
-            return np.asarray(self.first, dtype=float)
+        if self.first:
+            return np.asarray(self.first.pop(0), dtype=float)
         return self.rng.standard_normal(n)
 
 
@@ -182,7 +180,7 @@ def test_lanczos_restart_recovers_from_bad_start(monkeypatch):
     X = np.diag(vals)
     bad = rng.standard_normal(n)
     bad[0] = 1e-8
-    wrapped = _FirstDrawRng(bad, rng)
+    wrapped = _FirstDrawRng(rng, bad)
     pair = lanczos_leading(X, rel_tol=1e-10, rng=wrapped)
     assert abs(pair.value - 2.0) <= 1e-9
     assert pair.matvecs > 14  # first attempt was spent
@@ -197,9 +195,35 @@ def test_lanczos_survives_eigenvector_start():
     X = np.diag(vals)
     e2 = np.zeros(n)
     e2[1] = 1.0
-    wrapped = _FirstDrawRng(e2, rng)
+    wrapped = _FirstDrawRng(rng, e2)
     pair = lanczos_leading(X, rel_tol=1e-10, rng=wrapped)
     assert abs(pair.value - 2.0) <= 1e-9
+
+
+def test_lanczos_restarts_when_the_fresh_direction_has_no_norm_left():
+    # An eigenvector start breaks down at once; a fresh direction inside the
+    # spanned subspace leaves nothing to continue from, so the attempt hands
+    # back after its one product and the restart is the plain run's.
+    n = 40
+    X = np.diag(np.concatenate(([2.0], np.linspace(0.5, 0.0, n - 1))))
+    e2 = np.zeros(n)
+    e2[1] = 1.0
+    pair = lanczos_leading(X, rel_tol=1e-10, rng=_FirstDrawRng(np.random.default_rng(40), e2, e2))
+    plain = lanczos_leading(X, rel_tol=1e-10, rng=np.random.default_rng(40))
+    assert pair.matvecs == 1 + plain.matvecs
+    assert pair.value == plain.value == pytest.approx(2.0, abs=1e-9)
+    assert np.array_equal(pair.vector, plain.vector)
+
+
+def test_lanczos_breakdown_at_the_last_step_restarts_then_raises():
+    # Below rounding no residual certifies: each attempt spans the whole
+    # space, breaks down at its last budgeted step and hands back, and the
+    # run raises after its attempts rather than return the uncertified pair.
+    rng = np.random.default_rng(5)
+    X = symmetrize(rng.standard_normal((5, 5)))
+    message = f"after {spectral._LANCZOS_ATTEMPTS} attempts of 5 iterations (n=5)"
+    with pytest.raises(LanczosConvergenceError, match=re.escape(message)):
+        lanczos_leading(X, rel_tol=1e-300, rng=rng)
 
 
 def test_lanczos_explicit_failure(monkeypatch):
