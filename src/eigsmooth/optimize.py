@@ -129,10 +129,16 @@ class SolverConfig:
         for name in ("gamma_max", "gamma_min"):
             if getattr(self, name) is not None:
                 check_finite_positive(name, getattr(self, name))
-        if not 0.0 < self.oracle_tol < 1.0:
-            raise ValueError(f"oracle_tol must lie in (0, 1), got {self.oracle_tol!r}")
+        _check_tolerance("oracle_tol", self.oracle_tol)
         if None not in (self.gamma_min, self.gamma_max) and self.gamma_min > self.gamma_max:
             raise ValueError("gamma_min <= gamma_max must hold when both are set")
+
+
+def _check_tolerance(name, value):
+    """The rule of a relative precision handed to Lanczos: inside (0, 1), so NaN fails too."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+    return value
 
 
 def _check_run_length(N, true_obj_every):
@@ -190,7 +196,7 @@ class StochasticOracle:
         self.params = params
         self.q = _check_count("q", q, 1)
         self.seed = int(_check_count("seed", seed, 0))
-        self.lanczos_tol = lanczos_tol
+        self.lanczos_tol = _check_tolerance("lanczos_tol", lanczos_tol)
 
     def evaluate(self, point, key):
         est = gradient_oracle(self.problem.matrix(point), self.params, self.q, seed=self.seed,
@@ -228,6 +234,7 @@ def line_search_exit(value_md, grad_md, value_next, displacement, gamma):
     True iff  Psi(x_ag', xi') <= Psi(x_md, xi) + <G, x_ag' - x_md>
               + (GAMMA_D / (4 gamma)) ||x_ag' - x_md||^2.
     """
+    check_finite_positive("gamma", gamma)
     delta = np.asarray(displacement, dtype=float)
     dist = float(np.linalg.norm(delta.ravel()))
     rhs = (
@@ -241,6 +248,7 @@ def line_search_exit(value_md, grad_md, value_next, displacement, gamma):
 def expected_gap_bound(n, eps, k, diameter, N, q):
     """Expected-accuracy bound of the plain accelerated stochastic method:
     8 n C_k D^2 / (eps N (N+2)) + 4 sqrt(2) D / sqrt(N q)."""
+    check_finite_positive("eps", eps)
     ck = smoothing_constant(k)
     return (
         8.0 * n * ck * diameter**2 / (eps * N * (N + 2.0))
@@ -252,6 +260,7 @@ def coarse_gap_bound(L, diameter, N, sigma2, gamma_max, gamma_min, t_gamma, mu):
     """Coarse expected-accuracy bound of the line-search variant, with
     rho_N = (T_gamma + 2)^3 / (N + 2)^3 amplifying the noise term while the
     search is active."""
+    check_finite_positive("gamma_min", gamma_min)
     rho = (t_gamma + 2.0) ** 3 / (N + 2.0) ** 3
     noise = math.sqrt(sigma2)
     return (
@@ -386,25 +395,32 @@ def _acsa_engine(problem, oracle, setup, config, gamma_min, gamma):
         try:
             w_md = 2.0 / (t + 1.0)
             w_ag = (t - 1.0) / (t + 1.0)
-            x_md = w_md * x + w_ag * x_ag
+            x_md = w_md * x
+            x_md += w_ag * x_ag
             ev = _evaluate(oracle.evaluate, x_md, (t,))
             rec.cost += ev.cost
             trial = gamma
             while True:
                 gamma_t = (t + 1.0) * trial / 2.0
                 x_next = prox_map_euclidean(setup, x, gamma_t * ev.grad)
-                # same combination as x_md, written so x_ag_next == x_next
-                # exactly whenever the two points coincide (singleton sets)
-                x_ag_next = x_next + w_ag * (x_ag - x_next)
+                # x_next + w_ag (x_ag - x_next), the same combination as x_md,
+                # written so x_ag_next == x_next exactly whenever the two
+                # points coincide (singleton sets)
+                x_ag_next = x_ag - x_next
+                x_ag_next *= w_ag
+                x_ag_next += x_next
                 if trial <= gamma_min:
                     break
                 ev_next = _evaluate(oracle.evaluate, x_ag_next, (t + 1,))
                 rec.cost += ev_next.cost
-                if line_search_exit(ev.value, ev.grad, ev_next.value, x_ag_next - x_md, trial):
+                value_next = ev_next.value
+                del ev_next  # the exit test reads the candidate's value only
+                if line_search_exit(ev.value, ev.grad, value_next, x_ag_next - x_md, trial):
                     break
+                del x_next, x_ag_next  # a rejected candidate is gone before the next trial
                 trial = max(gamma_min, trial * GAMMA_D)
             value = ev.value
-            del x_md, ev  # the monitor sees no more live n x n arrays than after the update
+            del x_md, ev  # the row's monitor sees x, x_ag and the two new iterates only
             rec.row(t, x_ag_next, value, trial)
             x, x_ag, gamma = x_next, x_ag_next, trial
             t_gamma = t if gamma > gamma_min else t_gamma
@@ -524,17 +540,27 @@ def nesterov_smooth_baseline(problem, setup, eps, budget, true_obj_every=None):
     L = 1.0 / mu
     step = 1.0 / L
     x = np.array(setup.center, dtype=float, copy=True)
-    x_prev = x.copy()
+    x_prev = x  # read from t = 2 on
     rec = _Recorder(problem, budget, true_obj_every)
     error = None
     for t in range(1, budget + 1):
         try:
-            y = x + ((t - 2.0) / (t + 1.0)) * (x - x_prev) if t > 1 else x
-            value, factors, weights, cost = _evaluate(softmax_smoothed, M := problem.matrix(y), mu)
+            y = x
+            if t > 1:  # x + ((t - 2)/(t + 1)) (x - x_prev), built in one array
+                y = x - x_prev
+                y *= (t - 2.0) / (t + 1.0)
+                y += x
+            M = problem.matrix(y)
+            # x_prev goes before the decomposition, which then sees x, y and M only, and
+            # after M's build; M and the factors go after the product. Freed earlier,
+            # each makes the loop fault in more fresh pages (x_prev: about a quarter).
+            del x_prev
+            value, factors, weights, cost = _evaluate(softmax_smoothed, M, mu)
             rec.cost += cost
             value, grad = problem.composite(y, value, factors, weights)
-            del M, factors  # after the product: freed earlier, blocks get fresh pages; later, RSS
-            x_next = setup.project(y - step * grad)
+            del M, factors
+            grad *= step  # the prox point y - step * grad, in the gradient's own buffer
+            x_next = setup.project(np.subtract(y, grad, out=grad))
             del y, grad
             rec.row(t, x_next, value)
             x_prev, x = x, x_next

@@ -222,6 +222,7 @@ def sample_shifts(model, eps, trials, rng):
     the squared Gaussian mass on the leading eigenspace (whose (eps/n)
     multiple is an almost-sure lower bound on T).
     """
+    check_finite_positive("eps", eps)
     W = rng.standard_normal((_check_count("trials", trials, 0), model.n))
     np.square(W, out=W)
     shifts = secular_shifts_batch(model.lambdas, W, eps / model.n)

@@ -120,7 +120,9 @@ class BallProblem:
         return self.C.shape[0]
 
     def matrix(self, w):
-        return self.C + np.diag(w)
+        M = self.C.copy()  # C + diag(w) in one n x n array: w lands on the diagonal
+        M.reshape(-1)[:: self.dim + 1] += w
+        return M
 
     def project(self, w):
         norm = float(np.linalg.norm(w))

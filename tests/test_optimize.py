@@ -1,6 +1,7 @@
 import copy
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -652,6 +653,26 @@ def test_config_validation():
     assert SolverConfig(N=np.int64(5), eps=0.1, seed=np.uint32(2)).N == 5  # numpy integers count
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: line_search_exit(1.0, np.ones(2), 1.0, np.ones(2), 0.0),
+     "gamma must be finite and positive, got 0.0"),
+    (lambda: line_search_exit(1.0, np.ones(2), 1.0, np.ones(2), math.nan),
+     "gamma must be finite and positive, got nan"),
+    (lambda: expected_gap_bound(100, 0.0, 3, 1.0, 10, 2), "eps must be finite and positive, got 0.0"),
+    (lambda: expected_gap_bound(100, -0.05, 3, 1.0, 10, 2),
+     "eps must be finite and positive, got -0.05"),
+    (lambda: coarse_gap_bound(10.0, 1.0, 100, 0.5, 0.1, 0.0, 20, 0.15),
+     "gamma_min must be finite and positive, got 0.0"),
+    (lambda: coarse_gap_bound(10.0, 1.0, 100, 0.5, 0.1, math.inf, 20, 0.15),
+     "gamma_min must be finite and positive, got inf"),
+], ids=["exit_gamma_0", "exit_gamma_nan", "plain_bound_eps_0", "plain_bound_eps_negative",
+        "coarse_bound_gamma_min_0", "coarse_bound_gamma_min_inf"])
+def test_exit_test_and_bounds_name_their_scale(call, message):
+    # each scale by its own name where it enters, not a bare ZeroDivisionError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_solver_config_derives_q_from_eps():
     # unset, q = max(1, ceil(0.1 / eps)) samples per oracle call, and 1 unsmoothed
     assert SolverConfig(N=5, eps=0.05).q == 2
@@ -927,6 +948,52 @@ def test_det_baseline_descends():
     res = nesterov_smooth_baseline(prob, prob.prox_setup(), eps=0.05, budget=60, true_obj_every=1)
     assert res.trace[-1].obj_true < res.trace[0].obj_true
     assert res.best_objective < 1.0  # below the unperturbed top eigenvalue
+
+
+def _linesearch_iterations(n):
+    # a ceiling far above the theory step: the first trials are rejected
+    prob = dspca_problem(synthetic_covariance(n, np.random.default_rng(1)))
+    config = SolverConfig(N=3, eps=0.05, q=2, seed=0, gamma_max=1.0, gamma_min=1e-3,
+                          true_obj_every=3)
+    setup = prob.prox_setup()
+    return lambda: acsa_linesearch_run(prob, None, setup, config)
+
+
+def _det_smooth_iterations(n):
+    prob = dspca_problem(synthetic_covariance(n, np.random.default_rng(1)))
+    setup = prob.prox_setup()
+    return lambda: nesterov_smooth_baseline(prob, setup, 0.05, 4, true_obj_every=4)
+
+
+def _ball_matrix(n):
+    ball = maxcut_problem(n, np.random.default_rng(2))
+    w = ball.project(np.random.default_rng(3).standard_normal(n))
+    return lambda: ball.matrix(w)
+
+
+@pytest.mark.parametrize("build, n, arrays", [
+    # x, x_ag, x_md and its gradient, then the prox's scaled gradient, its
+    # point and the projection; or, at a candidate's evaluation, x_next,
+    # x_ag_next and the matrix A + x_ag_next in place of the prox's three
+    (_linesearch_iterations, 200, 7),
+    # x, y, A + y and the decomposition's vectors, reordered in a copy
+    (_det_smooth_iterations, 200, 5),
+    # n x n bytes below numpy's 256 KB temporary-elision size, where a sum's
+    # temporary operand is never reused for its result
+    (_ball_matrix, 100, 1),
+], ids=["linesearch", "det_smooth", "ball_matrix"])
+def test_loops_hold_only_the_arrays_their_arithmetic_needs(build, n, arrays):
+    # Peak traced bytes (numpy reports its allocations to tracemalloc) in n x n
+    # arrays; the half array of slack holds the Lanczos vectors and the like.
+    run = build(n)
+    run()  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (arrays + 0.5) * n * n * 8
 
 
 # ------------------------------------------------------------- trace I/O

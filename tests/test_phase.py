@@ -89,9 +89,16 @@ def test_equal_gap_model_names_its_settings(kwargs, message):
      "trials must be at least 0, got -1"),
     (lambda: SpectrumModel.from_lambdas([1.0, 2.0, 0.5]), ValueError,
      "eigenvalues must be in decreasing order"),
+    # the caller's eps by its own name, not the secular scale eps / n
+    (lambda: sample_shifts(equal_gap_model(10), 0.0, 5, np.random.default_rng(0)), ValueError,
+     "eps must be finite and positive, got 0.0"),
+    (lambda: sample_shifts(equal_gap_model(10), -1.0, 5, np.random.default_rng(0)), ValueError,
+     "eps must be finite and positive, got -1.0"),
+    (lambda: sample_shifts(equal_gap_model(10), math.nan, 5, np.random.default_rng(0)), ValueError,
+     "eps must be finite and positive, got nan"),
 ], ids=["tile_n", "regime_eps_0", "regime_eps_negative", "regime_eps_nan", "regime_eps_inf",
         "sweep_n_float", "sweep_trials_float", "sweep_n_one", "shifts_trials_negative",
-        "from_lambdas_increasing"])
+        "from_lambdas_increasing", "shifts_eps_0", "shifts_eps_negative", "shifts_eps_nan"])
 def test_phase_checks_name_the_fault(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -69,10 +69,18 @@ def test_params_validation():
     (lambda: gradient_oracle(np.eye(3), SmoothingParams(eps=0.1, n=3), 1, 1, (1.7,), 1e-9),
      "key must be an integer, got 1.7"),
     (lambda: sample_rng(0, 2, -1), "key must be at least 0, got -1"),
+    # SolverConfig's oracle_tol rule, at construction, not as a generic run's abort
+    (lambda: StochasticOracle(None, SmoothingParams(eps=0.1, n=3), 2, 0, 2.0),
+     "lanczos_tol must lie in (0, 1), got 2.0"),
+    (lambda: StochasticOracle(None, SmoothingParams(eps=0.1, n=3), 2, 0, 0.0),
+     "lanczos_tol must lie in (0, 1), got 0.0"),
+    (lambda: StochasticOracle(None, SmoothingParams(eps=0.1, n=3), 2, 0, np.nan),
+     "lanczos_tol must lie in (0, 1), got nan"),
 ], ids=["params_n", "oracle_q", "params_k_float", "params_n_float", "params_strings",
         "oracle_q_float", "stochastic_oracle_q_float", "stochastic_oracle_q_zero",
         "sweep_seed_negative", "oracle_seed_negative", "oracle_seed_float", "sweep_seed_bool",
-        "oracle_key_float", "key_negative"])
+        "oracle_key_float", "key_negative", "stochastic_oracle_tol_above_1",
+        "stochastic_oracle_tol_zero", "stochastic_oracle_tol_nan"])
 def test_smoothing_checks_name_the_setting(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
