@@ -35,7 +35,8 @@ import numpy as np
 from .smoothing import (
     SmoothingParams, gradient_oracle, lipschitz_bound, sample_rng, smoothing_constant,
 )
-from .spectral import SpectralError, _check_count, check_finite_positive, full_eig, lanczos_leading
+from .spectral import (SpectralError, _check_count, _check_tolerance, check_finite_positive,
+                       full_eig, lanczos_leading)
 
 __all__ = [
     "ProxSetup",
@@ -134,13 +135,6 @@ class SolverConfig:
             raise ValueError("gamma_min <= gamma_max must hold when both are set")
 
 
-def _check_tolerance(name, value):
-    """The rule of a relative precision handed to Lanczos: inside (0, 1), so NaN fails too."""
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
-    return value
-
-
 def _check_run_length(N, true_obj_every):
     """The counts every solver loop shares: a budget `N` of at least one
     iteration, and a trace cadence unset or at least 1."""
@@ -222,10 +216,11 @@ class ExactEigOracle:
         return OracleEval(value=value, grad=grad, cost=1.0)
 
 
-def prox_map_euclidean(setup, x, y):
-    """Prox mapping for omega = ||.||^2/2: argmin_z y.(z - x) + ||z - x||^2/2,
-    i.e. the Euclidean projection of x - y onto the feasible set."""
-    return setup.project(x - y)
+def prox_map_euclidean(setup, x, g, step):
+    """Prox step for omega = ||.||^2/2: argmin_z step g.(z - x) + ||z - x||^2/2, the projection
+    of x - step g, formed in one new array (step g, then x minus it); `g` is not written."""
+    y = step * g
+    return setup.project(np.subtract(x, y, out=y))
 
 
 def line_search_exit(value_md, grad_md, value_next, displacement, gamma):
@@ -402,7 +397,7 @@ def _acsa_engine(problem, oracle, setup, config, gamma_min, gamma):
             trial = gamma
             while True:
                 gamma_t = (t + 1.0) * trial / 2.0
-                x_next = prox_map_euclidean(setup, x, gamma_t * ev.grad)
+                x_next = prox_map_euclidean(setup, x, ev.grad, gamma_t)
                 # x_next + w_ag (x_ag - x_next), the same combination as x_md,
                 # written so x_ag_next == x_next exactly whenever the two
                 # points coincide (singleton sets)
@@ -492,7 +487,7 @@ def subgradient_baseline(problem, setup, budget, seed=0, true_obj_every=None):
             x_next = x
             if gnorm > 0.0:
                 step = setup.diameter / (gnorm * math.sqrt(t))
-                x_next = setup.project(x - step * ev.grad)
+                x_next = prox_map_euclidean(setup, x, ev.grad, step)
             del ev
             improved = value < best
             rec.row(t, x if improved else best_x, value)
@@ -559,8 +554,7 @@ def nesterov_smooth_baseline(problem, setup, eps, budget, true_obj_every=None):
             rec.cost += cost
             value, grad = problem.composite(y, value, factors, weights)
             del M, factors
-            grad *= step  # the prox point y - step * grad, in the gradient's own buffer
-            x_next = setup.project(np.subtract(y, grad, out=grad))
+            x_next = prox_map_euclidean(setup, y, grad, step)
             del y, grad
             rec.row(t, x_next, value)
             x_prev, x = x, x_next

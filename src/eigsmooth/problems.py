@@ -226,6 +226,5 @@ def maxcut_problem(n, rng, radius=None):
     """
     _check_count("n", n, 2)
     G = rng.standard_normal((n, n))
-    C = G.T @ G
     radius = float(radius) if radius is not None else float(n)
-    return BallProblem(C=C / np.linalg.eigvalsh(C)[-1], radius=radius)
+    return BallProblem(C=_normalize_spectral(G.T @ G), radius=radius)

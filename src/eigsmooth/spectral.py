@@ -17,17 +17,17 @@ The kernel's limits are constants: a Lanczos run makes at most
 rank-one secular solve runs to relative precision `_SECULAR_TOL` = 1e-13
 within `_SECULAR_MAX_ITER` = 120 evaluations.
 
-Every matrix is validated by the one `check_symmetric` where it enters,
-and handed back as is when exactly symmetric, so validation copies nothing;
-`lanczos_leading` trusts its operator's symmetry and tests each step's
-alpha for finiteness. Beside `check_symmetric` stand the one rule of every
-count (a size, a budget, a number of draws, a seed), `_check_count`, and of
-every scale (eps, a step scale, a radius, a gap), `check_finite_positive`;
-every module applies them where its inputs enter. Every data file (a matrix, a
-sample table, a spectrum) is parsed by the one reader `_read_rows` and
-shaped by `_table`; each fault names `path:line`. All routines are pure
-functions of their inputs plus an explicit seeded random stream, so they
-are safe to call concurrently.
+Every matrix is validated by the one `check_symmetric` where it enters, and
+handed back as is when exactly symmetric, so validation copies nothing;
+`lanczos_leading` trusts its operator's symmetry and tests each step's alpha
+for finiteness. Beside `check_symmetric` stand the one rule of every count (a
+size, a budget, a number of draws, a seed), `_check_count`, of every scale
+(eps, a step scale, a radius, a gap), `check_finite_positive`, and of every
+relative precision handed to Lanczos, `_check_tolerance`; every module applies
+them where its inputs enter. Every data file (a matrix, a sample table, a
+spectrum) is parsed by the one reader `_read_rows` and shaped by `_table`;
+each fault names `path:line`. All routines are pure functions of their inputs
+plus an explicit seeded random stream, so they are safe to call concurrently.
 
 Cost accounting: every leading eigenpair produced counts as one
 "eigenvector unit" regardless of how many matrix-vector products it took;
@@ -130,6 +130,13 @@ def check_finite_positive(name, value):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _check_tolerance(name, value):
+    """The rule of a relative precision handed to Lanczos: inside (0, 1), so NaN fails too."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+    return value
+
+
 def _read_rows(path, header):
     """The one data-file reader: each non-blank line of `path` as (line number,
     values). With `header` the first line's values are positive integers; every
@@ -226,8 +233,7 @@ def lanczos_iteration_budget(n, rel_tol):
     probability 1 - p, p = 0.01, from a uniform random start:
     ceil(log(n / p^2) / (4 sqrt(rel_tol)))."""
     _check_count("n", n, 1)
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError("rel_tol must lie in (0, 1)")
+    _check_tolerance("rel_tol", rel_tol)
     return int(math.ceil(math.log(n / _LANCZOS_FAIL_PROB**2) / (4.0 * math.sqrt(rel_tol))))
 
 
@@ -309,7 +315,8 @@ def _lanczos_attempt(A, n, steps, rel_tol, rng):
             theta, s = float(ritz[-1]), S[:, -1]
             if abs(beta * s[-1]) <= rel_tol * max(1.0, abs(theta)):
                 vec = Q[:, :span] @ s
-                vec /= math.copysign(np.linalg.norm(vec), vec[np.argmax(vec != 0.0)])
+                vec /= np.linalg.norm(vec)
+                _canonical_sign(vec)
                 return EigPair(value=theta, vector=vec), span
         if beta <= breakdown:
             if span == steps:

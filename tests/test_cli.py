@@ -246,6 +246,24 @@ def test_solve_malformed_data_file_is_not_a_setting(tmp_path, capsys):
     assert "cov.txt:2: non-numeric entry" in capsys.readouterr().err
 
 
+def test_verbose_reraises_all_but_config_errors(tmp_path, monkeypatch):
+    # EIGSMOOTH_VERBOSE lets a failure escape main with its traceback; a config
+    # error is still exit 2, and without the variable the failure is exit 1
+    data = tmp_path / "cov.txt"
+    data.write_text("2\n1.0 x\n0.0 1.0\n")
+    cfg = write_config(tmp_path / "c.txt", problem="dspca", algorithm="det_smooth", n=2, N=3,
+                       seed=1, data_path=data)
+    bad = write_config(tmp_path / "bad.txt", problem="maxcut", n=4, N=3)  # no seed
+    for verbose in ("", "1"):
+        monkeypatch.setenv("EIGSMOOTH_VERBOSE", verbose)
+        assert main(["solve", "--config", bad, "--out", str(tmp_path)]) == 2
+        if verbose:
+            with pytest.raises(ValueError, match="cov.txt:2: non-numeric entry"):
+                main(["solve", "--config", cfg, "--out", str(tmp_path)])
+        else:
+            assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+
 # Malformed data files: each is no setting (exit 1) and is named with its
 # line, or alone (line None) where the fault is the whole file's.
 _MALFORMED_DATA = {

@@ -47,8 +47,9 @@ def box_setup(n, half):
 def test_prox_box_clamps():
     setup = box_setup(3, 1.0)
     x = np.zeros(3)
-    y = np.array([2.0, 0.0, 0.0])
-    assert np.array_equal(prox_map_euclidean(setup, x, y), [-1.0, 0.0, 0.0])
+    g = np.array([2.0, 0.0, 0.0])
+    assert np.array_equal(prox_map_euclidean(setup, x, g, 1.5), [-1.0, 0.0, 0.0])
+    assert np.array_equal(g, [2.0, 0.0, 0.0])  # the gradient is not written
 
 
 def test_prox_ball_interior_unchanged():
@@ -60,7 +61,7 @@ def test_prox_ball_interior_unchanged():
     )
     x = np.array([0.3, -0.2, 0.1, 0.0])
     y = np.array([0.1, 0.1, -0.1, 0.2])
-    assert np.allclose(prox_map_euclidean(setup, x, y), x - y)
+    assert np.allclose(prox_map_euclidean(setup, x, y, 1.0), x - y)
 
 
 def test_prox_argmin_property():
@@ -68,9 +69,9 @@ def test_prox_argmin_property():
     setup = box_setup(5, 1.0)
     for _ in range(100):
         x = setup.project(rng.uniform(-1, 1, 5))
-        y = rng.standard_normal(5)
-        z = prox_map_euclidean(setup, x, y)
-        obj = lambda p: float(y @ (p - x) + 0.5 * np.sum((p - x) ** 2))
+        y, step = rng.standard_normal(5), rng.uniform(0.1, 2.0)
+        z = prox_map_euclidean(setup, x, y, step)
+        obj = lambda p: float(step * y @ (p - x) + 0.5 * np.sum((p - x) ** 2))
         best = obj(z)
         for _ in range(50):
             cand = setup.project(rng.uniform(-1, 1, 5))
@@ -168,8 +169,8 @@ def test_iterates_feasible_and_md_combination_exact(monkeypatch):
     calls = []
     prox, evaluate = optimize.prox_map_euclidean, optimize.StochasticOracle.evaluate
 
-    def prox_spy(setup, x, y):
-        out = prox(setup, x, y)
+    def prox_spy(setup, x, g, step):
+        out = prox(setup, x, g, step)
         calls.append(("prox", x.copy(), out.copy()))
         return out
 
@@ -385,32 +386,24 @@ def test_linesearch_floor_on_noiseless_quadratic():
 
 def test_line_search_never_steps_below_its_floor(monkeypatch):
     # gamma_max / gamma_min = 1 / 0.3 is no power of 2, so the shrink that
-    # crosses the floor must land on it. Spies recover each step's scale from
-    # its prox argument gamma_t * G, gamma_t = (t + 1) gamma / 2, where G is
-    # the latest gradient at key (t,); with a row per iteration, each monitor
-    # call closes an iteration.
+    # crosses the floor must land on it. A spy recovers each step's scale from
+    # its prox step gamma_t = (t + 1) gamma / 2; with a row per iteration,
+    # each monitor call closes an iteration.
     from eigsmooth import optimize
 
     prob = _small_maxcut(n=8)
-    grads, steps, t = {}, [], [1]
-    prox, evaluate = optimize.prox_map_euclidean, optimize.StochasticOracle.evaluate
+    steps, t = [], [1]
+    prox = optimize.prox_map_euclidean
 
-    def evaluate_spy(self, point, key):
-        ev = evaluate(self, point, key)
-        grads[key] = ev.grad
-        return ev
-
-    def prox_spy(setup, x, y):
-        g = grads[(t[0],)]
-        steps.append((t[0], 2.0 * float(np.vdot(y, g) / np.vdot(g, g)) / (t[0] + 1.0)))
-        return prox(setup, x, y)
+    def prox_spy(setup, x, g, step):
+        steps.append((t[0], 2.0 * step / (t[0] + 1.0)))
+        return prox(setup, x, g, step)
 
     def monitor_spy(point):
         t[0] += 1
         return type(prob).true_objective(prob, point)
 
     monkeypatch.setattr(optimize, "prox_map_euclidean", prox_spy)
-    monkeypatch.setattr(optimize.StochasticOracle, "evaluate", evaluate_spy)
     monkeypatch.setattr(prob, "true_objective", monitor_spy)
     config = SolverConfig(N=10, eps=0.1, q=2, seed=5, gamma_max=1.0, gamma_min=0.3,
                           true_obj_every=1)
@@ -815,6 +808,39 @@ def test_coarse_bound_rho_term():
 # ------------------------------------------------------------- baselines
 
 
+def test_baselines_take_the_shared_prox_step(monkeypatch):
+    # both baselines step through the engine's prox: the soft-max one once per
+    # iteration with step mu = eps / log n, the subgradient one once per
+    # iteration whose gradient is nonzero, with step D / (||g|| sqrt(t))
+    from eigsmooth import optimize
+
+    calls = []
+    prox = optimize.prox_map_euclidean
+
+    def prox_spy(setup, x, g, step):
+        calls.append((np.linalg.norm(g.ravel()), step))
+        return prox(setup, x, g, step)
+
+    monkeypatch.setattr(optimize, "prox_map_euclidean", prox_spy)
+    prob = dspca_problem(synthetic_covariance(10, np.random.default_rng(21)))
+    res = nesterov_smooth_baseline(prob, prob.prox_setup(), eps=0.1, budget=7)
+    assert res.iterations == 7
+    assert [step for _, step in calls] == pytest.approx([0.1 / math.log(10)] * 7, rel=1e-12)
+    calls.clear()
+    prob = _small_maxcut(n=10, seed=16)
+    setup = prob.prox_setup()
+    res = subgradient_baseline(prob, setup, budget=20, seed=17)
+    assert res.iterations == 20 and len(calls) == 20
+    assert [step for _, step in calls] == pytest.approx(
+        [setup.diameter / (gnorm * math.sqrt(t)) for t, (gnorm, _) in enumerate(calls, 1)],
+        rel=1e-12)
+    calls.clear()
+    # at n = 1 the ball's gradient v^2 - 1 is zero, so no iteration steps
+    prob = BallProblem(C=np.eye(1), radius=1.0)
+    res = subgradient_baseline(prob, prob.prox_setup(), budget=5, seed=17)
+    assert res.iterations == 5 and calls == []
+
+
 def test_subgradient_singleton_fixed_point():
     prob = BallProblem(C=np.eye(3), radius=1e-12)
     setup = prob.prox_setup()
@@ -972,9 +998,9 @@ def _ball_matrix(n):
 
 
 @pytest.mark.parametrize("build, n, arrays", [
-    # x, x_ag, x_md and its gradient, then the prox's scaled gradient, its
-    # point and the projection; or, at a candidate's evaluation, x_next,
-    # x_ag_next and the matrix A + x_ag_next in place of the prox's three
+    # x, x_ag, x_md and its gradient, then, at a candidate's evaluation,
+    # x_next, x_ag_next and the matrix A + x_ag_next; the prox holds two in
+    # their place, its point and the projection
     (_linesearch_iterations, 200, 7),
     # x, y, A + y and the decomposition's vectors, reordered in a copy
     (_det_smooth_iterations, 200, 5),

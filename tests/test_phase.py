@@ -209,18 +209,20 @@ def test_prediction_statistics_match_definitions():
     assert pred.zeta_at_t0() == pytest.approx((49 / 50) / base**2)
 
 
-@pytest.mark.parametrize("factor, bounds", [(1.0, (0.03, 0.01)), (2.0, (0.15, 0.04))])
+@pytest.mark.parametrize("factor, bounds", [(1.0, (0.03, 0.01)), (2.0, (0.15, 0.04)),
+                                            (0.5, (0.03, 0.007))])
 def test_w1_is_the_leading_term_per_draw(factor, bounds):
-    # Critical: sqrt(n) T -> W1. Super-critical: sqrt(n) (T - t0) -> W1. The
-    # median gap falls with n (about 4x from n = 400 to 6400, with median |W1|
-    # about 0.8 and 1.9); the bounds are about twice the gaps measured here.
+    # Critical: sqrt(n) T -> W1. Super-critical: sqrt(n) (T - t0) -> W1.
+    # Sub-critical: n T -> W1. The median gap falls with n (about 4x from
+    # n = 400 to 6400, with median |W1| about 0.8, 1.9 and 0.45); the bounds
+    # are about twice the gaps measured here.
     gaps = []
     for n, bound in zip((400, 6400), bounds):
         m = equal_gap_model(n)
         pred = classify_regime(m, factor * eps_critical(m))
         Z = np.random.default_rng(0).standard_normal((200, n))
         T = secular_shifts_batch(m.lambdas, Z**2, pred.eps / n)
-        lead = math.sqrt(n) * (T - (pred.t0 or 0.0))
+        lead = n * T if pred.regime == "sub" else math.sqrt(n) * (T - (pred.t0 or 0.0))
         gaps.append(np.median(np.abs(lead - [pred.w1(z) for z in Z])))
         assert gaps[-1] <= bound
     assert gaps[1] <= 0.5 * gaps[0]

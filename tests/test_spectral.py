@@ -454,8 +454,8 @@ _LAM = np.array([1.0, 0.0])
 
 
 @pytest.mark.parametrize("text, call, message", [
-    (None, lambda path: lanczos_iteration_budget(10, 0.0), "rel_tol must lie in (0, 1)"),
-    (None, lambda path: lanczos_iteration_budget(10, 1.0), "rel_tol must lie in (0, 1)"),
+    (None, lambda path: lanczos_iteration_budget(10, 0.0), "rel_tol must lie in (0, 1), got 0.0"),
+    (None, lambda path: lanczos_iteration_budget(10, 1.0), "rel_tol must lie in (0, 1), got 1.0"),
     (None, lambda path: secular_shifts_batch(_LAM, np.ones((2, 3)), 0.1),
      "lambdas must be a 1-d array and weight rows of the same length"),
     (None, lambda path: secular_shifts_batch(_LAM, np.ones((2, 2)), 0.0),
