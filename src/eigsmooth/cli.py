@@ -238,8 +238,6 @@ def cmd_solve(args):
         "trace": trace_path.name,  # the trace sits next to the report
         "completed": "true" if not result.aborted else "false",
     }
-    if result.gap_bound is not None:
-        fields["gap_bound"] = repr(float(result.gap_bound))
     if result.t_gamma is not None:
         fields["t_gamma"] = result.t_gamma
     if result.aborted:

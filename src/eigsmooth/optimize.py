@@ -32,9 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smoothing import (
-    SmoothingParams, gradient_oracle, lipschitz_bound, sample_rng, smoothing_constant,
-)
+from .smoothing import SmoothingParams, gradient_oracle, lipschitz_bound, sample_rng
 from .spectral import (SpectralError, _check_count, _check_tolerance, check_finite_positive,
                        full_eig, lanczos_leading)
 
@@ -53,8 +51,6 @@ __all__ = [
     "subgradient_baseline",
     "nesterov_smooth_baseline",
     "softmax_smoothed",
-    "expected_gap_bound",
-    "coarse_gap_bound",
     "write_trace",
     "read_trace",
     "TRACE_HEADER",
@@ -169,7 +165,6 @@ class RunResult:
     iterations: int
     gamma_final: float | None = None
     t_gamma: int | None = None
-    gap_bound: float | None = None
     aborted: bool = False
     abort_reason: str | None = None
 
@@ -238,31 +233,6 @@ def line_search_exit(value_md, grad_md, value_next, displacement, gamma):
         + (GAMMA_D / (4.0 * gamma)) * dist**2
     )
     return value_next <= rhs
-
-
-def expected_gap_bound(n, eps, k, diameter, N, q):
-    """Expected-accuracy bound of the plain accelerated stochastic method:
-    8 n C_k D^2 / (eps N (N+2)) + 4 sqrt(2) D / sqrt(N q)."""
-    check_finite_positive("eps", eps)
-    ck = smoothing_constant(k)
-    return (
-        8.0 * n * ck * diameter**2 / (eps * N * (N + 2.0))
-        + 4.0 * math.sqrt(2.0) * diameter / math.sqrt(N * q)
-    )
-
-
-def coarse_gap_bound(L, diameter, N, sigma2, gamma_max, gamma_min, t_gamma, mu):
-    """Coarse expected-accuracy bound of the line-search variant, with
-    rho_N = (T_gamma + 2)^3 / (N + 2)^3 amplifying the noise term while the
-    search is active."""
-    check_finite_positive("gamma_min", gamma_min)
-    rho = (t_gamma + 2.0) ** 3 / (N + 2.0) ** 3
-    noise = math.sqrt(sigma2)
-    return (
-        8.0 * L * diameter**2 / N**2
-        + 8.0 * diameter * noise / math.sqrt(N) * (gamma_max / gamma_min * rho + 1.0 - rho)
-        + (t_gamma + 2.0) ** 2 * gamma_max * mu / (N**2 * 2.0 * gamma_min)
-    )
 
 
 def _run_source(problem, oracle, config):
@@ -427,12 +397,11 @@ def _acsa_engine(problem, oracle, setup, config, gamma_min, gamma):
 
 def acsa_run(problem, oracle, setup, config):
     """Plain accelerated stochastic method with the deterministic step scale
-    derived from the (down-scaled) Lipschitz bound; logs the expected-gap
-    bound alongside the result. It takes exactly one of `problem` and
-    `oracle`, else ValueError: a problem is smoothed, so its eps must be
-    positive; a generic run (problem None) evaluates the caller's oracle. An
-    explicitly set config.gamma_min overrides the derived scale, and is the
-    only option for a generic run."""
+    derived from the (down-scaled) Lipschitz bound. It takes exactly one of
+    `problem` and `oracle`, else ValueError: a problem is smoothed, so its
+    eps must be positive; a generic run (problem None) evaluates the
+    caller's oracle. An explicitly set config.gamma_min overrides the
+    derived scale, and is the only option for a generic run."""
     oracle, L = _run_source(problem, oracle, config)
     if config.gamma_min is not None:
         gamma = config.gamma_min
@@ -440,29 +409,18 @@ def acsa_run(problem, oracle, setup, config):
         gamma = _plain_gamma(setup, config, L)
     else:
         raise ValueError("set 'gamma_min' explicitly when no smoothed problem defines the scale")
-    result = _acsa_engine(problem, oracle, setup, config, gamma, gamma)
-    if L is not None:
-        result.gap_bound = expected_gap_bound(
-            problem.dim, config.eps, config.k, setup.diameter, config.N, config.q,
-        )
-    return result
+    return _acsa_engine(problem, oracle, setup, config, gamma, gamma)
 
 
 def acsa_linesearch_run(problem, oracle, setup, config):
     """Adaptive variant: the step scale starts at gamma_max and shrinks by
     GAMMA_D on every failed exit test, floored at gamma_min, after which the
     search is disabled; records T_gamma, the last iteration that ended above
-    the floor, and logs the coarse expected-accuracy bound. As in `acsa_run`, it takes exactly
-    one of `problem`, which it smooths, and the `oracle` of a generic run."""
+    the floor. As in `acsa_run`, it takes exactly one of `problem`, which it
+    smooths, and the `oracle` of a generic run."""
     oracle, L = _run_source(problem, oracle, config)
     gamma_min, gamma_max = _resolve_ladder(config, L)
-    result = _acsa_engine(problem, oracle, setup, config, gamma_min, gamma_max)
-    if L is not None:
-        result.gap_bound = coarse_gap_bound(
-            L, setup.diameter, config.N, 1.0 / config.q, gamma_max, gamma_min,
-            result.t_gamma, config.k * config.eps,
-        )
-    return result
+    return _acsa_engine(problem, oracle, setup, config, gamma_min, gamma_max)
 
 
 def subgradient_baseline(problem, setup, budget, seed=0, true_obj_every=None):

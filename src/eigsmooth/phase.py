@@ -15,9 +15,8 @@ changes scale at the critical level eps0 defined by
 
 The lab computes eps0 and t0, classifies the regime with its predicted
 scaling exponent of the leading term, and verifies the scaling empirically:
-T is sampled through the secular equation (no dense eigensolves), medians
-are regressed on log n, and per-draw statistics are exposed for
-distribution-level checks. Medians rather than means: the sub-critical
+T is sampled through the secular equation (no dense eigensolves), and
+medians are regressed on log n. Medians rather than means: the sub-critical
 constant involves a chi-square with few degrees of freedom, whose heavy
 tail destabilizes mean-based slope estimates at desk-scale trial counts.
 """
@@ -158,8 +157,7 @@ class PhasePrediction:
 
     `predicted_order` is the exponent of n in the leading term of T: -1
     (sub-critical), -1/2 (critical), or 0 (super-critical, where T tends to
-    the constant t0). The per-draw statistics evaluate the constants on a
-    concrete Gaussian vector z.
+    the constant t0, which is None in the other regimes).
     """
 
     regime: str
@@ -168,38 +166,6 @@ class PhasePrediction:
     t0: float | None
     predicted_order: float
     model: SpectrumModel
-
-    def chi2_top(self, z):
-        """Squared norm of z on the leading eigenspace coordinates."""
-        return float(np.sum(np.asarray(z)[: self.model.multiplicity] ** 2))
-
-    def _tail(self, z):
-        return np.asarray(z)[self.model.multiplicity :]
-
-    def _xi(self, z, base):
-        return float(np.sum((self._tail(z) ** 2 - 1.0) / base)) / math.sqrt(self.model.n)
-
-    def xi1(self, z):
-        return self._xi(z, self.model.gamma_gap + self.model.deltas)
-
-    def zeta1(self, z):
-        base = self.model.gamma_gap + self.model.deltas
-        return float(np.sum(self._tail(z) ** 2 / base**2)) / self.model.n
-
-    def xi_at_t0(self, z):
-        return self._xi(z, self.t0 + self.model.gamma_gap + self.model.deltas)
-
-    def zeta_at_t0(self):
-        base = self.t0 + self.model.gamma_gap + self.model.deltas
-        return float(np.sum(1.0 / base**2)) / self.model.n
-
-    def w1(self, z):
-        if self.regime == "sub":
-            return self.chi2_top(z) / (1.0 / self.eps - 1.0 / self.eps0)
-        if self.regime == "critical":
-            xi, zeta = self.xi1(z), self.zeta1(z)
-            return (xi + math.sqrt(xi**2 + 4.0 * self.chi2_top(z) * zeta)) / (2.0 * zeta)
-        return self.xi_at_t0(z) / self.zeta_at_t0()
 
 
 def classify_regime(model, eps):

@@ -3,7 +3,8 @@
 The library samples the eigenpairs of X + (eps/n) z z^T by Lanczos on the
 implicit operator (`smoothing.gradient_oracle`). The fixtures here solve
 them by the secular equation on a full decomposition of X instead, with the
-eigenvector rebuilt analytically (Bunch, Nielsen & Sorensen 1978).
+eigenvector rebuilt analytically (Bunch, Nielsen & Sorensen 1978). So are
+AC-SA's a priori gap bounds (Lan 2012) and the phase theorem's W1 per draw.
 """
 from __future__ import annotations
 
@@ -12,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eigsmooth.optimize import OracleEval
-from eigsmooth.spectral import EigPair, SpectralDecomp, _canonical_sign, full_eig, secular_shifts_batch
+from eigsmooth.optimize import OracleEval, ProxSetup, nesterov_smooth_baseline
+from eigsmooth.smoothing import smoothing_constant
+from eigsmooth.spectral import (EigPair, SpectralDecomp, _canonical_sign, check_finite_positive,
+                                full_eig, secular_shifts_batch)
 
 
 def _rank_one_top(decomp, Z, scale):
@@ -253,3 +256,86 @@ def ball_reference(problem, levels=18, points=13):
         return mesh * factor
 
     return _grid_refine(evaluate, np.zeros(n), float(problem.radius), levels, points, clamp)
+
+
+DET_STAGES = (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6)
+
+
+def det_reference(prob, stages, per_stage):
+    """(solution, best objective, cost) of det_smooth warm-started through the eps `stages`."""
+    setup = prob.prox_setup()
+    x = setup.center
+    best = np.inf
+    cost = 0.0
+    for eps_s in stages:
+        warm = ProxSetup(project=setup.project, diameter=setup.diameter, center=x)
+        res = nesterov_smooth_baseline(prob, warm, eps_s, per_stage, true_obj_every=per_stage)
+        x = res.solution
+        best = min(best, prob.true_objective(x))
+        cost += res.total_eigvecs
+    return x, best, cost
+
+
+def expected_gap_bound(n, eps, k, diameter, N, q):
+    """Expected-accuracy bound of the plain accelerated stochastic method:
+    8 n C_k D^2 / (eps N (N+2)) + 4 sqrt(2) D / sqrt(N q)."""
+    check_finite_positive("eps", eps)
+    ck = smoothing_constant(k)
+    return (
+        8.0 * n * ck * diameter**2 / (eps * N * (N + 2.0))
+        + 4.0 * math.sqrt(2.0) * diameter / math.sqrt(N * q)
+    )
+
+
+def coarse_gap_bound(L, diameter, N, sigma2, gamma_max, gamma_min, t_gamma, mu):
+    """Coarse expected-accuracy bound of the line-search variant, with
+    rho_N = (T_gamma + 2)^3 / (N + 2)^3 amplifying the noise term while the
+    search is active."""
+    check_finite_positive("gamma_min", gamma_min)
+    rho = (t_gamma + 2.0) ** 3 / (N + 2.0) ** 3
+    noise = math.sqrt(sigma2)
+    return (
+        8.0 * L * diameter**2 / N**2
+        + 8.0 * diameter * noise / math.sqrt(N) * (gamma_max / gamma_min * rho + 1.0 - rho)
+        + (t_gamma + 2.0) ** 2 * gamma_max * mu / (N**2 * 2.0 * gamma_min)
+    )
+
+
+def chi2_top(pred, z):
+    """Squared norm of z on the leading eigenspace coordinates."""
+    return float(np.sum(np.asarray(z)[: pred.model.multiplicity] ** 2))
+
+
+def _tail(pred, z):
+    return np.asarray(z)[pred.model.multiplicity :]
+
+
+def _xi(pred, z, base):
+    return float(np.sum((_tail(pred, z) ** 2 - 1.0) / base)) / math.sqrt(pred.model.n)
+
+
+def xi1(pred, z):
+    return _xi(pred, z, pred.model.gamma_gap + pred.model.deltas)
+
+
+def zeta1(pred, z):
+    base = pred.model.gamma_gap + pred.model.deltas
+    return float(np.sum(_tail(pred, z) ** 2 / base**2)) / pred.model.n
+
+
+def xi_at_t0(pred, z):
+    return _xi(pred, z, pred.t0 + pred.model.gamma_gap + pred.model.deltas)
+
+
+def zeta_at_t0(pred):
+    base = pred.t0 + pred.model.gamma_gap + pred.model.deltas
+    return float(np.sum(1.0 / base**2)) / pred.model.n
+
+
+def w1(pred, z):
+    if pred.regime == "sub":
+        return chi2_top(pred, z) / (1.0 / pred.eps - 1.0 / pred.eps0)
+    if pred.regime == "critical":
+        xi, zeta = xi1(pred, z), zeta1(pred, z)
+        return (xi + math.sqrt(xi**2 + 4.0 * chi2_top(pred, z) * zeta)) / (2.0 * zeta)
+    return xi_at_t0(pred, z) / zeta_at_t0(pred)

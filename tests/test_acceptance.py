@@ -26,9 +26,11 @@ from eigsmooth.smoothing import SmoothingParams, lipschitz_bound, smoothing_cons
 from eigsmooth.spectral import full_eig, symmetrize
 
 from paper_checks import (
+    DET_STAGES,
     FunctionOracle,
     ball_reference,
     box_reference,
+    det_reference,
     extremal_direction,
     fk_value,
     fk_values_batch,
@@ -245,24 +247,6 @@ def test_criterion_6_line_search_behavior():
 # ---------------------------------------------------------------------- 7
 
 
-def _det_reference(prob, stages, per_stage):
-    setup = prob.prox_setup()
-    x = setup.center
-    best = np.inf
-    cost = 0.0
-    for eps_s in stages:
-        warm = ProxSetup(project=setup.project, diameter=setup.diameter, center=x)
-        res = nesterov_smooth_baseline(prob, warm, eps_s, per_stage,
-                                       true_obj_every=per_stage)
-        x = res.solution
-        best = min(best, prob.true_objective(x))
-        cost += res.total_eigvecs
-    return x, best, cost
-
-
-DET_STAGES = (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6)
-
-
 def test_criterion_7_solver_correctness_desk_scale():
     start = time.time()
     # the deterministic reference protocol is validated against a dense grid
@@ -270,11 +254,11 @@ def test_criterion_7_solver_correctness_desk_scale():
     rng = np.random.default_rng(1000)
     prob4 = maxcut_problem(4, rng)
     _, grid4 = ball_reference(prob4, levels=60, points=13)
-    _, det4, _ = _det_reference(prob4, DET_STAGES, 2000)
+    _, det4, _ = det_reference(prob4, DET_STAGES, 2000)
     validation = abs(det4 - grid4)
 
     prob10 = maxcut_problem(10, rng)
-    _, ref10, _ = _det_reference(prob10, DET_STAGES, 3000)
+    _, ref10, _ = det_reference(prob10, DET_STAGES, 3000)
     eps = 0.05
     cfg = SolverConfig(N=1200, eps=eps, q=8, seed=7, oracle_tol=1e-6, true_obj_every=10)
     stoch = acsa_linesearch_run(prob10, None, prob10.prox_setup(), cfg)

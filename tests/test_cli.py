@@ -9,7 +9,8 @@ import pytest
 
 from eigsmooth.cli import SOLVER_KEYS, Config, ConfigError, main, parse_config, read_report
 from eigsmooth.optimize import read_trace
-from eigsmooth.problems import synthetic_covariance
+from eigsmooth.problems import BallProblem, synthetic_covariance
+from eigsmooth.spectral import SpectralError
 
 
 def write_config(path, **fields):
@@ -57,6 +58,26 @@ def test_readme_lists_every_solver_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = re.search(r"The solver keys of `stoch_ls` and `acsa` \((.*?)\)", readme, re.S)
     assert set(re.findall(r"`(\w+)`", listed.group(1))) == set(SOLVER_KEYS)
+
+
+@pytest.mark.parametrize("aborted", [False, True], ids=["completed", "aborted"])
+@pytest.mark.parametrize("algorithm", ["stoch_ls", "acsa", "det_smooth", "subgrad"])
+def test_report_holds_the_keys_readme_lists(tmp_path, monkeypatch, algorithm, aborted):
+    # every run reports the same ten keys; the AC-SA runs add t_gamma, an abort its reason
+    def failing(self, w):  # the first row's objective monitor: every solver loop aborts there
+        raise SpectralError("injected")
+
+    if aborted:
+        monkeypatch.setattr(BallProblem, "true_objective", failing)
+    cfg = write_config(tmp_path / "c.txt", problem="maxcut", algorithm=algorithm, n=4, N=3,
+                       seed=1, eps=0.1)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == (3 if aborted else 0)
+    keys = ("algorithm name problem n seed iterations total_eigvecs best_objective trace completed"
+            .split() + ["t_gamma"] * (algorithm in ("stoch_ls", "acsa")) + ["abort_reason"] * aborted)
+    assert list(parse_config(tmp_path / f"{algorithm}_report.txt")) == keys
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"`<name>_report.txt`\nwith flat key=value lines: (.*?) Exit code", readme, re.S)
+    assert set(keys) <= set(re.findall(r"`(\w+)`", listed.group(1)))
 
 
 def test_solve_requires_seed(tmp_path, capsys):
@@ -421,7 +442,6 @@ def test_solve_interrupt_writes_partial_trace(tmp_path, monkeypatch):
     # an interrupt in the third oracle call, and one in the third call of the
     # trace's objective monitor, each end the command with exit 3 and outputs
     import eigsmooth.optimize as opt
-    from eigsmooth.problems import BallProblem
 
     real = opt.gradient_oracle
 
