@@ -295,7 +295,10 @@ def _parse_eps_rule(text):
     text = text.strip()
     relative = text.endswith("eps0")
     if relative:
-        text = text[: -len("eps0")].rstrip().removesuffix("*").strip() or "1"
+        head = text[: -len("eps0")].rstrip()
+        if head and not (head.endswith("*") and head[:-1].strip()):  # a factor needs its star
+            raise ValueError(f"expected value, eps0 or factor * eps0, got {text!r}")
+        text = head[:-1] or "1"
     value = float(text)
     check_finite_positive("eps", value)
     return (lambda eps0, n: value * eps0) if relative else (lambda eps0, n: value)

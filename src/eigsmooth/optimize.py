@@ -73,8 +73,9 @@ _SOFTMAX_KEEP = 2.0 ** -60
 class ProxSetup:
     """Euclidean prox geometry: omega = ||.||^2 / 2 (strong convexity modulus 1).
 
-    `project` is the Euclidean projection onto the feasible set, `diameter`
-    the omega-diameter (max omega - min omega)^(1/2), and `center` the omega
+    `project` returns the Euclidean projection of its argument onto the
+    feasible set and may overwrite that argument, `diameter` the
+    omega-diameter (max omega - min omega)^(1/2), and `center` the omega
     minimizer used as the start point.
     """
 
@@ -213,7 +214,8 @@ class ExactEigOracle:
 
 def prox_map_euclidean(setup, x, g, step):
     """Prox step for omega = ||.||^2/2: argmin_z step g.(z - x) + ||z - x||^2/2, the projection
-    of x - step g, formed in one new array (step g, then x minus it); `g` is not written."""
+    of x - step g, formed in one new array (step g, then x minus it) in which the projection
+    then runs; neither `x` nor `g` is written."""
     y = step * g
     return setup.project(np.subtract(x, y, out=y))
 

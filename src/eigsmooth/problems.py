@@ -20,7 +20,9 @@ problem only its diagonal sum_k w_k f_k^2 in O(kn). `composite(point,
 value, F, w, q)` is the one place the objective's value and gradient are
 assembled from a top value and those factors, the pull-back divided by q
 (the box has no linear term, the ball adds -1^T w); `prox_setup()`
-packages projection, diameter, and start point.
+packages projection, diameter, and start point. Its projection writes its
+argument, the buffer in which the prox step formed x - step g, while the
+public `project` returns a new array.
 
 Also here: covariance ingestion with top-variance coordinate selection, and
 a synthetic low-rank-plus-noise covariance reproducing the well-separated
@@ -77,7 +79,11 @@ class BoxProblem:
         return self.A + X
 
     def project(self, X):
-        return np.clip(X, -self.rho, self.rho)
+        """The projection of X onto the box, in a new array; X is not written."""
+        return self._clip(np.array(X, dtype=float))
+
+    def _clip(self, X):
+        return np.clip(X, -self.rho, self.rho, out=X)
 
     def pull_back(self, F, w=None):
         # Rows scaled by sqrt(w) in one buffer H, so H^T H is numpy's symmetric
@@ -98,7 +104,7 @@ class BoxProblem:
         return np.zeros_like(self.A)
 
     def prox_setup(self):
-        return ProxSetup(project=self.project, diameter=self.diameter, center=self.center())
+        return ProxSetup(project=self._clip, diameter=self.diameter, center=self.center())
 
     def true_objective(self, X):
         return float(np.linalg.eigvalsh(self.matrix(X))[-1])
@@ -125,10 +131,15 @@ class BallProblem:
         return M
 
     def project(self, w):
+        """The projection of w onto the ball, in a new array; w is not written."""
+        return self._shrink(np.array(w, dtype=float))
+
+    def _shrink(self, w):
         norm = float(np.linalg.norm(w))
         if norm <= self.radius:
             return w
-        return w * (self.radius / norm)
+        w *= self.radius / norm
+        return w
 
     def pull_back(self, F, w=None):
         return (F * F).sum(axis=0) if w is None else w @ (F * F)
@@ -145,7 +156,7 @@ class BallProblem:
         return np.zeros(self.dim)
 
     def prox_setup(self):
-        return ProxSetup(project=self.project, diameter=self.diameter, center=self.center())
+        return ProxSetup(project=self._shrink, diameter=self.diameter, center=self.center())
 
     def true_objective(self, w):
         return float(np.linalg.eigvalsh(self.matrix(w))[-1]) - float(np.sum(w))

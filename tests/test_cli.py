@@ -179,6 +179,11 @@ def test_solve_rejects_bad_eps(tmp_path, capsys, algorithm, eps, fields):
     # 0.1/eps overflows, so no q can be derived: a setting, not a crash
     ("solve", {"algorithm": "stoch_ls", "eps": 5e-324},
      "stoch_ls: eps=5e-324 is too small to derive q = ceil(0.1/eps); set q"),
+    # a relative rule is `eps0` or `factor * eps0`: a star with no factor, or a
+    # factor with no star, is no rule
+    ("phase", {"eps_rule": "* eps0"}, "field 'eps_rule' has invalid value '* eps0'"),
+    ("phase", {"eps_rule": "*eps0"}, "field 'eps_rule' has invalid value '*eps0'"),
+    ("phase", {"eps_rule": "2 eps0"}, "field 'eps_rule' has invalid value '2 eps0'"),
 ])
 def test_config_mistakes_are_config_errors(tmp_path, capsys, command, fields, message):
     # solve starts from eps = 0, which only subgrad accepts; rows for the others set eps

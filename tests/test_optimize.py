@@ -974,6 +974,13 @@ def _det_smooth_iterations(n):
     return lambda: nesterov_smooth_baseline(prob, setup, 0.05, 4, true_obj_every=4)
 
 
+def _box_prox(n):
+    prob = dspca_problem(synthetic_covariance(n, np.random.default_rng(1)))
+    setup = prob.prox_setup()
+    x, g = np.random.default_rng(2).standard_normal((2, n, n))
+    return lambda: prox_map_euclidean(setup, x, g, 0.5)
+
+
 def _ball_matrix(n):
     ball = maxcut_problem(n, np.random.default_rng(2))
     w = ball.project(np.random.default_rng(3).standard_normal(n))
@@ -987,10 +994,12 @@ def _ball_matrix(n):
     (_linesearch_iterations, 200, 7),
     # x, y, A + y and the decomposition's vectors, reordered in a copy
     (_det_smooth_iterations, 200, 5),
+    # step g, then x minus it in the same array, where the projection runs too
+    (_box_prox, 200, 1),
     # n x n bytes below numpy's 256 KB temporary-elision size, where a sum's
     # temporary operand is never reused for its result
     (_ball_matrix, 100, 1),
-], ids=["linesearch", "det_smooth", "ball_matrix"])
+], ids=["linesearch", "det_smooth", "box_prox", "ball_matrix"])
 def test_loops_hold_only_the_arrays_their_arithmetic_needs(build, n, arrays):
     # Peak traced bytes (numpy reports its allocations to tracemalloc) in n x n
     # arrays; the half array of slack holds the Lanczos vectors and the like.

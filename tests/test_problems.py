@@ -221,6 +221,20 @@ def test_projections_idempotent_nonexpansive():
         assert np.linalg.norm(ball.project(u) - ball.project(v)) <= np.linalg.norm(u - v) + 1e-12
 
 
+def test_public_projections_return_a_new_array_and_leave_their_argument():
+    # the prox setups project in place, in the prox step's own buffer; the
+    # public methods copy first, a point already feasible included
+    rng = np.random.default_rng(8)
+    box = dspca_problem(np.eye(4))
+    ball = maxcut_problem(6, rng, radius=2.0)
+    for prob, point in ((box, 3.0 * rng.standard_normal((4, 4))), (box, np.full((4, 4), 0.1)),
+                        (ball, 3.0 * rng.standard_normal(6)), (ball, np.full(6, 0.1))):
+        before = point.copy()
+        projected = prob.project(point)
+        assert not np.shares_memory(projected, point)
+        assert np.array_equal(point, before)
+
+
 def test_maxcut_reference_solves_small_instance():
     rng = np.random.default_rng(7)
     prob = maxcut_problem(2, rng, radius=3.0)
